@@ -391,11 +391,14 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     k_m = cfg[("pipeline", "k_m")]
     if k_m < 1:
         raise ConfigError("[pipeline] k_m must be >= 1 for the aggregate command")
-    micro = kmeans_microstates(features, k_m, seed=oc.seed,
-                               max_iters=cfg[("pipeline", "kmeans_max_iters")])
     if features.shape[0] < world.n_states:
         raise ConfigError(f"feature file has {features.shape[0]} rows but the "
                           f"map has {world.n_states} states")
+    try:
+        micro = kmeans_microstates(features, k_m, seed=oc.seed,
+                                   max_iters=cfg[("pipeline", "kmeans_max_iters")])
+    except ValueError as exc:
+        raise ConfigError(f"[pipeline] k_m: {exc}")
     rng = np.random.default_rng(oc.seed)
     trajectories = [sample_trajectory(world, uniform_random_policy,
                                       oc.max_steps_per_episode, rng)

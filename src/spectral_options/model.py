@@ -6,8 +6,9 @@ R̂(s,a,s'), and a reward-weighted adjacency matrix
     D(s,s') = D_prior + Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
 so that transitions carrying reward are progressively cut out of the
-adjacency structure as v grows.  D is recomputed from U and R̂ after every
-update batch, which keeps it exactly consistent with the accumulators.
+adjacency structure as v grows.  All count writers share one batched path
+that refreshes D only at the (s, s') pairs a batch touched, bit-identical to
+rebuilding D from U and R̂, so D stays exactly consistent with the counts.
 """
 
 from __future__ import annotations
@@ -34,36 +35,43 @@ class EstimatedModel:
         self.U = np.full((n_states, n_actions, n_states), u_prior, dtype=float)
         self.R_sum = np.zeros((n_states, n_actions, n_states))
         self.R_count = np.zeros((n_states, n_actions, n_states))
-        self.D = np.full((n_states, n_states), d_prior, dtype=float)
-        self._rebuild_adjacency()
+        # No counts yet: R̂ = 0, and u_prior is summed over actions as in _add_counts.
+        self.D = np.full((n_states, n_states), self.d_prior + sum([self.u_prior] * n_actions))
 
-    def _rebuild_adjacency(self):
-        R_hat = np.zeros_like(self.R_sum)
-        seen = self.R_count > 0
-        R_hat[seen] = self.R_sum[seen] / self.R_count[seen]
-        weighted = self.U * np.exp(-self.v * np.abs(R_hat))
-        self.D = self.d_prior + weighted.sum(axis=1)
+
+def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
+    """Add count and reward_sum at each (s, a, s') of a batch, then refresh D.
+
+    All indices are checked before any write.  np.add.at adds repeated indices
+    in batch order, and D is recomputed only at the touched (s, s') pairs with
+    actions summed in order, bit-identical to rebuilding D from U and R̂.
+    """
+    s, a, s2 = (np.asarray(x, dtype=np.intp) for x in (s, a, s2))
+    for idx, bound in ((s, model.n_states), (a, model.n_actions), (s2, model.n_states)):
+        if idx.size and not 0 <= idx.min() <= idx.max() < bound:
+            raise IndexError(f"index out of range [0, {bound}): {idx.min()}..{idx.max()}")
+    np.add.at(model.U, (s, a, s2), count)
+    np.add.at(model.R_sum, (s, a, s2), reward_sum)
+    np.add.at(model.R_count, (s, a, s2), count)
+
+    rows, cols = np.divmod(np.unique(s * model.n_states + s2), model.n_states)
+    n_obs = model.R_count[rows, :, cols]
+    R_hat = np.divide(model.R_sum[rows, :, cols], n_obs, out=np.zeros_like(n_obs),
+                      where=n_obs > 0)
+    weighted = model.U[rows, :, cols] * np.exp(-model.v * np.abs(R_hat))
+    model.D[rows, cols] = model.d_prior + sum(weighted.T)   # adds actions in order
 
 
 def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
     """Fold one trajectory into the model's counts; returns the same model.
 
     Each observed (s, a, s') increments U and the reward accumulators, then D
-    is rebuilt under the e^{−v|R̂|} weighting.  An empty trajectory leaves the
-    model unchanged.
+    is recomputed under the e^{−v|R̂|} weighting at the visited (s, s') pairs.
+    An out-of-range index raises IndexError before any count is written.
     """
-    n = model.n_states
-    for st in traj:
-        if not (0 <= st.state < n and 0 <= st.next_state < n):
-            raise IndexError(f"state index out of range: ({st.state}, {st.next_state})")
-        if not 0 <= st.action < model.n_actions:
-            raise IndexError(f"action index out of range: {st.action}")
-    for st in traj:
-        model.U[st.state, st.action, st.next_state] += 1.0
-        model.R_sum[st.state, st.action, st.next_state] += st.reward
-        model.R_count[st.state, st.action, st.next_state] += 1.0
-    if len(traj):
-        model._rebuild_adjacency()
+    steps = list(traj)
+    _add_counts(model, [st.state for st in steps], [st.action for st in steps],
+                [st.next_state for st in steps], 1.0, [st.reward for st in steps])
     return model
 
 
@@ -96,16 +104,11 @@ def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
         raise ValueError("exhaustive enumeration requires deterministic dynamics")
     model = EstimatedModel(world.n_states, N_ACTIONS, v=v, d_prior=d_prior,
                            u_prior=u_prior)
-    for s in range(world.n_states):
-        if world.is_terminal(s):
-            continue
-        for a in range(N_ACTIONS):
-            s2 = world.move(s, a)
-            r = world.goal_reward if s2 in world.goals else world.step_reward
-            model.U[s, a, s2] += 1.0
-            model.R_sum[s, a, s2] += r
-            model.R_count[s, a, s2] += 1.0
-    model._rebuild_adjacency()
+    moves = [(s, a, world.move(s, a)) for s in range(world.n_states)
+             if not world.is_terminal(s) for a in range(N_ACTIONS)]
+    s, a, s2 = zip(*moves)
+    rewards = [world.goal_reward if t in world.goals else world.step_reward for t in s2]
+    _add_counts(model, s, a, s2, 1.0, rewards)
     return model
 
 
@@ -133,11 +136,8 @@ def load_triplets(path, n_states: int, n_actions: int = N_ACTIONS, v: float = 0.
         header = next(reader)
         if header != ["s", "a", "next_s", "count", "reward_mean"]:
             raise ValueError(f"unrecognized triplet header: {header}")
-        for row in reader:
-            s, a, s2 = int(row[0]), int(row[1]), int(row[2])
-            count, mean_r = float(row[3]), float(row[4])
-            model.U[s, a, s2] += count
-            model.R_sum[s, a, s2] += mean_r * count
-            model.R_count[s, a, s2] += count
-    model._rebuild_adjacency()
+        rows = [(int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4]))
+                for r in reader]
+    s, a, s2, count, mean_r = np.array(rows, dtype=float).reshape(-1, 5).T
+    _add_counts(model, s, a, s2, count, mean_r * count)
     return model

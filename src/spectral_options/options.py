@@ -153,20 +153,12 @@ def compose_termination(i: int, j: int, chi: np.ndarray) -> dict:
     return beta
 
 
-def discover_options(membership: MembershipMatrix, lap: StochasticLaplacian,
-                     P: dict, tau_conn: float = 0.1,
-                     n_states: int | None = None) -> list[Option]:
-    """One option per ordered pair of connected abstract states.
-
-    Connectivity comes from C = χᵀLχ with the relative threshold tau_conn
-    (see spectral.connected_pairs).  Returns an empty list when no pair
-    clears it.
-    """
+def _options_from(membership: MembershipMatrix, kept, C: np.ndarray, P: dict,
+                  tau_conn: float, n_states: int | None) -> list[Option]:
     if n_states is None:
-        n_states = int(lap.kept.max()) + 1
-    chi = expand_memberships(membership, lap.kept, n_states)
+        n_states = int(kept.max()) + 1
+    chi = expand_memberships(membership, kept, n_states)
     index = assign_states(chi)
-    C = connectivity(membership, lap)
     options = []
     for (i, j) in connected_pairs(C, tau_conn):
         policy, unmodeled, ascent, fallback = compose_policy(i, j, chi, P, index)
@@ -181,10 +173,26 @@ def discover_options(membership: MembershipMatrix, lap: StochasticLaplacian,
     return options
 
 
+def discover_options(membership: MembershipMatrix, lap: StochasticLaplacian,
+                     P: dict, tau_conn: float = 0.1,
+                     n_states: int | None = None) -> list[Option]:
+    """One option per ordered pair of connected abstract states.
+
+    Connectivity comes from C = χᵀLχ with the relative threshold tau_conn
+    (see spectral.connected_pairs).  Returns an empty list when no pair
+    clears it.
+    """
+    return _options_from(membership, lap.kept, connectivity(membership, lap), P,
+                         tau_conn, n_states)
+
+
 def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list[Option]:
-    """Convenience wrapper: options from an estimated model and its clustering."""
+    """Options from an estimated model and its clustering.
+
+    Same as discover_options, but reuses the connectivity the clustering
+    already computed.
+    """
     from spectral_options.model import transition_probabilities
 
-    return discover_options(result.membership, result.laplacian,
-                            transition_probabilities(model), tau_conn=tau_conn,
-                            n_states=model.n_states)
+    return _options_from(result.membership, result.state_ids, result.connectivity,
+                         transition_probabilities(model), tau_conn, model.n_states)

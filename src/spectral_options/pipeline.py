@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spectral_options.env import N_ACTIONS, GridWorld, Step, Trajectory, step
-from spectral_options.model import EstimatedModel, adjacency, update_counts
+from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options, expand_memberships
 from spectral_options.agents import (
@@ -291,8 +291,9 @@ def aggregate_model(trajectories, assignments, n_microstates: int | None = None,
     """Recount trajectories on the microstate space.
 
     ``assignments`` maps state ids to microstate ids (mapping or array).
-    Raises KeyError for any trajectory state without an assignment.  The
-    resulting model feeds the spectral and option stages unchanged.
+    Raises KeyError for a state without an assignment and IndexError for a
+    microstate id outside [0, n_microstates).  The resulting model feeds the
+    spectral and option stages unchanged.
     """
     def lookup(s):
         try:
@@ -306,11 +307,7 @@ def aggregate_model(trajectories, assignments, n_microstates: int | None = None,
                   else assignments)
         n_microstates = int(max(values)) + 1
     micro = EstimatedModel(n_microstates, N_ACTIONS, v=v)
-    for traj in trajectories:
-        for st in traj:
-            m, m2 = lookup(st.state), lookup(st.next_state)
-            micro.U[m, st.action, m2] += 1.0
-            micro.R_sum[m, st.action, m2] += st.reward
-            micro.R_count[m, st.action, m2] += 1.0
-    micro._rebuild_adjacency()
+    steps = [st for traj in trajectories for st in traj]
+    _add_counts(micro, [lookup(st.state) for st in steps], [st.action for st in steps],
+                [lookup(st.next_state) for st in steps], 1.0, [st.reward for st in steps])
     return micro

@@ -1,7 +1,9 @@
-"""Independent oracles: dense value iteration for the flat MDP and for the
-determinized option-augmented SMDP.
+"""Independent oracles: the reward-weighted adjacency rebuilt from scratch,
+and dense value iteration for the flat MDP and for the determinized
+option-augmented SMDP.
 
-These deliberately avoid the package's learning code: backups are written
+These deliberately avoid the package's model and learning code: the
+adjacency is recomputed from the full count arrays, and backups are written
 directly from the Bellman equations so agent updates can be checked against
 them.  The SMDP is determinized by following each option's argmax-probability
 action and terminating only where termination is certain (β = 1) or the
@@ -12,6 +14,15 @@ state.
 import numpy as np
 
 from spectral_options.env import N_ACTIONS
+
+
+def rebuilt_adjacency(model):
+    """D = d_prior + Σ_a U·e^{−v|R̂|} over all of U, with R̂ = 0 where unvisited."""
+    R_hat = np.zeros_like(model.R_sum)
+    seen = model.R_count > 0
+    R_hat[seen] = model.R_sum[seen] / model.R_count[seen]
+    weighted = model.U * np.exp(-model.v * np.abs(R_hat))
+    return model.d_prior + weighted.sum(axis=1)
 
 
 def flat_q_star(world, gamma, tol=1e-12, max_iters=100_000):

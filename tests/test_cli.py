@@ -430,6 +430,24 @@ def test_aggregate_too_few_feature_rows(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_aggregate_k_m_above_distinct_points(tmp_path, capsys):
+    features = tmp_path / "three_points.txt"
+    write_features(features, np.repeat(np.eye(3), [26, 26, 25], axis=0))
+    rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
+               "--out-dir", str(tmp_path / "o"), "--set", "pipeline.k_m=5"])
+    assert rc == EXIT_CONFIG
+    assert "k_m" in capsys.readouterr().err
+
+
+def test_aggregate_row_check_precedes_kmeans(tmp_path, capsys):
+    features = tmp_path / "three_rows.txt"
+    write_features(features, np.eye(3))
+    rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
+               "--out-dir", str(tmp_path / "o"), "--set", "pipeline.k_m=5"])
+    assert rc == EXIT_CONFIG
+    assert "feature file has 3 rows" in capsys.readouterr().err
+
+
 def test_aggregate_empty_feature_file(tmp_path):
     features = tmp_path / "empty.txt"
     features.write_text("# only a comment\n")

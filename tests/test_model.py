@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from spectral_options.env import Step, Trajectory, bundled_map_text, load_gridworld
+from spectral_options.env import (
+    Step,
+    Trajectory,
+    bundled_map_text,
+    load_gridworld,
+    sample_trajectory,
+    uniform_random_policy,
+)
 from spectral_options.model import (
     EstimatedModel,
     adjacency,
@@ -13,8 +20,14 @@ from spectral_options.model import (
     transition_probabilities,
     update_counts,
 )
+from spectral_options.pipeline import aggregate_model
+
+from oracles import rebuilt_adjacency
 
 THREE_ROOMS = bundled_map_text("three_rooms")
+# Nonzero step reward, v and both priors: every term of D differs from its
+# default, so an entry refreshed in the wrong order or missed shows up.
+V, D_PRIOR, U_PRIOR = 1.3, 0.2, 0.07
 
 
 def traj_of(*steps):
@@ -48,6 +61,19 @@ def test_out_of_range_state_is_error():
     m = EstimatedModel(2)
     with pytest.raises(IndexError):
         update_counts(m, traj_of((0, 1, 0.0, 5, False)))
+
+
+@pytest.mark.parametrize("bad_step", [(1, 9, 0.5, 2, False),    # action
+                                      (1, 0, 0.5, -1, False),   # negative next state
+                                      (1, 0, 0.5, 3, False)])   # next state too large
+def test_failed_update_leaves_model_unchanged(bad_step):
+    m = EstimatedModel(3, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    update_counts(m, traj_of((0, 1, 0.5, 1, False), (1, 2, -0.1, 2, False)))
+    before = [x.copy() for x in (m.U, m.R_sum, m.R_count, m.D)]
+    with pytest.raises(IndexError):
+        update_counts(m, traj_of((0, 1, 0.5, 1, False), bad_step))
+    for x, old in zip((m.U, m.R_sum, m.R_count, m.D), before):
+        assert np.array_equal(x, old)
 
 
 def test_mean_reward_used_before_exponentiating():
@@ -180,3 +206,60 @@ def test_triplet_round_trip(tmp_path):
 def test_negative_prior_is_error():
     with pytest.raises(ValueError):
         EstimatedModel(2, d_prior=-1.0)
+
+
+def test_load_triplets_rejects_negative_index(tmp_path):
+    path = tmp_path / "model.csv"
+    path.write_text("s,a,next_s,count,reward_mean\n0,0,1,1.0,0.0\n-1,0,1,2.0,0.0\n")
+    with pytest.raises(IndexError):
+        load_triplets(path, 3)
+
+
+# --- incremental D against a from-scratch rebuild ---------------------------
+
+def slippery_world():
+    return load_gridworld(THREE_ROOMS, step_reward=-0.04, goal_reward=1.0,
+                          slip_prob=0.2)
+
+
+def sampled_trajectories(world, n_episodes=40, seed=3):
+    rng = np.random.default_rng(seed)
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
+    return [sample_trajectory(world, uniform_random_policy, 60, rng,
+                              start=starts[e * 7 % len(starts)])
+            for e in range(n_episodes)]
+
+
+def test_incremental_adjacency_equals_rebuild_after_every_update():
+    world = slippery_world()
+    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    assert np.array_equal(m.D, rebuilt_adjacency(m))
+    for traj in sampled_trajectories(world):
+        update_counts(m, traj)
+        assert np.array_equal(m.D, rebuilt_adjacency(m))
+    assert (m.R_count > 0).sum() > 200      # hundreds of distinct transitions counted
+
+
+def test_exhaustive_adjacency_equals_rebuild():
+    world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
+    m = exhaustive_model(world, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    assert np.array_equal(m.D, rebuilt_adjacency(m))
+
+
+def test_loaded_adjacency_equals_rebuild(tmp_path):
+    world = slippery_world()
+    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    for traj in sampled_trajectories(world):
+        update_counts(m, traj)
+    path = tmp_path / "model.csv"
+    save_triplets(m, path)
+    loaded = load_triplets(path, world.n_states, v=V, d_prior=D_PRIOR,
+                           u_prior=U_PRIOR)
+    assert np.array_equal(loaded.D, rebuilt_adjacency(loaded))
+
+
+def test_aggregated_adjacency_equals_rebuild():
+    world = slippery_world()
+    assignment = np.arange(world.n_states) // 4
+    agg = aggregate_model(sampled_trajectories(world), assignment, v=V)
+    assert np.array_equal(agg.D, rebuilt_adjacency(agg))

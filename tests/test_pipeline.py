@@ -402,3 +402,11 @@ def test_unassigned_state_rejected():
     traj.append(Step(0, 1, 0.0, 5, False))
     with pytest.raises(KeyError):
         aggregate_model([traj], {0: 0})
+
+
+def test_negative_microstate_id_rejected(world):
+    trajs = sample_covering_trajectories(world, n_episodes=5)
+    assignment = np.zeros(world.n_states, dtype=int)
+    assignment[world.start] = -1
+    with pytest.raises(IndexError):
+        aggregate_model(trajs, assignment, n_microstates=2)
