@@ -18,7 +18,7 @@ from spectral_options.spectral import (
     connectivity,
     select_k,
 )
-from spectral_options.options import Option, compose_options, discover_options
+from spectral_options.options import Option, compose_options
 from spectral_options.agents import (
     QTable,
     epsilon_greedy,
@@ -36,7 +36,7 @@ __all__ = [
     "load_gridworld", "sample_trajectory", "step",
     "EstimatedModel", "adjacency", "exhaustive_model",
     "MembershipMatrix", "build_laplacian", "cluster", "connectivity", "select_k",
-    "Option", "compose_options", "discover_options",
+    "Option", "compose_options",
     "QTable", "epsilon_greedy", "intra_option_update", "q_update", "run_option",
     "smdp_q_update",
     "aggregate_model", "kmeans_microstates", "run_odstc",

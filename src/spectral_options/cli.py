@@ -3,9 +3,12 @@
 Experiments are driven by an INI config file with six blocks ([environment],
 [model], [spectral], [agent], [pipeline], [output]); individual keys can be
 overridden on the command line with ``--set block.key=value``, and ``--seed``
-/ ``--out-dir`` override the two most commonly varied keys.  All outputs are
-CSV files with header rows plus one binary PGM (P5) heatmap per abstract
-state, so a fixed seed and config give byte-identical runs.
+/ ``--out-dir`` override the two most commonly varied keys.  ``LAYOUT`` places
+each key in its block; the key's type and default come from the field of the
+same name on ``pipeline.OdstcConfig`` or, for keys only the commands read, on
+``CommandConfig``.  All outputs are CSV files with header rows plus one binary
+PGM (P5) heatmap per abstract state, so a fixed seed and config give
+byte-identical runs.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
 """
@@ -17,7 +20,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -55,65 +58,48 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (bad file, key, value, or path)."""
 
 
-# block -> key -> (type tag, default); None default means the key is required.
-SCHEMA = {
-    "environment": {
-        "map": ("str", None),
-        "goal_reward": ("float", 1.0),
-        "step_reward": ("float", 0.0),
-        "slip_prob": ("float", 0.0),
-    },
-    "model": {
-        "v": ("float", 0.0),
-        "reward_weighting": ("bool", False),
-        "d_prior": ("float", 0.0),
-        "u_prior": ("float", 0.0),
-    },
-    "spectral": {
-        "t_c": ("float", 0.5),
-        "tau_conn": ("float", 0.1),
-        "k": ("int", 0),              # 0 = select k from the spectral gap
-    },
-    "agent": {
-        "learner": ("str", "smdp"),
-        "alpha": ("float", 0.1),
-        "gamma": ("float", 0.99),
-        "eps_start": ("float", 1.0),
-        "eps_end": ("float", 0.05),
-        "eps_anneal_episodes": ("int", 0),   # 0 = anneal over the full budget
-    },
-    "pipeline": {
-        "episodes_per_round": ("int", 10),
-        "max_rounds": ("int", 50),
-        "pcca_refresh_interval": ("int", 10),
-        "max_steps_per_episode": ("int", 400),
-        "convergence_window": ("int", 20),
-        "seed": ("int", 0),
-        "k_m": ("int", 0),            # microstate count for the aggregate command
-        "kmeans_max_iters": ("int", 100),
-    },
-    "output": {
-        "directory": ("str", "out"),
-        "heatmaps": ("bool", True),
-        "csv": ("bool", True),
-        "model": ("bool", False),
-    },
+@dataclass
+class CommandConfig:
+    """Keys only the commands read; the discovery loop's keys are OdstcConfig's."""
+
+    map: str                          # required: a map file or a bundled map name
+    goal_reward: float = 1.0
+    step_reward: float = 0.0
+    slip_prob: float = 0.0
+    k_m: int = 0                      # microstate count for the aggregate command
+    kmeans_max_iters: int = 100
+    directory: str = "out"
+    heatmaps: bool = True
+    csv: bool = True
+    model: bool = False
+
+
+# INI block -> its keys, each a field of OdstcConfig or CommandConfig, which
+# give the key's type and default (a field without a default is required).
+LAYOUT = {
+    "environment": ("map", "goal_reward", "step_reward", "slip_prob"),
+    "model": ("v", "reward_weighting", "d_prior", "u_prior"),
+    "spectral": ("t_c", "tau_conn", "k"),
+    "agent": ("learner", "alpha", "gamma", "eps_start", "eps_end", "eps_anneal_episodes"),
+    "pipeline": ("episodes_per_round", "max_rounds", "pcca_refresh_interval",
+                 "max_steps_per_episode", "convergence_window", "seed", "k_m",
+                 "kmeans_max_iters"),
+    "output": ("directory", "heatmaps", "csv", "model"),
 }
+_FIELDS = {f.name: f for cls in (OdstcConfig, CommandConfig) for f in fields(cls)}
+_ODSTC_KEYS = {f.name for f in fields(OdstcConfig)}
 
 _BOOL_VALUES = {"true": True, "yes": True, "on": True, "1": True,
                 "false": False, "no": False, "off": False, "0": False}
+_PARSERS = {"int": int, "float": float, "str": str,
+            "bool": lambda raw: _BOOL_VALUES[raw.strip().lower()]}
 
 
 def _coerce(block: str, key: str, raw: str):
-    kind = SCHEMA[block][key][0]
+    kind = _FIELDS[key].type
+    parse = _PARSERS[kind]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _BOOL_VALUES[raw.strip().lower()]
-        return raw
+        return parse(raw)
     except (ValueError, KeyError):
         raise ConfigError(f"[{block}] {key}: cannot parse {raw!r} as {kind}")
 
@@ -127,28 +113,7 @@ class ExperimentConfig:
         return self.values[block_key]
 
     def odstc(self) -> OdstcConfig:
-        g = self.values.__getitem__
-        return OdstcConfig(
-            episodes_per_round=g(("pipeline", "episodes_per_round")),
-            max_rounds=g(("pipeline", "max_rounds")),
-            pcca_refresh_interval=g(("pipeline", "pcca_refresh_interval")),
-            t_c=g(("spectral", "t_c")),
-            k=g(("spectral", "k")) or None,
-            v=g(("model", "v")),
-            reward_weighting=g(("model", "reward_weighting")),
-            tau_conn=g(("spectral", "tau_conn")),
-            d_prior=g(("model", "d_prior")),
-            u_prior=g(("model", "u_prior")),
-            alpha=g(("agent", "alpha")),
-            gamma=g(("agent", "gamma")),
-            eps_start=g(("agent", "eps_start")),
-            eps_end=g(("agent", "eps_end")),
-            eps_anneal_episodes=g(("agent", "eps_anneal_episodes")) or None,
-            learner=g(("agent", "learner")),
-            max_steps_per_episode=g(("pipeline", "max_steps_per_episode")),
-            convergence_window=g(("pipeline", "convergence_window")),
-            seed=g(("pipeline", "seed")),
-        )
+        return OdstcConfig(**{k: v for (_, k), v in self.values.items() if k in _ODSTC_KEYS})
 
     def world(self) -> GridWorld:
         return load_gridworld(self.map_text,
@@ -183,15 +148,13 @@ def load_config(path: str, overrides=(), seed: int | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
-    values = {}
-    for block, keys in SCHEMA.items():
-        for key, (_, default) in keys.items():
-            values[(block, key)] = default
+    values = {(block, key): _FIELDS[key].default
+              for block, keys in LAYOUT.items() for key in keys}
     for block in parser.sections():
-        if block not in SCHEMA:
+        if block not in LAYOUT:
             raise ConfigError(f"unknown config block [{block}]")
         for key, raw in parser.items(block):
-            if key not in SCHEMA[block]:
+            if key not in LAYOUT[block]:
                 raise ConfigError(f"unknown key {key!r} in block [{block}]")
             values[(block, key)] = _coerce(block, key, raw)
 
@@ -200,7 +163,7 @@ def load_config(path: str, overrides=(), seed: int | None = None,
             raise ConfigError(f"override must look like block.key=value: {item!r}")
         target, raw = item.split("=", 1)
         block, key = target.split(".", 1)
-        if block not in SCHEMA or key not in SCHEMA[block]:
+        if key not in LAYOUT.get(block, ()):
             raise ConfigError(f"unknown override target {target!r}")
         values[(block, key)] = _coerce(block, key, raw)
     if seed is not None:
@@ -208,7 +171,7 @@ def load_config(path: str, overrides=(), seed: int | None = None,
     if out_dir is not None:
         values[("output", "directory")] = out_dir
 
-    missing = [f"[{b}] {k}" for (b, k), v in values.items() if v is None]
+    missing = [f"[{b}] {k}" for (b, k), v in values.items() if v is MISSING]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     map_text = _resolve_map(values[("environment", "map")])
@@ -295,8 +258,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     out_dir = cfg[("output", "directory")]
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(oc.seed)
-    v = oc.v if oc.reward_weighting else 0.0
-    model = EstimatedModel(world.n_states, v=v, d_prior=oc.d_prior,
+    model = EstimatedModel(world.n_states, v=oc.model_v, d_prior=oc.d_prior,
                            u_prior=oc.u_prior)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     n_episodes = oc.max_rounds * oc.episodes_per_round
@@ -305,7 +267,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
                                  oc.max_steps_per_episode, rng,
                                  start=starts[episode % len(starts)])
         update_counts(model, traj)
-    result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k)
+    result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k or None)
     options = compose_options(model, result, tau_conn=oc.tau_conn)
     chi = expand_memberships(result.membership, result.state_ids, world.n_states)
     _write_membership_outputs(out_dir, world, chi, result.connectivity,
@@ -398,14 +360,13 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
         micro = kmeans_microstates(features, k_m, seed=oc.seed,
                                    max_iters=cfg[("pipeline", "kmeans_max_iters")])
     except ValueError as exc:
-        raise ConfigError(f"[pipeline] k_m: {exc}")
+        raise ConfigError(f"[pipeline] {exc}")
     rng = np.random.default_rng(oc.seed)
     trajectories = [sample_trajectory(world, uniform_random_policy,
                                       oc.max_steps_per_episode, rng)
                     for _ in range(oc.max_rounds * oc.episodes_per_round)]
-    model = aggregate_model(trajectories, micro.assignments,
-                            n_microstates=k_m,
-                            v=oc.v if oc.reward_weighting else 0.0)
+    model = aggregate_model(trajectories, micro.assignments, n_microstates=k_m,
+                            v=oc.model_v)
     _write_csv(os.path.join(out_dir, "microstates.csv"),
                ["point", "microstate"],
                [[i, int(m)] for i, m in enumerate(micro.assignments)])

@@ -113,7 +113,11 @@ def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
 
 
 def save_triplets(model: EstimatedModel, path) -> None:
-    """Write visited transitions as CSV rows (s, a, next_s, count, reward_mean)."""
+    """Write visited transitions as CSV rows (s, a, next_s, count, reward_mean).
+
+    ``count`` holds observed visits only, without u_prior, so load_triplets
+    with the same priors rebuilds the model exactly.
+    """
     import csv
 
     with open(path, "w", newline="") as fh:
@@ -122,7 +126,7 @@ def save_triplets(model: EstimatedModel, path) -> None:
         for s, a, s2 in zip(*np.nonzero(model.R_count)):
             mean_r = model.R_sum[s, a, s2] / model.R_count[s, a, s2]
             writer.writerow([int(s), int(a), int(s2),
-                             repr(float(model.U[s, a, s2])), repr(float(mean_r))])
+                             repr(float(model.R_count[s, a, s2])), repr(float(mean_r))])
 
 
 def load_triplets(path, n_states: int, n_actions: int = N_ACTIONS, v: float = 0.0,

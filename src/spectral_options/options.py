@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spectral_options.spectral import (
-    ClusterResult,
-    MembershipMatrix,
-    StochasticLaplacian,
-    connected_pairs,
-    connectivity,
-)
+from spectral_options.spectral import ClusterResult, MembershipMatrix, connected_pairs
 
 BETA_EPS = 1e-6   # log-domain clamp; exact 0/1 memberships occur in block cases
 
@@ -153,14 +147,20 @@ def compose_termination(i: int, j: int, chi: np.ndarray) -> dict:
     return beta
 
 
-def _options_from(membership: MembershipMatrix, kept, C: np.ndarray, P: dict,
-                  tau_conn: float, n_states: int | None) -> list[Option]:
-    if n_states is None:
-        n_states = int(kept.max()) + 1
-    chi = expand_memberships(membership, kept, n_states)
+def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list[Option]:
+    """One option per ordered pair of connected abstract states.
+
+    Connectivity is the clustering's C = χᵀLχ with the relative threshold
+    tau_conn (see spectral.connected_pairs); policies follow the model's
+    transition estimates.  Returns an empty list when no pair clears it.
+    """
+    from spectral_options.model import transition_probabilities
+
+    P = transition_probabilities(model)
+    chi = expand_memberships(result.membership, result.state_ids, model.n_states)
     index = assign_states(chi)
     options = []
-    for (i, j) in connected_pairs(C, tau_conn):
+    for (i, j) in connected_pairs(result.connectivity, tau_conn):
         policy, unmodeled, ascent, fallback = compose_policy(i, j, chi, P, index)
         beta = compose_termination(i, j, chi)
         options.append(Option(
@@ -171,28 +171,3 @@ def _options_from(membership: MembershipMatrix, kept, C: np.ndarray, P: dict,
             fallback_states=fallback,
         ))
     return options
-
-
-def discover_options(membership: MembershipMatrix, lap: StochasticLaplacian,
-                     P: dict, tau_conn: float = 0.1,
-                     n_states: int | None = None) -> list[Option]:
-    """One option per ordered pair of connected abstract states.
-
-    Connectivity comes from C = χᵀLχ with the relative threshold tau_conn
-    (see spectral.connected_pairs).  Returns an empty list when no pair
-    clears it.
-    """
-    return _options_from(membership, lap.kept, connectivity(membership, lap), P,
-                         tau_conn, n_states)
-
-
-def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list[Option]:
-    """Options from an estimated model and its clustering.
-
-    Same as discover_options, but reuses the connectivity the clustering
-    already computed.
-    """
-    from spectral_options.model import transition_probabilities
-
-    return _options_from(result.membership, result.state_ids, result.connectivity,
-                         transition_probabilities(model), tau_conn, model.n_states)

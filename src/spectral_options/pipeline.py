@@ -39,11 +39,13 @@ LEARNERS = ("smdp", "intra_option", "flat")
 
 @dataclass
 class OdstcConfig:
+    """Settings of the discovery loop; each field is also a key of the CLI's INI."""
+
     episodes_per_round: int = 10
     max_rounds: int = 50
     pcca_refresh_interval: int = 10
     t_c: float = 0.5
-    k: int | None = None              # force the cluster count; None = spectral gap
+    k: int = 0                        # force the cluster count; 0 = spectral gap
     v: float = 0.0
     reward_weighting: bool = False
     tau_conn: float = 0.1
@@ -53,11 +55,16 @@ class OdstcConfig:
     gamma: float = 0.99
     eps_start: float = 1.0
     eps_end: float = 0.05
-    eps_anneal_episodes: int | None = None   # None = anneal over the full budget
+    eps_anneal_episodes: int = 0      # 0 = anneal over the full budget
     learner: str = "smdp"
     max_steps_per_episode: int = 400
     convergence_window: int = 20
     seed: int = 0
+
+    @property
+    def model_v(self) -> float:
+        """The reward-weighting strength the model applies: v, or 0 with weighting off."""
+        return self.v if self.reward_weighting else 0.0
 
     def validate(self):
         counts = {"episodes_per_round": self.episodes_per_round,
@@ -67,11 +74,16 @@ class OdstcConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        for name, p in {"t_c": self.t_c}.items():
-            if not 0 < p < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {p}")
+        for name, value in {"max_rounds": self.max_rounds, "seed": self.seed}.items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.k and self.k < 2:
+            raise ValueError(f"k must be 0 (spectral gap) or >= 2, got {self.k}")
+        if self.eps_anneal_episodes and self.eps_anneal_episodes < 0:
+            raise ValueError("eps_anneal_episodes must be >= 0, "
+                             f"got {self.eps_anneal_episodes}")
+        if not 0 < self.t_c < 1:
+            raise ValueError(f"t_c must lie in (0, 1), got {self.t_c}")
         for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end}.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
@@ -79,6 +91,8 @@ class OdstcConfig:
             raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
         if self.v < 0 or self.tau_conn < 0:
             raise ValueError("v and tau_conn must be non-negative")
+        QTable(alpha=self.alpha, gamma=self.gamma)
+        EstimatedModel(1, d_prior=self.d_prior, u_prior=self.u_prior)
 
 
 @dataclass
@@ -196,23 +210,20 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    v = config.v if config.reward_weighting else 0.0
-    model = EstimatedModel(world.n_states, N_ACTIONS, v=v,
+    model = EstimatedModel(world.n_states, N_ACTIONS, v=config.model_v,
                            d_prior=config.d_prior, u_prior=config.u_prior)
     Q = QTable(alpha=config.alpha, gamma=config.gamma)
     options: list = []
     history: list[EpisodeLog] = []
     snapshots: list[np.ndarray] = []
     notes: list[str] = []
-    anneal = config.eps_anneal_episodes
-    if anneal is None:
-        anneal = config.max_rounds * config.episodes_per_round
+    anneal = config.eps_anneal_episodes or config.max_rounds * config.episodes_per_round
     converged = False
     for rnd in range(config.max_rounds):
         if (config.learner != "flat" and rnd > 0
                 and rnd % config.pcca_refresh_interval == 0):
             try:
-                result = cluster(adjacency(model), t_c=config.t_c, k=config.k)
+                result = cluster(adjacency(model), t_c=config.t_c, k=config.k or None)
                 options = compose_options(model, result, tau_conn=config.tau_conn)
                 Q.drop_options()
                 snapshots.append(expand_memberships(result.membership,
@@ -245,8 +256,10 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
 
     Iterates to an assignment fixpoint or max_iters; a cluster left empty is
     reseeded at the point farthest from its current centroid.  Raises when
-    k_m exceeds the number of distinct points.
+    k_m exceeds the number of distinct points or max_iters is below 1.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     pts = np.asarray(features, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]

@@ -30,14 +30,10 @@ from spectral_options.env import (
     sample_trajectory,
     uniform_random_policy,
 )
-from spectral_options.model import (
-    adjacency,
-    exhaustive_model,
-    transition_probabilities,
-)
+from spectral_options.model import adjacency, exhaustive_model
 from spectral_options.options import (
     assign_states,
-    discover_options,
+    compose_options,
     expand_memberships,
 )
 from spectral_options.pipeline import (
@@ -131,9 +127,7 @@ def plain_setup(world):
 @pytest.fixture(scope="module")
 def plain_options(world, plain_setup):
     model, result, _, _ = plain_setup
-    return discover_options(result.membership, result.laplacian,
-                            transition_probabilities(model), tau_conn=0.1,
-                            n_states=world.n_states)
+    return compose_options(model, result, tau_conn=0.1)
 
 
 # --- 1: three metastable clusters = the three rooms --------------------------
@@ -198,10 +192,7 @@ def test_04_options_reach_target_from_every_start(capsys, world, plain_setup,
     with criterion(capsys, 4, "hill-climb reachability 100%", 30.0) as c:
         _, _, _, index0 = plain_setup
         model4, result4, chi4, index4 = exhaustive_clustering(world, v=4.0)
-        weighted_options = discover_options(
-            result4.membership, result4.laplacian,
-            transition_probabilities(model4), tau_conn=0.1,
-            n_states=world.n_states)
+        weighted_options = compose_options(model4, result4, tau_conn=0.1)
         for options, index in ((plain_options, index0),
                                (weighted_options, index4)):
             for o in options:

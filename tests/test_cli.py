@@ -99,12 +99,57 @@ def write_config(tmp_path, body):
     return str(path)
 
 
+DEFAULTS = {
+    ("environment", "map"): "three_rooms",
+    ("environment", "goal_reward"): 1.0,
+    ("environment", "step_reward"): 0.0,
+    ("environment", "slip_prob"): 0.0,
+    ("model", "v"): 0.0,
+    ("model", "reward_weighting"): False,
+    ("model", "d_prior"): 0.0,
+    ("model", "u_prior"): 0.0,
+    ("spectral", "t_c"): 0.5,
+    ("spectral", "tau_conn"): 0.1,
+    ("spectral", "k"): 0,
+    ("agent", "learner"): "smdp",
+    ("agent", "alpha"): 0.1,
+    ("agent", "gamma"): 0.99,
+    ("agent", "eps_start"): 1.0,
+    ("agent", "eps_end"): 0.05,
+    ("agent", "eps_anneal_episodes"): 0,
+    ("pipeline", "episodes_per_round"): 10,
+    ("pipeline", "max_rounds"): 50,
+    ("pipeline", "pcca_refresh_interval"): 10,
+    ("pipeline", "max_steps_per_episode"): 400,
+    ("pipeline", "convergence_window"): 20,
+    ("pipeline", "seed"): 0,
+    ("pipeline", "k_m"): 0,
+    ("pipeline", "kmeans_max_iters"): 100,
+    ("output", "directory"): "out",
+    ("output", "heatmaps"): True,
+    ("output", "csv"): True,
+    ("output", "model"): False,
+}
+
+
 def test_minimal_config_gets_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, "[environment]\nmap = three_rooms\n"))
-    assert cfg[("spectral", "t_c")] == 0.5
-    assert cfg[("pipeline", "seed")] == 0
-    assert cfg[("output", "directory")] == "out"
+    assert set(cfg.values) == set(DEFAULTS)
+    for block_key, value in DEFAULTS.items():
+        assert cfg[block_key] == value, block_key
+        assert type(cfg[block_key]) is type(value), block_key
     assert cfg.world().n_states == 77
+
+
+def test_layout_places_every_config_field_once():
+    from dataclasses import fields
+    from spectral_options.cli import LAYOUT, CommandConfig
+    from spectral_options.pipeline import OdstcConfig
+
+    placed = [key for keys in LAYOUT.values() for key in keys]
+    declared = [f.name for cls in (OdstcConfig, CommandConfig) for f in fields(cls)]
+    assert sorted(placed) == sorted(declared)
+    assert len(set(declared)) == len(declared) == len(DEFAULTS)
 
 
 def test_unknown_block_rejected(tmp_path):
@@ -495,3 +540,28 @@ def test_membership_heatmap_contract():
     for s, (r, c) in enumerate(world.cells):
         assert img[r, c] == int(np.rint(255.0 * chi[s]))
     assert img[0, 0] == 0 and img.shape == (world.height, world.width)
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("discover", "agent.gamma=1.5"),
+    ("discover", "agent.alpha=2"),
+    ("discover", "model.d_prior=-1"),
+    ("discover", "model.u_prior=-1"),
+    ("discover", "spectral.k=1"),
+    ("discover", "spectral.k=-2"),
+    ("train", "spectral.k=1"),
+    ("train", "spectral.k=-2"),
+    ("train", "agent.eps_anneal_episodes=-1"),
+    ("train", "pipeline.seed=-1"),
+    ("aggregate", "pipeline.kmeans_max_iters=0"),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, setting):
+    features = tmp_path / "onehot.txt"
+    write_features(features, np.eye(77))
+    argv = [command, TRAIN_INI if command == "train" else DISCOVER_INI,
+            "--out-dir", str(tmp_path / "o"), "--set", setting,
+            "--set", "pipeline.max_rounds=1"]
+    if command == "aggregate":
+        argv += ["--features", str(features), "--set", "pipeline.k_m=2"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")

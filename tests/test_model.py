@@ -203,6 +203,19 @@ def test_triplet_round_trip(tmp_path):
     np.testing.assert_allclose(m2.D, m.D, atol=1e-12)
 
 
+def test_triplet_round_trip_with_count_prior(tmp_path):
+    # Dyadic rewards keep mean·count exact, so the round trip is bit for bit.
+    m = EstimatedModel(3, v=V, d_prior=D_PRIOR, u_prior=0.5)
+    update_counts(m, traj_of((0, 1, 0.5, 1, False), (1, 2, -0.25, 0, False),
+                             (0, 1, 2.0, 1, False), (1, 0, 0.0, 2, True)))
+    path = tmp_path / "model.csv"
+    save_triplets(m, path)
+    loaded = load_triplets(path, 3, v=V, d_prior=D_PRIOR, u_prior=0.5)
+    assert loaded.U[0, 1, 1] == 2.5 and loaded.U.sum() == m.U.sum()
+    for name in ("U", "R_sum", "R_count", "D"):
+        assert np.array_equal(getattr(loaded, name), getattr(m, name)), name
+
+
 def test_negative_prior_is_error():
     with pytest.raises(ValueError):
         EstimatedModel(2, d_prior=-1.0)

@@ -11,7 +11,6 @@ from spectral_options.options import (
     compose_options,
     compose_policy,
     compose_termination,
-    discover_options,
     expand_memberships,
 )
 from spectral_options.spectral import cluster
@@ -180,16 +179,20 @@ def test_beta_maximal_exactly_where_target_dominates(three_rooms_setup):
                 assert b < 1.0
 
 
-# --- discover_options ------------------------------------------------------
+# --- compose_options on degenerate clusterings -------------------------------
 
 def test_single_cluster_yields_no_options():
-    from spectral_options.spectral import MembershipMatrix, build_laplacian
+    from spectral_options.model import EstimatedModel
+    from spectral_options.spectral import (
+        ClusterResult, MembershipMatrix, SpectralResult, build_laplacian, connectivity)
 
-    W = np.ones((3, 3))
-    lap = build_laplacian(W)
+    lap = build_laplacian(np.ones((3, 3)))
     chi = np.ones((3, 1))
     membership = MembershipMatrix(chi=chi, chi_raw=chi, vertex_indices=np.array([0]))
-    assert discover_options(membership, lap, {}, n_states=3) == []
+    result = ClusterResult(laplacian=lap, selection=None, membership=membership,
+                           spectral=SpectralResult(eigenvalues=np.ones(3), Y=chi, k=1),
+                           connectivity=connectivity(membership, lap))
+    assert compose_options(EstimatedModel(3), result) == []
 
 
 def test_disconnected_blocks_yield_no_options():

@@ -87,6 +87,14 @@ def test_default_config_is_valid():
     ("learner", "sarsa"),
     ("v", -1.0),
     ("tau_conn", -0.1),
+    ("gamma", 1.5),
+    ("alpha", 2.0),
+    ("d_prior", -1.0),
+    ("u_prior", -1.0),
+    ("k", 1),
+    ("k", -2),
+    ("eps_anneal_episodes", -1),
+    ("seed", -1),
 ])
 def test_invalid_config_rejected(field, value):
     cfg = OdstcConfig(**{field: value})
@@ -96,6 +104,17 @@ def test_invalid_config_rejected(field, value):
 
 def test_zero_round_budget_is_valid():
     OdstcConfig(max_rounds=0).validate()
+
+
+def test_none_means_automatic_k_and_anneal(world):
+    # Library callers may pass None for the two "0 = automatic" settings.
+    cfg = dict(episodes_per_round=2, max_rounds=3, pcca_refresh_interval=2,
+               max_steps_per_episode=100, seed=4)
+    auto = run_odstc(world, OdstcConfig(k=None, eps_anneal_episodes=None, **cfg))
+    zero = run_odstc(world, OdstcConfig(k=0, eps_anneal_episodes=0, **cfg))
+    assert [l.cumulative_reward for l in auto.history] == \
+        [l.cumulative_reward for l in zero.history]
+    assert len(auto.chi_snapshots) == len(zero.chi_snapshots) == 1
 
 
 # --- epsilon schedule --------------------------------------------------------
