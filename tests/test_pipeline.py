@@ -19,7 +19,8 @@ from spectral_options.model import (
     update_counts,
 )
 from spectral_options.spectral import cluster
-from spectral_options.options import compose_options
+from spectral_options.options import Option, compose_options
+from spectral_options.agents import QTable
 from spectral_options.pipeline import (
     OdstcConfig,
     aggregate_model,
@@ -27,6 +28,7 @@ from spectral_options.pipeline import (
     episodes_to_plateau,
     epsilon_at,
     kmeans_microstates,
+    run_episode,
     run_odstc,
 )
 
@@ -287,6 +289,182 @@ def test_reclustering_unchanged_model_is_idempotent(world):
         assert oa.initiation == ob.initiation
         assert oa.policy == ob.policy
         assert oa.termination == ob.termination
+
+
+# --- run_episode -------------------------------------------------------------
+
+PIN_MAP = """\
+#######
+#S.#.G#
+#.....#
+#######
+"""
+
+
+def pin_options():
+    """Hand-made options on PIN_MAP: no eigensolve, so no platform dependence.
+
+    ``west`` tables β at state 6 but has no policy row there, so a run that
+    continues into 6 stops flagged as missing its policy.
+    """
+    west = Option(source=0, target=1, initiation=frozenset({0, 1, 4, 5, 6}),
+                  policy={0: {2: 1.0}, 1: {2: 0.5, 3: 0.5}, 4: {1: 1.0},
+                          5: {1: 0.8, 3: 0.2}},
+                  termination={0: 0.1, 1: 0.2, 4: 0.1, 5: 0.3, 6: 0.5})
+    east = Option(source=1, target=0, initiation=frozenset({2, 6, 7, 8}),
+                  policy={2: {1: 1.0}, 6: {1: 1.0}, 7: {1: 0.6, 0: 0.4},
+                          8: {0: 1.0}},
+                  termination={2: 0.0, 6: 0.1, 7: 0.2, 8: 0.0})
+    return [west, east]
+
+
+# Recorded per learner: (return, decisions, steps, options invoked) per
+# episode, the (s, a, s') sequence per episode, and the Q entries in
+# insertion order.
+PINNED_EPISODES = {
+    "flat": (
+        [(-1.2500000000000004, 25, 25, []), (0.55, 10, 10, []),
+         (-1.2500000000000004, 25, 25, []), (-1.2500000000000004, 25, 25, [])],
+        [[(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 5), (5, 3, 4), (4, 0, 0),
+          (0, 2, 4), (4, 1, 5), (5, 0, 1), (1, 3, 5), (5, 0, 1), (1, 0, 1), (1, 1, 1),
+          (1, 2, 1), (1, 3, 0), (0, 3, 0), (0, 0, 0), (0, 1, 1), (1, 3, 0), (0, 2, 1),
+          (1, 0, 1), (1, 1, 1), (1, 2, 0), (0, 3, 0)],
+         [(0, 0, 0), (0, 3, 0), (0, 1, 1), (1, 3, 5), (5, 1, 6), (6, 1, 7), (7, 0, 2),
+          (2, 0, 2), (2, 3, 2), (2, 1, 3)],
+         [(0, 2, 0), (0, 0, 0), (0, 0, 0), (0, 3, 0), (0, 1, 1), (1, 2, 5), (5, 2, 5),
+          (5, 1, 6), (6, 0, 6), (6, 3, 5), (5, 2, 5), (5, 3, 4), (4, 2, 4), (4, 3, 4),
+          (4, 0, 0), (0, 2, 1), (1, 3, 5), (5, 1, 5), (5, 3, 4), (4, 3, 4), (4, 1, 5),
+          (5, 2, 4), (4, 1, 5), (5, 0, 1), (1, 2, 5)],
+         [(0, 1, 1), (1, 3, 0), (0, 2, 4), (4, 2, 4), (4, 2, 4), (4, 3, 4), (4, 0, 0),
+          (0, 2, 4), (4, 2, 4), (4, 3, 4), (4, 1, 5), (5, 3, 4), (4, 1, 5), (5, 2, 5),
+          (5, 2, 5), (5, 1, 6), (6, 2, 6), (6, 0, 6), (6, 1, 6), (6, 2, 6), (6, 3, 5),
+          (5, 1, 6), (6, 0, 6), (6, 1, 7), (7, 0, 8)]],
+        {(0, 0): -0.10346406250000001,
+         (0, 1): -0.099203125,
+         (1, 0): -0.0713125,
+         (1, 1): -0.0713125,
+         (1, 2): -0.07740625000000001,
+         (5, 3): -0.09213515625000002,
+         (4, 0): -0.09849777343750002,
+         (0, 2): -0.09755507812500001,
+         (4, 1): -0.0963203125,
+         (5, 0): -0.074265625,
+         (1, 3): -0.09927351562500002,
+         (0, 3): -0.092746875,
+         (5, 1): -0.07459375000000001,
+         (6, 1): -0.049375,
+         (7, 0): -0.037500000000000006,
+         (2, 0): -0.025,
+         (2, 3): -0.025,
+         (2, 1): 0.5,
+         (5, 2): -0.09357812500000001,
+         (6, 0): -0.0713125,
+         (6, 3): -0.06801562500000001,
+         (4, 2): -0.092746875,
+         (4, 3): -0.092746875,
+         (6, 2): -0.04875}),
+    "smdp": (
+        [(0.7, 4, 7, [('S0->S1', 2), ('S0->S1', 1), ('S1->S0', 3)]),
+         (0.6000000000000001, 5, 9, [('S0->S1', 2), ('S1->S0', 4)]),
+         (-1.2500000000000004, 21, 25, [('S0->S1', 3), ('S0->S1', 2), ('S1->S0', 2)]),
+         (0.4, 6, 13, [('S0->S1', 1), ('S0->S1', 6), ('S1->S0', 3)])],
+        [[(0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 2, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)],
+         [(0, 0, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 2, 6), (6, 1, 7), (7, 1, 8),
+          (8, 0, 8), (8, 0, 3)],
+         [(0, 1, 4), (4, 1, 0), (0, 2, 4), (4, 1, 5), (5, 2, 5), (5, 2, 4), (4, 0, 0),
+          (0, 2, 4), (4, 2, 4), (4, 3, 4), (4, 1, 4), (4, 1, 5), (5, 2, 5), (5, 2, 5),
+          (5, 0, 1), (1, 3, 0), (0, 3, 0), (0, 0, 0), (0, 1, 4), (4, 0, 0), (0, 2, 4),
+          (4, 1, 5), (5, 1, 6), (6, 1, 7), (7, 1, 8)],
+         [(0, 3, 0), (0, 2, 4), (4, 2, 4), (4, 3, 4), (4, 1, 0), (0, 2, 4), (4, 1, 5),
+          (5, 3, 4), (4, 1, 5), (5, 1, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)]],
+        {(0, ('opt', 0)): -0.060000000000000005,
+         (5, ('opt', 0)): -0.025,
+         (6, 2): -0.025,
+         (6, ('opt', 1)): 0.45262500000000006,
+         (0, 0): -0.04875,
+         (1, ('opt', 0)): -0.0475,
+         (4, 1): -0.037500000000000006,
+         (5, 2): -0.024345835937499994,
+         (0, 1): -0.04875,
+         (4, ('opt', 0)): -0.08941658893749999,
+         (4, 0): -0.04875,
+         (0, 2): -0.04875,
+         (4, 2): -0.04875,
+         (4, 3): -0.04875,
+         (5, 0): -0.025,
+         (1, 3): -0.025,
+         (0, 3): -0.04875,
+         (5, 1): 0.18897500000000006}),
+    "intra_option": (
+        [(0.7, 4, 7, [('S0->S1', 2), ('S0->S1', 1), ('S1->S0', 3)]),
+         (-1.2500000000000004, 24, 25, [('S0->S1', 2)]),
+         (0.1499999999999998, 14, 18, [('S0->S1', 2), ('S0->S1', 2), ('S1->S0', 3)]),
+         (0.2499999999999999, 14, 16, [('S0->S1', 3), ('S1->S0', 1)])],
+        [[(0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 2, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)],
+         [(0, 0, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 2, 6), (6, 0, 5), (5, 0, 1),
+          (1, 0, 1), (1, 1, 1), (1, 2, 5), (5, 3, 4), (4, 0, 4), (4, 2, 5), (5, 0, 1),
+          (1, 0, 1), (1, 1, 1), (1, 2, 0), (0, 1, 1), (1, 1, 1), (1, 3, 0), (0, 3, 0),
+          (0, 3, 0), (0, 0, 0), (0, 1, 4), (4, 3, 4)],
+         [(0, 2, 4), (4, 1, 5), (5, 3, 4), (4, 0, 0), (0, 1, 4), (4, 3, 4), (4, 2, 4),
+          (4, 3, 4), (4, 1, 5), (5, 1, 6), (6, 3, 5), (5, 2, 5), (5, 3, 5), (5, 1, 6),
+          (6, 2, 6), (6, 1, 7), (7, 1, 8), (8, 0, 3)],
+         [(0, 0, 0), (0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 0, 6), (6, 3, 5), (5, 0, 1),
+          (1, 2, 5), (5, 2, 5), (5, 1, 6), (6, 1, 7), (7, 3, 6), (6, 1, 7), (7, 2, 7),
+          (7, 0, 2), (2, 1, 3)]],
+        {(0, ('opt', 0)): -0.09755909747907306,
+         (0, 2): -0.07810781250000001,
+         (4, ('opt', 0)): -0.09867500117585166,
+         (4, 1): -0.07881250000000001,
+         (5, ('opt', 0)): -0.06688130484358887,
+         (5, 1): -0.07375000000000001,
+         (6, 2): -0.04875,
+         (6, ('opt', 1)): -0.069375,
+         (6, 1): -0.046875,
+         (7, ('opt', 1)): 0.18125,
+         (7, 0): 0.18750000000000003,
+         (2, ('opt', 1)): 0.75,
+         (2, 1): 0.75,
+         (0, 0): -0.0713125,
+         (1, ('opt', 0)): -0.092171628301461,
+         (1, 3): -0.037500000000000006,
+         (5, 2): -0.0713125,
+         (6, 0): -0.04875,
+         (5, 0): -0.06625,
+         (1, 0): -0.04875,
+         (1, 1): -0.060625000000000005,
+         (1, 2): -0.06568750000000001,
+         (5, 3): -0.06625,
+         (4, 0): -0.05690625000000001,
+         (4, 2): -0.059437500000000004,
+         (0, 1): -0.0578125,
+         (0, 3): -0.04875,
+         (4, 3): -0.0713125,
+         (6, 3): -0.06506250000000001,
+         (7, 1): -0.025,
+         (8, ('opt', 1)): 0.5,
+         (8, 0): 0.5,
+         (7, 3): -0.044687500000000005,
+         (7, 2): -0.025}),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(PINNED_EPISODES))
+def test_run_episode_pinned(learner):
+    # Slip makes step() draw from the rng, so every draw of the loop is pinned.
+    world = load_gridworld(PIN_MAP, step_reward=-0.05, slip_prob=0.2)
+    options = [] if learner == "flat" else pin_options()
+    Q = QTable(alpha=0.5, gamma=0.9)
+    rng = np.random.default_rng(7)
+    logs, sas = [], []
+    for _ in range(4):
+        log, traj = run_episode(world, Q, options, 0.3, rng, learner, 25)
+        logs.append((log.cumulative_reward, log.decision_epochs,
+                     log.primitive_steps, log.options_invoked))
+        sas.append([(st.state, st.action, st.next_state) for st in traj])
+    want_logs, want_sas, want_q = PINNED_EPISODES[learner]
+    assert logs == want_logs
+    assert sas == want_sas
+    assert list(Q.values.items()) == list(want_q.items())
 
 
 # --- kmeans_microstates ------------------------------------------------------
