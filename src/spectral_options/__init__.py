@@ -23,7 +23,6 @@ from spectral_options.agents import (
     QTable,
     epsilon_greedy,
     intra_option_update,
-    q_update,
     run_option,
     smdp_q_update,
 )
@@ -37,8 +36,7 @@ __all__ = [
     "EstimatedModel", "adjacency", "exhaustive_model",
     "MembershipMatrix", "build_laplacian", "cluster", "connectivity", "select_k",
     "Option", "compose_options",
-    "QTable", "epsilon_greedy", "intra_option_update", "q_update", "run_option",
-    "smdp_q_update",
+    "QTable", "epsilon_greedy", "intra_option_update", "run_option", "smdp_q_update",
     "aggregate_model", "kmeans_microstates", "run_odstc",
     "__version__",
 ]

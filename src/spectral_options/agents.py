@@ -2,11 +2,12 @@
 
 A QTable keys values by (state, choice), where a choice is either a primitive
 action id or the key ("opt", i) for the i-th option of the current option set.
-SMDP Q-learning updates one entry per completed option with the
+A primitive action is the option that lasts one step, the k = 1 outcome.
+SMDP Q-learning updates one entry per completed choice with the
 duration-discounted target; intra-option learning updates, per primitive
 transition, the primitive entry and every option whose policy is consistent
-with the executed action.  The flat Q-learning baseline is the k = 1 special
-case of the SMDP update with primitive choices only.
+with the executed action.  Both updates take the choices available at s'.
+The flat baseline is the SMDP update with primitive choices only.
 """
 
 from __future__ import annotations
@@ -96,37 +97,36 @@ def smdp_q_update(Q: QTable, s: int, choice, r: float, k: int, s2: int,
     return Q
 
 
-def q_update(Q: QTable, s: int, a: int, r: float, s2: int, available) -> QTable:
-    """Flat one-step Q-learning update (the k = 1 SMDP case)."""
-    return smdp_q_update(Q, s, a, r, 1, s2, available)
+def available_choices(options: list[Option], n_states: int, n_actions: int) -> list:
+    """Choices executable at each state: initiated options first, then primitives.
 
-
-def available_choices(s: int, options: list[Option], n_actions: int) -> list:
-    """Choices executable at s: initiated options first, then primitives.
-
-    An option is offered only where its policy has a row (initiation states
-    with no observed actions cannot be executed).  Options come first so that
-    exact value ties at a greedy decision resolve toward the temporally
-    extended choice.
+    Entry s lists the options that can start at s in index order.  An option
+    is offered only where its policy has a row (initiation states with no
+    observed actions cannot be executed).  Options come first so that exact
+    value ties at a greedy decision resolve toward the temporally extended
+    choice.
     """
-    choices = [option_key(i) for i, o in enumerate(options)
-               if s in o.initiation and s in o.policy]
-    choices.extend(range(n_actions))
-    return choices
+    table = [[] for _ in range(n_states)]
+    for i, o in enumerate(options):
+        for s in o.initiation & o.policy.keys():
+            table[s].append(option_key(i))
+    for choices in table:
+        choices.extend(range(n_actions))
+    return table
 
 
 def intra_option_update(Q: QTable, transition, options: list[Option],
-                        n_actions: int = 4) -> int:
+                        available) -> int:
     """Off-policy updates for one primitive transition (s, a, r, s').
 
     Every option whose policy at s gives the executed action positive
     probability receives Q(s,o) += α[r + γ·U(s',o) − Q(s,o)] with
-    U(s',o) = (1−β_o(s'))·Q(s',o) + β_o(s')·max Q(s',·); the primitive entry
-    gets the standard one-step update.  Returns the number of entries updated.
+    U(s',o) = (1−β_o(s'))·Q(s',o) + β_o(s')·max Q(s',·), the maximum taken
+    over ``available``, the choices at s'; the primitive entry gets the
+    standard one-step update.  Returns the number of entries updated.
     """
     s, a, r, s2 = transition
-    avail2 = available_choices(s2, options, n_actions)
-    best2 = Q.max_value(s2, avail2)
+    best2 = Q.max_value(s2, available)
     updated = 0
     for i, o in enumerate(options):
         mu = o.policy.get(s)

@@ -274,6 +274,9 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
                               result.spectral.eigenvalues, options,
                               cfg[("output", "heatmaps")], cfg[("output", "csv")])
     fallback = bool(result.selection and result.selection.fallback)
+    if fallback:
+        print(f"warning: no spectral gap ratio exceeds t_c={oc.t_c}; fell back to "
+              f"the largest ratio, k={result.spectral.k}", file=sys.stderr)
     _write_csv(os.path.join(out_dir, "discover_summary.csv"),
                ["k", "fallback", "n_options", "n_states", "episodes_sampled"],
                [[result.spectral.k, fallback, len(options), world.n_states,
@@ -299,7 +302,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     for learner in learners:
         run_cfg = cfg.odstc()
         run_cfg.learner = learner
-        history = run_odstc(world, run_cfg).history
+        result = run_odstc(world, run_cfg)
+        for note in result.notes:
+            print(f"warning: {learner}: {note}", file=sys.stderr)
+        history = result.history
         _write_csv(os.path.join(out_dir, f"episodes_{learner}.csv"),
                    ["episode", "return", "decision_epochs", "primitive_steps"],
                    _episode_rows(history))

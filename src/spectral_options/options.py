@@ -130,21 +130,17 @@ def compose_policy(i: int, j: int, chi: np.ndarray, P: dict,
     return policy, frozenset(unmodeled), frozenset(ascent), frozenset(fallback)
 
 
-def compose_termination(i: int, j: int, chi: np.ndarray) -> dict:
+def compose_termination(i: int, j: int, chi: np.ndarray,
+                        index: AbstractionIndex) -> dict:
     """β table over cluster-i states: min(log χ_Si / log χ_Sj, 1).
 
     Memberships are clamped into [ε, 1−ε] before the logs so exact 0/1 values
-    from block-diagonal cases stay finite.  States outside cluster i are not
-    tabled; they terminate with probability 1.
+    from block-diagonal cases stay finite.  Only the states ``index`` assigns
+    to cluster i are tabled; all others terminate with probability 1.
     """
-    chi = np.asarray(chi)
-    clamped = np.clip(chi, BETA_EPS, 1.0 - BETA_EPS)
-    beta = {}
-    for s, row in enumerate(chi):
-        if row.sum() <= 0 or int(np.argmax(row)) != i:
-            continue
-        beta[s] = float(min(np.log(clamped[s, i]) / np.log(clamped[s, j]), 1.0))
-    return beta
+    clamped = np.clip(np.asarray(chi), BETA_EPS, 1.0 - BETA_EPS)
+    return {s: float(min(np.log(clamped[s, i]) / np.log(clamped[s, j]), 1.0))
+            for s in index.clusters[i]}
 
 
 def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list[Option]:
@@ -162,7 +158,7 @@ def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list
     options = []
     for (i, j) in connected_pairs(result.connectivity, tau_conn):
         policy, unmodeled, ascent, fallback = compose_policy(i, j, chi, P, index)
-        beta = compose_termination(i, j, chi)
+        beta = compose_termination(i, j, chi, index)
         options.append(Option(
             source=i, target=j,
             initiation=frozenset(index.clusters[i]),

@@ -26,6 +26,7 @@ from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options, expand_memberships
 from spectral_options.agents import (
     EpisodeLog,
+    OptionOutcome,
     QTable,
     available_choices,
     epsilon_greedy,
@@ -137,18 +138,21 @@ def convergence_test(logs, window: int | None = None) -> bool:
     return abs(m_last - m_prev) < 0.01 * scale
 
 
+def _plateaued(returns: list, window: int) -> bool:
+    """Plateau rule: two full windows, a positive trailing mean (an agent still
+    scoring zero has not learned yet), and convergence_test passes."""
+    return (len(returns) >= 2 * window and np.mean(returns[-window:]) > 0
+            and convergence_test(returns, window))
+
+
 def episodes_to_plateau(logs, window: int) -> int:
     """First episode count at which the learning curve has plateaued.
 
-    A plateau requires the two-window convergence test to pass with a
-    positive trailing mean — an agent still scoring zero has not converged to
-    anything, it just has not learned yet.  Returns len(logs) if no plateau
-    is reached.
+    Returns len(logs) if no plateau is reached.
     """
     returns = [getattr(l, "cumulative_reward", l) for l in logs]
     for e in range(2 * window, len(returns) + 1):
-        trailing = returns[e - window:e]
-        if np.mean(trailing) > 0 and convergence_test(returns[:e], window):
+        if _plateaued(returns[:e], window):
             return e
     return len(returns)
 
@@ -156,47 +160,41 @@ def episodes_to_plateau(logs, window: int) -> int:
 def run_episode(world: GridWorld, Q: QTable, options: list, epsilon: float,
                 rng: np.random.Generator, learner: str,
                 max_steps: int) -> tuple[EpisodeLog, Trajectory]:
-    """One behavioral episode with learning updates; returns its log and trajectory."""
+    """One behavioral episode with learning updates; returns its log and trajectory.
+
+    A primitive choice is the one-step outcome of its action, so one path
+    records and learns from both kinds of choice.
+    """
     intra = learner == "intra_option"
+    available = available_choices(options, world.n_states, N_ACTIONS)
     traj = Trajectory()
     s = world.start
     ret, decisions, prim = 0.0, 0, 0
     invoked = []
     while prim < max_steps:
-        avail = available_choices(s, options, N_ACTIONS)
-        c = epsilon_greedy(Q, s, avail, epsilon, rng)
+        c = epsilon_greedy(Q, s, available[s], epsilon, rng)
         decisions += 1
         if isinstance(c, tuple):                       # option choice
             o = options[c[1]]
             cap = min(world.n_states, max_steps - prim)
             out = run_option(world, o, s, rng, cap, gamma=Q.gamma)
-            for st in out.segment:
-                traj.append(st)
-                ret += st.reward
-                if intra:
-                    intra_option_update(Q, (st.state, st.action, st.reward,
-                                            st.next_state), options, N_ACTIONS)
-            prim += out.duration
             invoked.append((o.label, out.duration))
-            if out.duration > 0 and not intra:
-                avail2 = available_choices(out.end_state, options, N_ACTIONS)
-                smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state, avail2)
-            s = out.end_state
-            if out.segment and out.segment[-1].done:
-                break
         else:                                          # primitive choice
             s2, r, done = step(world, s, c, rng)
-            traj.append(Step(s, c, r, s2, done))
-            ret += r
-            prim += 1
+            out = OptionOutcome([Step(s, c, r, s2, done)], r, 1, s2, False, False)
+        for st in out.segment:
+            traj.append(st)
+            ret += st.reward
             if intra:
-                intra_option_update(Q, (s, c, r, s2), options, N_ACTIONS)
-            else:
-                avail2 = available_choices(s2, options, N_ACTIONS)
-                smdp_q_update(Q, s, c, r, 1, s2, avail2)
-            s = s2
-            if done:
-                break
+                intra_option_update(Q, (st.state, st.action, st.reward, st.next_state),
+                                    options, available[st.next_state])
+        prim += out.duration
+        if out.duration > 0 and not intra:
+            smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state,
+                          available[out.end_state])
+        s = out.end_state
+        if out.segment and out.segment[-1].done:
+            break
     log = EpisodeLog(episode=-1, cumulative_reward=ret, decision_epochs=decisions,
                      primitive_steps=prim, options_invoked=invoked)
     return log, traj
@@ -240,12 +238,9 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
             log.episode = len(history)
             update_counts(model, traj)
             history.append(log)
-        w = config.convergence_window
-        if len(history) >= 2 * w:
-            trailing = [l.cumulative_reward for l in history[-w:]]
-            if np.mean(trailing) > 0 and convergence_test(history, w):
-                converged = True
-                break
+        if _plateaued([l.cumulative_reward for l in history], config.convergence_window):
+            converged = True
+            break
     return OdstcResult(q=Q, options=options, history=history,
                        chi_snapshots=snapshots, notes=notes, converged=converged)
 

@@ -19,6 +19,7 @@ import pytest
 
 from spectral_options.agents import (
     QTable,
+    available_choices,
     intra_option_update,
     smdp_q_update,
 )
@@ -320,6 +321,7 @@ def test_08_intra_option_update_breadth(capsys, world, plain_options):
         path = [world.index[(1, col)] for col in range(1, 18)]
         path += [world.index[(row, 17)] for row in range(2, 6)]
         Q = QTable(alpha=0.5, gamma=0.99)
+        available = available_choices(plain_options, world.n_states, N_ACTIONS)
         consistent_transitions = 0
         for s, s2 in zip(path, path[1:]):
             a = next(a for a in range(N_ACTIONS) if world.move(s, a) == s2)
@@ -327,7 +329,7 @@ def test_08_intra_option_update_breadth(capsys, world, plain_options):
             consistent = any(o.policy.get(s, {}).get(a, 0.0) > 0.0
                              for o in plain_options)
             updated = intra_option_update(Q, (s, a, r, s2), plain_options,
-                                          N_ACTIONS)
+                                          available[s2])
             if consistent:
                 consistent_transitions += 1
                 c.expect(updated > 1,

@@ -13,7 +13,6 @@ from spectral_options.agents import (
     epsilon_greedy,
     intra_option_update,
     option_key,
-    q_update,
     run_option,
     smdp_q_update,
 )
@@ -66,15 +65,6 @@ def test_nonpositive_duration_is_error():
         smdp_q_update(Q, 0, 0, 0.0, 0, 1, available=[0])
 
 
-def test_q_update_is_one_step_case():
-    Q1, Q2 = QTable(alpha=0.3, gamma=0.9), QTable(alpha=0.3, gamma=0.9)
-    Q1.set(1, 0, 2.0)
-    Q2.set(1, 0, 2.0)
-    q_update(Q1, 0, 1, 0.5, 1, available=[0, 1])
-    smdp_q_update(Q2, 0, 1, 0.5, 1, 1, available=[0, 1])
-    assert Q1.values == Q2.values
-
-
 def test_repeated_updates_reach_smdp_fixpoint(three_rooms_options):
     # Deterministic sweeps at α = 1 are exact Bellman backups, so the table
     # must land on the independently computed SMDP value-iteration solution.
@@ -82,12 +72,13 @@ def test_repeated_updates_reach_smdp_fixpoint(three_rooms_options):
     gamma = 0.99
     star = oracles.smdp_q_star(world, options, gamma)
     Q = QTable(alpha=1.0, gamma=gamma)
+    available = available_choices(options, world.n_states, 4)
     for _ in range(200):
         delta = 0.0
         for s in range(world.n_states):
             if world.is_terminal(s):
                 continue
-            for c in available_choices(s, options, 4):
+            for c in available[s]:
                 if isinstance(c, tuple):
                     r, k, s_end = oracles.determinized_outcome(
                         world, options[c[1]], s, gamma)
@@ -96,8 +87,7 @@ def test_repeated_updates_reach_smdp_fixpoint(three_rooms_options):
                     r = world.goal_reward if s_end in world.goals else world.step_reward
                     k = 1
                 before = Q.get(s, c)
-                smdp_q_update(Q, s, c, r, k, s_end,
-                              available_choices(s_end, options, 4))
+                smdp_q_update(Q, s, c, r, k, s_end, available[s_end])
                 delta = max(delta, abs(Q.get(s, c) - before))
         if delta < 1e-14:
             break
@@ -120,7 +110,7 @@ def test_flat_updates_reach_value_iteration(three_rooms_options):
                 s2 = world.move(s, a)
                 r = world.goal_reward if s2 in world.goals else world.step_reward
                 before = Q.get(s, a)
-                q_update(Q, s, a, r, s2, available=range(4))
+                smdp_q_update(Q, s, a, r, 1, s2, available=range(4))
                 delta = max(delta, abs(Q.get(s, a) - before))
         if delta < 1e-14:
             break
@@ -136,7 +126,7 @@ def test_flat_updates_reach_value_iteration(three_rooms_options):
 def test_inconsistent_action_updates_only_primitive():
     o = make_option(policy={0: {1: 1.0}})
     Q = QTable(alpha=1.0, gamma=0.9)
-    n = intra_option_update(Q, (0, 2, 1.0, 1), [o])
+    n = intra_option_update(Q, (0, 2, 1.0, 1), [o], range(4))
     assert n == 1
     assert Q.get(0, 2) == pytest.approx(1.0)
     assert Q.get(0, option_key(0)) == 0.0
@@ -146,7 +136,7 @@ def test_certain_termination_bootstraps_from_best():
     o = make_option(policy={0: {1: 1.0}}, termination={})  # β(1) defaults to 1
     Q = QTable(alpha=1.0, gamma=0.9)
     Q.set(1, 3, 5.0)
-    intra_option_update(Q, (0, 1, 0.0, 1), [o])
+    intra_option_update(Q, (0, 1, 0.0, 1), [o], range(4))
     assert Q.get(0, option_key(0)) == pytest.approx(0.9 * 5.0)
 
 
@@ -154,7 +144,7 @@ def test_continuation_bootstraps_from_own_value():
     o = make_option(policy={0: {1: 1.0}}, termination={1: 0.0})
     Q = QTable(alpha=1.0, gamma=0.9)
     Q.set(1, option_key(0), 2.0)
-    intra_option_update(Q, (0, 1, 0.0, 1), [o])
+    intra_option_update(Q, (0, 1, 0.0, 1), [o], range(4))
     assert Q.get(0, option_key(0)) == pytest.approx(1.8)
 
 
@@ -162,7 +152,7 @@ def test_update_count_grows_with_consistent_options():
     o1 = make_option(policy={0: {1: 1.0}})
     o2 = make_option(source=1, target=0, policy={0: {1: 0.5, 2: 0.5}})
     Q = QTable(alpha=0.5, gamma=0.9)
-    n = intra_option_update(Q, (0, 1, 0.0, 1), [o1, o2])
+    n = intra_option_update(Q, (0, 1, 0.0, 1), [o1, o2], range(4))
     assert n == 3   # two options consistent with action 1, plus the primitive
 
 
@@ -204,7 +194,7 @@ def test_options_listed_before_primitives(three_rooms_options):
     world, options, chi = three_rooms_options
     idx = assign_states(chi)
     s = world.start
-    avail = available_choices(s, options, 4)
+    avail = available_choices(options, world.n_states, 4)[s]
     option_positions = [i for i, c in enumerate(avail) if isinstance(c, tuple)]
     primitive_positions = [i for i, c in enumerate(avail) if isinstance(c, int)]
     assert option_positions and primitive_positions

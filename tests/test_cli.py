@@ -309,6 +309,22 @@ def test_discover_deterministic(tmp_path):
     assert dir_digest(a) == dir_digest(b)
 
 
+def test_discover_without_fallback_is_silent(tmp_path, capsys):
+    assert main(["discover", DISCOVER_INI, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_gap_rule_fallback_warns(tmp_path, capsys):
+    rc = main(["discover", DISCOVER_INI, "--out-dir", str(tmp_path),
+               "--set", "spectral.t_c=0.99"])
+    assert rc == EXIT_OK
+    (row,) = read_csv_rows(tmp_path / "discover_summary.csv")
+    assert row["fallback"] == "True"
+    err = capsys.readouterr().err
+    assert err.startswith("warning:")
+    assert "t_c=0.99" in err and f"k={row['k']}" in err
+
+
 def test_reward_weighting_isolates_goal(weighted_out):
     (row,) = read_csv_rows(weighted_out / "discover_summary.csv")
     assert row["k"] == "4" and row["fallback"] == "False"
@@ -409,6 +425,19 @@ def test_train_flat_only(tmp_path):
                "--set", "pipeline.max_rounds=2"])
     assert rc == EXIT_OK
     assert set(os.listdir(out)) == {"episodes_flat.csv", "summary.csv"}
+
+
+def test_train_reports_clustering_failure(tmp_path, capsys):
+    # One primitive step of data cannot support k = 5 clusters.
+    rc = main(["train", TRAIN_INI, "--out-dir", str(tmp_path),
+               "--set", "spectral.k=5",
+               "--set", "pipeline.max_steps_per_episode=1",
+               "--set", "pipeline.episodes_per_round=1",
+               "--set", "pipeline.max_rounds=2",
+               "--set", "pipeline.pcca_refresh_interval=1"])
+    assert rc == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("warning: smdp: round 1: clustering failed")
 
 
 # --- aggregate ---------------------------------------------------------------

@@ -139,19 +139,19 @@ def test_gain_scale_invariance():
 
 def test_equal_memberships_cap_at_one():
     chi = np.array([[0.5, 0.5]])
-    beta = compose_termination(0, 1, chi)
+    beta = compose_termination(0, 1, chi, assign_states(chi))
     assert beta[0] == 1.0
 
 
 def test_termination_formula():
     chi = np.array([[0.9, 0.1]])
-    beta = compose_termination(0, 1, chi)
+    beta = compose_termination(0, 1, chi, assign_states(chi))
     assert beta[0] == pytest.approx(np.log(0.9) / np.log(0.1))
 
 
 def test_deep_interior_rarely_terminates():
     chi = np.array([[1.0, 0.0]])
-    beta = compose_termination(0, 1, chi)
+    beta = compose_termination(0, 1, chi, assign_states(chi))
     expected = np.log(1.0 - BETA_EPS) / np.log(BETA_EPS)
     assert beta[0] == pytest.approx(expected)
     assert beta[0] < 1e-6
