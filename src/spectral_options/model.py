@@ -1,17 +1,17 @@
 """Empirical transition-model estimation from sampled trajectories.
 
-Maintains per-transition visit counts U(s,a,s'), running mean rewards
-R̂(s,a,s'), and a reward-weighted adjacency matrix
+Stores only what was observed, per-transition visit counts and reward sums.
+The smoothed counts U(s,a,s') = counts + U_prior and the reward-weighted
+adjacency, with R̂ the mean observed reward,
 
     D(s,s') = D_prior + Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
-so that transitions carrying reward are progressively cut out of the
-adjacency structure as v grows.  All count writers share one batched path
-that refreshes D only at the (s, s') pairs a batch touched, bit-identical to
-rebuilding D from U and R̂, so D stays exactly consistent with the counts.
+are derived from them when read; rewarded transitions fade from D as v grows.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -32,42 +32,43 @@ class EstimatedModel:
         self.v = float(v)
         self.d_prior = float(d_prior)
         self.u_prior = float(u_prior)
-        self.U = np.full((n_states, n_actions, n_states), u_prior, dtype=float)
         self.R_sum = np.zeros((n_states, n_actions, n_states))
         self.R_count = np.zeros((n_states, n_actions, n_states))
-        # No counts yet: R̂ = 0, and u_prior is summed over actions as in _add_counts.
-        self.D = np.full((n_states, n_states), self.d_prior + sum([self.u_prior] * n_actions))
+
+    @property
+    def U(self) -> np.ndarray:
+        """Smoothed counts R_count + u_prior, a new array on every read."""
+        return self.R_count + self.u_prior
+
+    @property
+    def D(self) -> np.ndarray:
+        """Adjacency D, a new array on every read, summed one N×N action slice at a time."""
+        total = 0.0
+        for a in range(self.n_actions):
+            n = self.R_count[:, a]
+            R_hat = np.divide(self.R_sum[:, a], n, out=np.zeros_like(n), where=n > 0)
+            total = total + (n + self.u_prior) * np.exp(-self.v * np.abs(R_hat))
+        return self.d_prior + total
 
 
 def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
-    """Add count and reward_sum at each (s, a, s') of a batch, then refresh D.
+    """Add count and reward_sum to R_count and R_sum at each (s, a, s') of a batch.
 
-    All indices are checked before any write.  np.add.at adds repeated indices
-    in batch order, and D is recomputed only at the touched (s, s') pairs with
-    actions summed in order, bit-identical to rebuilding D from U and R̂.
+    All indices are checked first; np.add.at adds repeated indices in batch order.
     """
     s, a, s2 = (np.asarray(x, dtype=np.intp) for x in (s, a, s2))
     for idx, bound in ((s, model.n_states), (a, model.n_actions), (s2, model.n_states)):
         if idx.size and not 0 <= idx.min() <= idx.max() < bound:
             raise IndexError(f"index out of range [0, {bound}): {idx.min()}..{idx.max()}")
-    np.add.at(model.U, (s, a, s2), count)
     np.add.at(model.R_sum, (s, a, s2), reward_sum)
     np.add.at(model.R_count, (s, a, s2), count)
-
-    rows, cols = np.divmod(np.unique(s * model.n_states + s2), model.n_states)
-    n_obs = model.R_count[rows, :, cols]
-    R_hat = np.divide(model.R_sum[rows, :, cols], n_obs, out=np.zeros_like(n_obs),
-                      where=n_obs > 0)
-    weighted = model.U[rows, :, cols] * np.exp(-model.v * np.abs(R_hat))
-    model.D[rows, cols] = model.d_prior + sum(weighted.T)   # adds actions in order
 
 
 def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
     """Fold one trajectory into the model's counts; returns the same model.
 
-    Each observed (s, a, s') increments U and the reward accumulators, then D
-    is recomputed under the e^{−v|R̂|} weighting at the visited (s, s') pairs.
-    An out-of-range index raises IndexError before any count is written.
+    Each observed (s, a, s') adds one visit and its reward; U and D follow when
+    read.  An out-of-range index raises IndexError before any count is written.
     """
     steps = list(traj)
     _add_counts(model, [st.state for st in steps], [st.action for st in steps],
@@ -82,15 +83,17 @@ def transition_probabilities(model: EstimatedModel) -> dict:
     missing key as "no estimate" rather than a uniform guess.
     """
     P: dict[tuple[int, int], np.ndarray] = {}
-    totals = model.U.sum(axis=2)
+    U = model.U
+    totals = U.sum(axis=2)
     for s, a in zip(*np.nonzero(totals)):
-        P[(int(s), int(a))] = model.U[s, a] / totals[s, a]
+        P[(int(s), int(a))] = U[s, a] / totals[s, a]
     return P
 
 
 def adjacency(model: EstimatedModel) -> np.ndarray:
     """Symmetrized adjacency W = (D + Dᵀ)/2, giving the spectral stage a real spectrum."""
-    return (model.D + model.D.T) / 2.0
+    D = model.D
+    return (D + D.T) / 2.0
 
 
 def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
@@ -118,8 +121,6 @@ def save_triplets(model: EstimatedModel, path) -> None:
     ``count`` holds observed visits only, without u_prior, so load_triplets
     with the same priors rebuilds the model exactly.
     """
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "next_s", "count", "reward_mean"])
@@ -131,17 +132,19 @@ def save_triplets(model: EstimatedModel, path) -> None:
 
 def load_triplets(path, n_states: int, n_actions: int = N_ACTIONS, v: float = 0.0,
                   d_prior: float = 0.0, u_prior: float = 0.0) -> EstimatedModel:
-    """Rebuild a model from a triplet CSV written by save_triplets."""
-    import csv
-
+    """Rebuild a model from a triplet CSV written by save_triplets, rejecting bad values."""
     model = EstimatedModel(n_states, n_actions, v=v, d_prior=d_prior, u_prior=u_prior)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["s", "a", "next_s", "count", "reward_mean"]:
             raise ValueError(f"unrecognized triplet header: {header}")
-        rows = [(int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4]))
-                for r in reader]
+        rows = []
+        for r in reader:
+            rows.append((int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])))
+            if not (0 <= rows[-1][3] < np.inf and np.isfinite(rows[-1][4])):
+                raise ValueError(f"line {reader.line_num}: count must be finite and >= 0 "
+                                 f"and reward_mean finite, got {r[3]}, {r[4]}")
     s, a, s2, count, mean_r = np.array(rows, dtype=float).reshape(-1, 5).T
     _add_counts(model, s, a, s2, count, mean_r * count)
     return model

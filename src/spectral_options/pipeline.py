@@ -75,14 +75,12 @@ class OdstcConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        for name, value in {"max_rounds": self.max_rounds, "seed": self.seed}.items():
+        for name, value in {"max_rounds": self.max_rounds, "seed": self.seed,
+                            "eps_anneal_episodes": self.eps_anneal_episodes or 0}.items():
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.k and self.k < 2:
             raise ValueError(f"k must be 0 (spectral gap) or >= 2, got {self.k}")
-        if self.eps_anneal_episodes and self.eps_anneal_episodes < 0:
-            raise ValueError("eps_anneal_episodes must be >= 0, "
-                             f"got {self.eps_anneal_episodes}")
         if not 0 < self.t_c < 1:
             raise ValueError(f"t_c must lie in (0, 1), got {self.t_c}")
         for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end}.items():
@@ -100,7 +98,6 @@ class OdstcConfig:
 class MicrostateMap:
     assignments: np.ndarray   # data-point index -> microstate id
     centroids: np.ndarray     # (k_m, dim)
-    k_m: int
     sse_history: list = field(default_factory=list)
 
 
@@ -290,7 +287,7 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
         assignments = new_assign
         for c in range(k_m):
             centroids[c] = pts[assignments == c].mean(axis=0)
-    return MicrostateMap(assignments=assignments, centroids=centroids, k_m=k_m,
+    return MicrostateMap(assignments=assignments, centroids=centroids,
                          sse_history=sse_history)
 
 

@@ -41,7 +41,6 @@ class StochasticLaplacian:
     """
 
     L: np.ndarray
-    degree: np.ndarray
     kept: np.ndarray
 
 
@@ -103,7 +102,7 @@ def build_laplacian(W: np.ndarray) -> StochasticLaplacian:
     deg = Wk.sum(axis=1)
     d_max = deg.max()
     L = np.eye(kept.size) + (Wk - np.diag(deg)) / d_max
-    return StochasticLaplacian(L=L, degree=deg, kept=kept)
+    return StochasticLaplacian(L=L, kept=kept)
 
 
 def decompose(lap: StochasticLaplacian) -> tuple[np.ndarray, np.ndarray]:

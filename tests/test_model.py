@@ -26,7 +26,7 @@ from oracles import rebuilt_adjacency
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 # Nonzero step reward, v and both priors: every term of D differs from its
-# default, so an entry refreshed in the wrong order or missed shows up.
+# default, so an entry summed in the wrong order or missed shows up.
 V, D_PRIOR, U_PRIOR = 1.3, 0.2, 0.07
 
 
@@ -228,7 +228,33 @@ def test_load_triplets_rejects_negative_index(tmp_path):
         load_triplets(path, 3)
 
 
-# --- incremental D against a from-scratch rebuild ---------------------------
+@pytest.mark.parametrize("count, reward_mean", [
+    ("-1.0", "0.0"), ("nan", "0.0"), ("inf", "0.0"),
+    ("1.0", "nan"), ("1.0", "inf"), ("1.0", "-inf"),
+])
+def test_load_triplets_rejects_bad_value(tmp_path, count, reward_mean):
+    path = tmp_path / "model.csv"
+    path.write_text("s,a,next_s,count,reward_mean\n0,0,1,1.0,0.0\n"
+                    f"1,0,2,{count},{reward_mean}\n")
+    with pytest.raises(ValueError, match=f"line 3: .*got {count}, {reward_mean}"):
+        load_triplets(path, 3, v=1.0)
+
+
+def test_prior_is_added_to_counts_when_read():
+    # Adding 0.07 first and the counts one at a time gives (0.07 + 1) + 1,
+    # which differs from 2 + 0.07 in float64; U must be the latter.
+    m = EstimatedModel(3, u_prior=0.07)
+    update_counts(m, traj_of((0, 1, 0.0, 0, False), (0, 1, 0.0, 0, False),
+                             (0, 2, 0.0, 0, False), (0, 2, 0.0, 0, False),
+                             (0, 2, 0.0, 0, False)))
+    assert m.R_count[0, 1, 0] == 2.0 and m.R_count[0, 2, 0] == 3.0
+    assert np.array_equal(m.U, m.R_count + m.u_prior)
+    assert "U" not in vars(m) and "D" not in vars(m)
+    with pytest.raises(AttributeError):
+        m.D = np.zeros((3, 3))
+
+
+# --- derived D against a from-scratch rebuild -------------------------------
 
 def slippery_world():
     return load_gridworld(THREE_ROOMS, step_reward=-0.04, goal_reward=1.0,

@@ -201,9 +201,7 @@ def test_disconnected_blocks_yield_no_options():
 
     W = block_adjacency([3, 3])
     result = cluster(W, k=2)
-    model = EstimatedModel(6)
-    model.D = W.copy()
-    assert compose_options(model, result, tau_conn=0.1) == []
+    assert compose_options(EstimatedModel(6), result, tau_conn=0.1) == []
 
 
 def test_three_rooms_have_four_options(three_rooms_setup):
