@@ -8,7 +8,7 @@ each key in its block; the key's type and default come from the field of the
 same name on ``pipeline.OdstcConfig`` or, for keys only the commands read, on
 ``CommandConfig``.  All outputs are CSV files with header rows plus one binary
 PGM (P5) heatmap per abstract state, so a fixed seed and config give
-byte-identical runs.
+byte-identical runs with the same BLAS thread count.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
 """
@@ -246,26 +246,29 @@ def _write_membership_outputs(out_dir, world, chi, C, eigenvalues, options,
                       membership_heatmap(world, chi[:, i]))
 
 
-def cmd_discover(cfg: ExperimentConfig) -> int:
-    """Sample a model with a uniform-random policy, cluster once, export.
+def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
+    """Yield max_rounds × episodes_per_round uniform-random episodes, seeded by oc.seed.
 
-    Episode start states cycle through every non-terminal cell so the
-    counts cover the whole map evenly; episodes anchored to the map start
-    alone leave distant regions under-sampled, which skews the spectrum.
+    Start states cycle through every non-terminal cell so the counts cover the
+    whole map evenly; episodes anchored to the map start alone leave distant
+    regions under-sampled, which skews the spectrum.
     """
+    rng = np.random.default_rng(oc.seed)
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
+    for episode in range(oc.max_rounds * oc.episodes_per_round):
+        yield sample_trajectory(world, uniform_random_policy, oc.max_steps_per_episode,
+                                rng, start=starts[episode % len(starts)])
+
+
+def cmd_discover(cfg: ExperimentConfig) -> int:
+    """Sample a model with a uniform-random policy, cluster once, export."""
     world = cfg.world()
     oc = cfg.odstc()
     out_dir = cfg[("output", "directory")]
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(oc.seed)
     model = EstimatedModel(world.n_states, v=oc.model_v, d_prior=oc.d_prior,
                            u_prior=oc.u_prior)
-    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    n_episodes = oc.max_rounds * oc.episodes_per_round
-    for episode in range(n_episodes):
-        traj = sample_trajectory(world, uniform_random_policy,
-                                 oc.max_steps_per_episode, rng,
-                                 start=starts[episode % len(starts)])
+    for traj in _sampled_episodes(world, oc):
         update_counts(model, traj)
     result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k or None)
     options = compose_options(model, result, tau_conn=oc.tau_conn)
@@ -280,7 +283,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     _write_csv(os.path.join(out_dir, "discover_summary.csv"),
                ["k", "fallback", "n_options", "n_states", "episodes_sampled"],
                [[result.spectral.k, fallback, len(options), world.n_states,
-                 n_episodes]])
+                 oc.max_rounds * oc.episodes_per_round]])
     if cfg[("output", "model")]:
         save_triplets(model, os.path.join(out_dir, "model.csv"))
     return EXIT_OK
@@ -335,6 +338,8 @@ def read_features(path) -> np.ndarray:
                 row = [float(p) for p in parts]
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: malformed feature record {line!r}")
+            if not np.isfinite(row).all():
+                raise ConfigError(f"{path}:{lineno}: non-finite feature value in {line!r}")
             rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: feature file is empty")
@@ -347,9 +352,8 @@ def read_features(path) -> np.ndarray:
 def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     """k-means microstates from a feature file, then a microstate-space model.
 
-    Feature row index doubles as the state id; sampled trajectories from the
-    configured environment are recounted on the microstate space and the
-    aggregated model is exported for a subsequent discover run.
+    Feature row i belongs to state i.  Episodes are sampled as discover samples
+    them and streamed into counts on the microstate space, which are exported.
     """
     world = cfg.world()
     oc = cfg.odstc()
@@ -359,7 +363,7 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     k_m = cfg[("pipeline", "k_m")]
     if k_m < 1:
         raise ConfigError("[pipeline] k_m must be >= 1 for the aggregate command")
-    if features.shape[0] < world.n_states:
+    if features.shape[0] != world.n_states:
         raise ConfigError(f"feature file has {features.shape[0]} rows but the "
                           f"map has {world.n_states} states")
     try:
@@ -367,12 +371,8 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
                                    max_iters=cfg[("pipeline", "kmeans_max_iters")])
     except ValueError as exc:
         raise ConfigError(f"[pipeline] {exc}")
-    rng = np.random.default_rng(oc.seed)
-    trajectories = [sample_trajectory(world, uniform_random_policy,
-                                      oc.max_steps_per_episode, rng)
-                    for _ in range(oc.max_rounds * oc.episodes_per_round)]
-    model = aggregate_model(trajectories, micro.assignments, n_microstates=k_m,
-                            v=oc.model_v)
+    model = aggregate_model(_sampled_episodes(world, oc), micro.assignments,
+                            n_microstates=k_m, v=oc.model_v)
     _write_csv(os.path.join(out_dir, "microstates.csv"),
                ["point", "microstate"],
                [[i, int(m)] for i, m in enumerate(micro.assignments)])

@@ -141,7 +141,12 @@ def load_triplets(path, n_states: int, n_actions: int = N_ACTIONS, v: float = 0.
             raise ValueError(f"unrecognized triplet header: {header}")
         rows = []
         for r in reader:
-            rows.append((int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])))
+            try:
+                if len(r) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(r)}")
+                rows.append((int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             if not (0 <= rows[-1][3] < np.inf and np.isfinite(rows[-1][4])):
                 raise ValueError(f"line {reader.line_num}: count must be finite and >= 0 "
                                  f"and reward_mean finite, got {r[3]}, {r[4]}")

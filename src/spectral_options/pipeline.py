@@ -8,10 +8,11 @@ re-clusterings, so remapping by label would be unsound).  When clustering
 fails (all-zero adjacency in early rounds), the round proceeds without
 options and the failure is recorded.
 
-``kmeans`` + ``aggregate_model`` implement the state-aggregation stage for
-externally supplied feature vectors: k-means++ seeded Lloyd iterations group
-feature points into microstates, and trajectories are recounted on the
-microstate space, after which the spectral and option stages apply unchanged.
+``kmeans_microstates`` + ``aggregate_model`` implement the state-aggregation
+stage for externally supplied feature vectors: k-means++ seeded Lloyd
+iterations group feature points into microstates, and sampled episodes are
+streamed, one at a time, into counts on the microstate space, after which the
+spectral and option stages apply unchanged.
 """
 
 from __future__ import annotations
@@ -293,26 +294,22 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
 
 def aggregate_model(trajectories, assignments, n_microstates: int | None = None,
                     v: float = 0.0) -> EstimatedModel:
-    """Recount trajectories on the microstate space.
+    """Count trajectories on the microstate space, one trajectory at a time.
 
-    ``assignments`` maps state ids to microstate ids (mapping or array).
-    Raises KeyError for a state without an assignment and IndexError for a
-    microstate id outside [0, n_microstates).  The resulting model feeds the
-    spectral and option stages unchanged.
+    ``assignments`` is an integer array, state id -> microstate id; the
+    trajectories may be any iterable and are not kept.  A state past the end
+    of ``assignments`` or a microstate id outside [0, n_microstates) raises
+    IndexError.  The resulting model feeds the spectral and option stages
+    unchanged.
     """
-    def lookup(s):
-        try:
-            m = assignments[s]
-        except (KeyError, IndexError):
-            raise KeyError(f"state {s} has no microstate assignment")
-        return int(m)
-
+    assignments = np.asarray(assignments, dtype=np.intp)
     if n_microstates is None:
-        values = (assignments.values() if hasattr(assignments, "values")
-                  else assignments)
-        n_microstates = int(max(values)) + 1
+        n_microstates = int(assignments.max()) + 1
     micro = EstimatedModel(n_microstates, N_ACTIONS, v=v)
-    steps = [st for traj in trajectories for st in traj]
-    _add_counts(micro, [lookup(st.state) for st in steps], [st.action for st in steps],
-                [lookup(st.next_state) for st in steps], 1.0, [st.reward for st in steps])
+    for traj in trajectories:
+        steps = list(traj)
+        _add_counts(micro, assignments[[st.state for st in steps]],
+                    [st.action for st in steps],
+                    assignments[[st.next_state for st in steps]], 1.0,
+                    [st.reward for st in steps])
     return micro

@@ -47,7 +47,6 @@ class StochasticLaplacian:
 @dataclass
 class SpectralResult:
     eigenvalues: np.ndarray   # full descending spectrum, e₁ = 1
-    Y: np.ndarray             # eigenvector columns for the leading k values
     k: int
 
 
@@ -193,14 +192,12 @@ def compute_memberships(Y: np.ndarray, vertex_indices) -> MembershipMatrix:
     return MembershipMatrix(chi=chi, chi_raw=chi_raw, vertex_indices=vertex_indices)
 
 
-def connectivity(membership, lap) -> np.ndarray:
+def connectivity(chi: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Abstract-state connectivity C = χᵀLχ.
 
     Off-diagonal C(i,j) measures flow between clusters i and j; the diagonal
     carries within-cluster relative connectivity.
     """
-    chi = membership.chi if isinstance(membership, MembershipMatrix) else np.asarray(membership)
-    L = lap.L if isinstance(lap, StochasticLaplacian) else np.asarray(lap)
     return chi.T @ L @ chi
 
 
@@ -237,8 +234,7 @@ def cluster(W: np.ndarray, t_c: float = 0.5, k: int | None = None) -> ClusterRes
     if not 2 <= k <= lap.kept.size:
         raise SpectralError(f"cluster count k={k} outside [2, {lap.kept.size}]")
     Y = vectors[:, :k]
-    spectral = SpectralResult(eigenvalues=eigenvalues, Y=Y, k=k)
     membership = compute_memberships(Y, find_simplex_vertices(Y))
-    C = connectivity(membership, lap)
-    return ClusterResult(laplacian=lap, spectral=spectral, selection=selection,
-                         membership=membership, connectivity=C)
+    return ClusterResult(laplacian=lap, spectral=SpectralResult(eigenvalues=eigenvalues, k=k),
+                         selection=selection, membership=membership,
+                         connectivity=connectivity(membership.chi, lap.L))

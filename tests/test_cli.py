@@ -451,10 +451,10 @@ def write_features(path, array):
 def test_aggregate_one_hot_identity(tmp_path):
     features = tmp_path / "onehot.txt"
     write_features(features, np.eye(77))
+    sets = ["--set", "pipeline.k_m=77", "--set", "pipeline.max_rounds=2"]
     out = tmp_path / "out"
     rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
-               "--out-dir", str(out), "--set", "pipeline.k_m=77",
-               "--set", "pipeline.max_rounds=2"])
+               "--out-dir", str(out)] + sets)
     assert rc == EXIT_OK
     rows = read_csv_rows(out / "microstates.csv")
     assignments = [int(r["microstate"]) for r in rows]
@@ -462,6 +462,17 @@ def test_aggregate_one_hot_identity(tmp_path):
     assert len(read_csv_rows(out / "centroids.csv")) == 77
     with open(out / "aggregated_model.csv") as fh:
         assert fh.readline().strip() == "s,a,next_s,count,reward_mean"
+    # aggregate samples the episodes discover samples, so its counts are
+    # discover's model relabelled through the microstate map
+    rc = main(["discover", DISCOVER_INI, "--out-dir", str(tmp_path / "disc"),
+               "--set", "output.model=true"] + sets)
+    assert rc == EXIT_OK
+    relabelled = sorted((assignments[int(r["s"])], int(r["a"]), assignments[int(r["next_s"])],
+                         r["count"], r["reward_mean"])
+                        for r in read_csv_rows(tmp_path / "disc" / "model.csv"))
+    aggregated = [(int(r["s"]), int(r["a"]), int(r["next_s"]), r["count"], r["reward_mean"])
+                  for r in read_csv_rows(out / "aggregated_model.csv")]
+    assert aggregated == relabelled
 
 
 def test_aggregate_two_gaussian_features(tmp_path):
@@ -502,6 +513,27 @@ def test_aggregate_too_few_feature_rows(tmp_path):
     rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
                "--out-dir", str(tmp_path / "o"), "--set", "pipeline.k_m=2"])
     assert rc == EXIT_CONFIG
+
+
+def test_aggregate_too_many_feature_rows(tmp_path, capsys):
+    features = tmp_path / "long.txt"
+    write_features(features, np.eye(80))
+    rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
+               "--out-dir", str(tmp_path / "o"), "--set", "pipeline.k_m=2"])
+    assert rc == EXIT_CONFIG
+    assert "feature file has 80 rows but the map has 77 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_aggregate_non_finite_feature_reports_line(tmp_path, capsys, value):
+    rows = np.eye(77)
+    rows[4, 0] = float(value)
+    features = tmp_path / "bad.txt"
+    write_features(features, rows)
+    rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
+               "--out-dir", str(tmp_path / "o"), "--set", "pipeline.k_m=3"])
+    assert rc == EXIT_CONFIG
+    assert f"{features}:5" in capsys.readouterr().err
 
 
 def test_aggregate_k_m_above_distinct_points(tmp_path, capsys):

@@ -240,6 +240,18 @@ def test_load_triplets_rejects_bad_value(tmp_path, count, reward_mean):
         load_triplets(path, 3, v=1.0)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("", "expected 5 fields, got 0"),
+    ("1,0,2,1.0", "expected 5 fields, got 4"),
+    ("1.5,0,2,1.0,0.0", "invalid literal for int"),
+], ids=["blank", "four_fields", "float_index"])
+def test_load_triplets_names_line_of_malformed_row(tmp_path, row, message):
+    path = tmp_path / "model.csv"
+    path.write_text(f"s,a,next_s,count,reward_mean\n0,0,1,1.0,0.0\n{row}\n1,0,2,1.0,0.0\n")
+    with pytest.raises(ValueError, match=f"line 3: {message}"):
+        load_triplets(path, 3)
+
+
 def test_prior_is_added_to_counts_when_read():
     # Adding 0.07 first and the counts one at a time gives (0.07 + 1) + 1,
     # which differs from 2 + 0.07 in float64; U must be the latter.

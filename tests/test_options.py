@@ -190,8 +190,8 @@ def test_single_cluster_yields_no_options():
     chi = np.ones((3, 1))
     membership = MembershipMatrix(chi=chi, chi_raw=chi, vertex_indices=np.array([0]))
     result = ClusterResult(laplacian=lap, selection=None, membership=membership,
-                           spectral=SpectralResult(eigenvalues=np.ones(3), Y=chi, k=1),
-                           connectivity=connectivity(membership, lap))
+                           spectral=SpectralResult(eigenvalues=np.ones(3), k=1),
+                           connectivity=connectivity(chi, lap.L))
     assert compose_options(EstimatedModel(3), result) == []
 
 

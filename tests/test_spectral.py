@@ -189,7 +189,7 @@ def test_rows_on_simplex_after_clamping():
 
 def test_identity_membership_returns_laplacian():
     lap = build_laplacian(block_adjacency([2, 2], coupling=0.5))
-    C = connectivity(np.eye(4), lap)
+    C = connectivity(np.eye(4), lap.L)
     np.testing.assert_allclose(C, lap.L, atol=1e-12)
 
 
