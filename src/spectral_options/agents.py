@@ -12,6 +12,8 @@ The flat baseline is the SMDP update with primitive choices only.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,18 +44,20 @@ class QTable:
         return self.values.get((s, choice), 0.0)
 
     def set(self, s: int, choice, value: float):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite Q value for ({s}, {choice})")
         self.values[(s, choice)] = float(value)
 
     def max_value(self, s: int, available) -> float:
-        return max(self.get(s, c) for c in available)
+        get = self.values.get
+        return max([get((s, c), 0.0) for c in available])
 
     def argmax(self, s: int, available):
         """Greedy choice with ties broken toward the earliest list position."""
+        get = self.values.get
         best, best_v = None, -np.inf
         for c in available:
-            v = self.get(s, c)
+            v = get((s, c), 0.0)
             if v > best_v:
                 best, best_v = c, v
         return best
@@ -93,7 +97,8 @@ def smdp_q_update(Q: QTable, s: int, choice, r: float, k: int, s2: int,
     if k <= 0:
         raise ValueError(f"option duration must be positive, got {k}")
     target = r + Q.gamma ** k * Q.max_value(s2, available)
-    Q.set(s, choice, Q.get(s, choice) + Q.alpha * (target - Q.get(s, choice)))
+    q = Q.values.get((s, choice), 0.0)
+    Q.set(s, choice, q + Q.alpha * (target - q))
     return Q
 
 
@@ -126,6 +131,8 @@ def intra_option_update(Q: QTable, transition, options: list[Option],
     standard one-step update.  Returns the number of entries updated.
     """
     s, a, r, s2 = transition
+    get = Q.values.get
+    alpha, gamma = Q.alpha, Q.gamma
     best2 = Q.max_value(s2, available)
     updated = 0
     for i, o in enumerate(options):
@@ -134,12 +141,14 @@ def intra_option_update(Q: QTable, transition, options: list[Option],
             continue
         key = option_key(i)
         beta2 = o.termination_prob(s2)
-        u = (1.0 - beta2) * Q.get(s2, key) + beta2 * best2
-        target = r + Q.gamma * u
-        Q.set(s, key, Q.get(s, key) + Q.alpha * (target - Q.get(s, key)))
+        u = (1.0 - beta2) * get((s2, key), 0.0) + beta2 * best2
+        target = r + gamma * u
+        q = get((s, key), 0.0)
+        Q.set(s, key, q + alpha * (target - q))
         updated += 1
-    target = r + Q.gamma * best2
-    Q.set(s, a, Q.get(s, a) + Q.alpha * (target - Q.get(s, a)))
+    target = r + gamma * best2
+    q = get((s, a), 0.0)
+    Q.set(s, a, q + alpha * (target - q))
     return updated + 1
 
 
@@ -162,25 +171,28 @@ def run_option(world: GridWorld, option: Option, s0: int,
                gamma: float = 0.99) -> OptionOutcome:
     """Execute an option from s0 until β fires, the episode ends, or the cap.
 
-    Actions are sampled from μ; termination is sampled from β at each state
-    the option enters.  Returns the SMDP quantities (discounted reward, k)
-    for smdp_q_update.  A state with no μ row terminates the option
-    immediately, flagged via ``missing_policy``.
+    Actions are sampled from μ by one ``rng.random()`` and a bisection of
+    the option's cached cumulative μ row (``Option.draw_rows``), the same
+    draws ``rng.choice(len(acts), p=probs)`` makes; termination is sampled
+    from β at each state the option enters.  Returns the SMDP quantities
+    (discounted reward, k) for smdp_q_update.  A state with no μ row
+    terminates the option immediately, flagged via ``missing_policy``.
+    Raises ValueError if a μ row is not a probability vector.
     """
     if s0 not in option.initiation:
         raise ValueError(f"state {s0} is not in the option's initiation set")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    rows = option.draw_rows
     segment: list[Step] = []
     reward = 0.0
     s = s0
     for t in range(max_steps):
-        mu = option.policy.get(s)
-        if not mu:
+        row = rows.get(s)
+        if row is None:
             return OptionOutcome(segment, reward, t, s, False, True)
-        acts = list(mu)
-        probs = np.array([mu[a] for a in acts])
-        a = acts[int(rng.choice(len(acts), p=probs))]
+        acts, cdf = row
+        a = acts[bisect_right(cdf, rng.random())]
         s2, r, done = step(world, s, a, rng)
         segment.append(Step(s, a, r, s2, done))
         reward += gamma ** t * r

@@ -11,6 +11,7 @@ goal cell yields ``goal_reward`` and ends the episode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -56,6 +57,12 @@ class Trajectory:
 
 @dataclass
 class GridWorld:
+    """A parsed map.  ``successor[s][a]`` is the deterministic successor of
+    (s, a) as a Python int: the neighbour cell's state, or s itself on a wall
+    bump or at the grid edge.  The table is built on first use and holds
+    lists, not an array, so states stay Python ints.
+    """
+
     height: int
     width: int
     walls: np.ndarray          # bool (height, width), True where '#'
@@ -74,14 +81,15 @@ class GridWorld:
     def is_terminal(self, s: int) -> bool:
         return s in self.goals
 
+    @cached_property
+    def successor(self) -> list[list[int]]:
+        index = self.index
+        return [[index.get((r + dr, c + dc), s) for dr, dc in DELTAS]
+                for s, (r, c) in enumerate(self.cells)]
+
     def move(self, s: int, a: int) -> int:
         """Deterministic successor of (s, a): neighbour cell, or s on a wall bump."""
-        r, c = self.cells[s]
-        dr, dc = DELTAS[a]
-        nr, nc = r + dr, c + dc
-        if 0 <= nr < self.height and 0 <= nc < self.width and not self.walls[nr, nc]:
-            return self.index[(nr, nc)]
-        return s
+        return self.successor[s][a]
 
 
 def bundled_map_text(name: str) -> str:
@@ -148,8 +156,14 @@ def step(world: GridWorld, s: int, a: int, rng: np.random.Generator | None = Non
     Returns (next_state, reward, done).  With slip_prob > 0 the commanded
     action is replaced, with that probability, by one of the two
     perpendicular actions chosen uniformly; an rng is then required.
+    Raises ValueError for a state outside [0, n_states), a terminal state or
+    an invalid action.
     """
-    if world.is_terminal(s):
+    successor = world.successor
+    if not 0 <= s < len(successor):
+        raise ValueError(f"state {s} is outside [0, {len(successor)})")
+    goals = world.goals
+    if s in goals:
         raise ValueError(f"cannot step from terminal state {s}")
     if not 0 <= a < N_ACTIONS:
         raise ValueError(f"invalid action {a}")
@@ -158,8 +172,8 @@ def step(world: GridWorld, s: int, a: int, rng: np.random.Generator | None = Non
             raise ValueError("slip_prob > 0 requires an rng")
         if rng.random() < world.slip_prob:
             a = _PERPENDICULAR[a][rng.integers(2)]
-    s2 = world.move(s, a)
-    done = s2 in world.goals
+    s2 = successor[s][a]
+    done = s2 in goals
     reward = world.goal_reward if done else world.step_reward
     return s2, reward, done
 
@@ -171,10 +185,13 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
 
     ``policy`` is called as policy(state, rng) and must return an action id.
     The rollout stops on episode termination or after max_steps steps.
+    Raises ValueError for a start outside [0, n_states) or a terminal start.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     s = world.start if start is None else start
+    if not 0 <= s < world.n_states:
+        raise ValueError(f"start state {s} is outside [0, {world.n_states})")
     if world.is_terminal(s):
         raise ValueError(f"cannot start an episode at terminal state {s}")
     traj = Trajectory()

@@ -23,13 +23,18 @@ fringes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from spectral_options.spectral import ClusterResult, MembershipMatrix, connected_pairs
 
 BETA_EPS = 1e-6   # log-domain clamp; exact 0/1 memberships occur in block cases
+# numpy's tolerance on a probability vector's sum in Generator.choice
+_P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -42,6 +47,12 @@ class AbstractionIndex:
 
 @dataclass
 class Option:
+    """Option Sᵢ → Sⱼ: initiation set, μ table and β table.
+
+    ``draw_rows`` holds each μ row as (actions, cdf), built on first use and
+    cached, so ``policy`` must not be mutated after the option has been run.
+    """
+
     source: int
     target: int
     initiation: frozenset
@@ -58,6 +69,29 @@ class Option:
     def termination_prob(self, s: int) -> float:
         """β(s); states outside the source cluster terminate with certainty."""
         return self.termination.get(s, 1.0)
+
+    @cached_property
+    def draw_rows(self) -> dict:
+        """State -> (actions in μ's order, cumulative μ divided by its last entry).
+
+        The rows ``Generator.choice`` would build on each draw, checked as it
+        checks them: entries finite and non-negative, sum within √eps of 1.
+        States with an empty μ row are left out.
+        """
+        rows = {}
+        for s, mu in self.policy.items():
+            if not mu:
+                continue
+            acts = list(mu)
+            p = [float(mu[a]) for a in acts]
+            if (not all(math.isfinite(x) and x >= 0.0 for x in p)
+                    or abs(math.fsum(p) - 1.0) > _P_SUM_ATOL):
+                raise ValueError(f"option {self.label}: μ row at state {s} is not "
+                                 f"a probability vector: {mu}")
+            cdf = list(accumulate(p))
+            last = cdf[-1]
+            rows[s] = (acts, [x / last for x in cdf])
+        return rows
 
 
 def expand_memberships(membership: MembershipMatrix, state_ids, n_states: int) -> np.ndarray:

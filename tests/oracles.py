@@ -1,6 +1,8 @@
 """Independent oracles: the reward-weighted adjacency rebuilt from scratch,
-and dense value iteration for the flat MDP and for the determinized
-option-augmented SMDP.
+dense value iteration for the flat MDP and for the determinized
+option-augmented SMDP, and the plain forms of the learner's hot path (an
+option action drawn with ``rng.choice``, Q updates that scan with
+``QTable.get``, a move computed from cell coordinates).
 
 These deliberately avoid the package's model and learning code: the
 adjacency is recomputed from the full count arrays, and backups are written
@@ -8,12 +10,14 @@ directly from the Bellman equations so agent updates can be checked against
 them.  The SMDP is determinized by following each option's argmax-probability
 action and terminating only where termination is certain (β = 1) or the
 episode ends, which makes every option outcome a pure function of its start
-state.
+state.  The hot-path forms use only ``QTable.get``/``set`` and the world's
+cell tables, so the learner's cached rows and direct reads are checked for
+equal draws and bit-equal values against them.
 """
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS
+from spectral_options.env import DELTAS, N_ACTIONS
 
 
 def rebuilt_adjacency(model):
@@ -112,3 +116,50 @@ def smdp_q_star(world, options, gamma, tol=1e-12, max_iters=100_000):
         V = V_new
     return {(s, c): r + gamma ** k * V[s_end]
             for (s, c), (r, k, s_end) in outcomes.items()}
+
+
+def coordinate_move(world, s, a):
+    """Successor of (s, a) from cell coordinates: neighbour cell, or s on a bump."""
+    r, c = world.cells[s]
+    dr, dc = DELTAS[a]
+    nr, nc = r + dr, c + dc
+    if 0 <= nr < world.height and 0 <= nc < world.width and not world.walls[nr, nc]:
+        return world.index[(nr, nc)]
+    return s
+
+
+def choice_draw(mu, rng):
+    """One action drawn from the μ row ``mu`` with ``rng.choice``."""
+    acts = list(mu)
+    probs = np.array([mu[a] for a in acts])
+    return acts[int(rng.choice(len(acts), p=probs))]
+
+
+def _max_q(Q, s, available):
+    return max(Q.get(s, c) for c in available)
+
+
+def scan_smdp_q_update(Q, s, choice, r, k, s2, available):
+    """Q(s,o) += α[r + γᵏ·max Q(s',·) − Q(s,o)], every read through ``Q.get``."""
+    target = r + Q.gamma ** k * _max_q(Q, s2, available)
+    Q.set(s, choice, Q.get(s, choice) + Q.alpha * (target - Q.get(s, choice)))
+
+
+def scan_intra_option_update(Q, transition, options, available):
+    """Intra-option updates for (s, a, r, s'), every read through ``Q.get``."""
+    s, a, r, s2 = transition
+    best2 = _max_q(Q, s2, available)
+    updated = 0
+    for i, o in enumerate(options):
+        mu = o.policy.get(s)
+        if not mu or mu.get(a, 0.0) <= 0.0:
+            continue
+        key = ("opt", i)
+        beta2 = o.termination_prob(s2)
+        u = (1.0 - beta2) * Q.get(s2, key) + beta2 * best2
+        target = r + Q.gamma * u
+        Q.set(s, key, Q.get(s, key) + Q.alpha * (target - Q.get(s, key)))
+        updated += 1
+    target = r + Q.gamma * best2
+    Q.set(s, a, Q.get(s, a) + Q.alpha * (target - Q.get(s, a)))
+    return updated + 1

@@ -1,5 +1,7 @@
 """SMDP / intra-option Q-learning updates, behavioral policy, option execution."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,110 @@ def test_episode_log_invariant(three_rooms_options):
         log, traj = run_episode(world, Q, options, 0.5, rng, "smdp", 200)
         assert log.decision_epochs <= log.primitive_steps
         assert log.primitive_steps == len(traj)
+
+
+# --- hot path against the plain forms in oracles ---------------------------
+
+def random_mu_row(rng):
+    """μ over 1–4 distinct actions in random order, possibly with zero entries."""
+    acts = [int(a) for a in rng.permutation(4)[:rng.integers(1, 5)]]
+    w = rng.random(len(acts)) * (rng.random(len(acts)) > 0.2)
+    if w.sum() == 0:
+        w[0] = 1.0
+    return {a: float(x) for a, x in zip(acts, w / w.sum())}
+
+
+def test_option_draws_match_rng_choice():
+    world = load_gridworld("S....\n.....\n.....\n....G")
+    gen = np.random.default_rng(11)
+    rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(24):
+        mu = random_mu_row(gen)
+        o = make_option(initiation=(0,), policy={0: mu}, termination={})
+        acts, cdf = o.draw_rows[0]
+        expected = np.array([mu[a] for a in acts]).cumsum()
+        expected /= expected[-1]
+        assert acts == list(mu) and cdf == expected.tolist()
+        for _ in range(1000):
+            out = run_option(world, o, 0, rng, max_steps=1)
+            assert out.segment[0].action == oracles.choice_draw(mu, rng_oracle)
+            rng_oracle.random()          # run_option's termination draw
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose random() returns the given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_option_draw_on_a_cdf_boundary_goes_right():
+    # u equal to a cumulative entry selects the next action, as
+    # searchsorted(side="right") does inside Generator.choice.
+    world = load_gridworld("S....\n.....\n....G")
+    mu = {3: 0.25, 0: 0.25, 2: 0.0, 1: 0.5}
+    for u, action in [(0.0, 3), (0.25, 0), (0.5, 1), (0.75, 1)]:
+        assert np.searchsorted([0.25, 0.5, 0.5, 1.0], u, side="right") == list(mu).index(action)
+        o = make_option(initiation=(0,), policy={0: mu})
+        out = run_option(world, o, 0, FixedUniforms([u, 0.0]), max_steps=1)
+        assert out.segment[0].action == action
+
+
+def random_q_setting(gen, n_states=6, n_options=4):
+    choices = list(range(4)) + [option_key(i) for i in range(n_options)]
+    Q = QTable(alpha=0.3, gamma=0.9)
+    for s in range(n_states):
+        for c in choices:
+            if gen.random() < 0.6:
+                Q.set(s, c, float(gen.normal()))
+    options = [make_option(initiation=range(n_states),
+                           policy={s: random_mu_row(gen) for s in range(n_states)
+                                   if gen.random() < 0.7},
+                           termination={s: float(gen.random()) for s in range(n_states)
+                                        if gen.random() < 0.7})
+               for _ in range(n_options)]
+    available = [[c for c in choices if gen.random() < 0.7] or [0]
+                 for _ in range(n_states)]
+    return Q, options, available
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_updates_match_scan_oracles(seed):
+    gen = np.random.default_rng(seed)
+    Q, options, available = random_q_setting(gen)
+    Q_oracle = copy.deepcopy(Q)
+    n_states = len(available)
+    for _ in range(300):
+        s, s2, a = int(gen.integers(n_states)), int(gen.integers(n_states)), int(gen.integers(4))
+        r = float(gen.normal())
+        transition = (s, a, r, s2)
+        assert (intra_option_update(Q, transition, options, available[s2])
+                == oracles.scan_intra_option_update(Q_oracle, transition, options,
+                                                    available[s2]))
+        choice = available[s][int(gen.integers(len(available[s])))]
+        k = int(gen.integers(1, 6))
+        smdp_q_update(Q, s, choice, r, k, s2, available[s2])
+        oracles.scan_smdp_q_update(Q_oracle, s, choice, r, k, s2, available[s2])
+        assert list(Q.values.items()) == list(Q_oracle.values.items())
+
+
+@pytest.mark.parametrize("row", [{0: 0.5, 1: 0.6}, {0: -0.5, 1: 1.5},
+                                 {0: float("nan"), 1: 1.0}, {0: float("inf")}],
+                         ids=["sum", "negative", "nan", "inf"])
+def test_malformed_mu_row_is_error(row):
+    world = load_gridworld("S.G")
+    o = make_option(initiation=(0,), policy={0: row}, termination={0: 0.0})
+    with pytest.raises(ValueError):
+        run_option(world, o, 0, np.random.default_rng(0), max_steps=5)
+
+
+def test_malformed_mu_row_names_option_and_state():
+    world = load_gridworld("S.G")
+    o = make_option(source=2, target=5, initiation=(0,),
+                    policy={0: {1: 1.0}, 1: {0: 0.5, 1: 0.6}})
+    with pytest.raises(ValueError, match=r"S2->S5.*state 1"):
+        run_option(world, o, 0, np.random.default_rng(0), max_steps=5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
+    N_ACTIONS,
     GridWorld,
     MapError,
     Step,
@@ -14,6 +15,8 @@ from spectral_options.env import (
     step,
     uniform_random_policy,
 )
+
+import oracles
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -187,3 +190,31 @@ def test_terminal_start_is_error():
     with pytest.raises(ValueError, match="terminal"):
         sample_trajectory(world, uniform_random_policy, 5,
                           np.random.default_rng(0), start=goal)
+
+
+@pytest.mark.parametrize("text", [THREE_ROOMS, "S.#.\n..#G\n....", ".S.\n...\n.G."],
+                         ids=["three_rooms", "edge_wall", "open"])
+def test_successor_table_matches_coordinate_move(text):
+    world = load_gridworld(text)
+    assert len(world.successor) == world.n_states
+    for s in range(world.n_states):
+        for a in range(N_ACTIONS):
+            expected = oracles.coordinate_move(world, s, a)
+            assert world.successor[s][a] == expected
+            assert type(world.successor[s][a]) is int
+            assert world.move(s, a) == expected
+
+
+@pytest.mark.parametrize("s", [-1, -77, 77, 100])
+def test_step_from_out_of_range_state_is_error(s):
+    world = load_gridworld(THREE_ROOMS)
+    with pytest.raises(ValueError, match="outside"):
+        step(world, s, 0)
+
+
+@pytest.mark.parametrize("start", [-5, -1, 77])
+def test_out_of_range_start_is_error(start):
+    world = load_gridworld(THREE_ROOMS)
+    with pytest.raises(ValueError, match="outside"):
+        sample_trajectory(world, uniform_random_policy, 5,
+                          np.random.default_rng(0), start=start)
