@@ -39,7 +39,7 @@ from spectral_options.model import (
     update_counts,
 )
 from spectral_options.spectral import SpectralError, cluster
-from spectral_options.options import compose_options, expand_memberships
+from spectral_options.options import compose_options
 from spectral_options.pipeline import (
     OdstcConfig,
     aggregate_model,
@@ -212,9 +212,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_membership_outputs(out_dir, world, chi, C, eigenvalues, options,
+def _write_membership_outputs(out_dir, world, result, options,
                               heatmaps: bool, csv_on: bool):
-    k = chi.shape[1]
+    chi, C, k = result.chi, result.connectivity, result.spectral.k
     if csv_on:
         _write_csv(os.path.join(out_dir, "chi.csv"),
                    ["state", "row", "col"] + [f"chi_{i}" for i in range(k)],
@@ -225,7 +225,7 @@ def _write_membership_outputs(out_dir, world, chi, C, eigenvalues, options,
                    [[i] + [_fmt(x) for x in C[i]] for i in range(k)])
         _write_csv(os.path.join(out_dir, "eigenvalues.csv"),
                    ["index", "eigenvalue"],
-                   [[i, _fmt(e)] for i, e in enumerate(eigenvalues)])
+                   [[i, _fmt(e)] for i, e in enumerate(result.spectral.eigenvalues)])
         _write_csv(os.path.join(out_dir, "options.csv"),
                    ["option_id", "source", "target"],
                    [[i, o.source, o.target] for i, o in enumerate(options)])
@@ -272,9 +272,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
         update_counts(model, traj)
     result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k or None)
     options = compose_options(model, result, tau_conn=oc.tau_conn)
-    chi = expand_memberships(result.membership, result.state_ids, world.n_states)
-    _write_membership_outputs(out_dir, world, chi, result.connectivity,
-                              result.spectral.eigenvalues, options,
+    _write_membership_outputs(out_dir, world, result, options,
                               cfg[("output", "heatmaps")], cfg[("output", "csv")])
     fallback = bool(result.selection and result.selection.fallback)
     if fallback:

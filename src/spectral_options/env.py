@@ -88,7 +88,13 @@ class GridWorld:
                 for s, (r, c) in enumerate(self.cells)]
 
     def move(self, s: int, a: int) -> int:
-        """Deterministic successor of (s, a): neighbour cell, or s on a wall bump."""
+        """Deterministic successor of (s, a): neighbour cell, or s on a wall bump.
+
+        Raises ValueError for a state outside [0, n_states) or an invalid action.
+        """
+        if not (0 <= s < self.n_states and 0 <= a < N_ACTIONS):
+            raise ValueError(f"(state {s}, action {a}) is outside "
+                             f"[0, {self.n_states}) × [0, {N_ACTIONS})")
         return self.successor[s][a]
 
 

@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from spectral_options.spectral import ClusterResult, MembershipMatrix, connected_pairs
+from spectral_options.spectral import ClusterResult, connected_pairs
 
 BETA_EPS = 1e-6   # log-domain clamp; exact 0/1 memberships occur in block cases
 # numpy's tolerance on a probability vector's sum in Generator.choice
@@ -94,17 +94,6 @@ class Option:
         return rows
 
 
-def expand_memberships(membership: MembershipMatrix, state_ids, n_states: int) -> np.ndarray:
-    """Lift membership rows from the kept-state subspace to full state ids.
-
-    Dropped (zero-degree) states get all-zero rows, which excludes them from
-    every cluster assignment.
-    """
-    chi = np.zeros((n_states, membership.chi.shape[1]))
-    chi[np.asarray(state_ids)] = membership.chi
-    return chi
-
-
 def assign_states(chi: np.ndarray) -> AbstractionIndex:
     """Argmax cluster assignment (ties to the lowest abstract index).
 
@@ -112,15 +101,11 @@ def assign_states(chi: np.ndarray) -> AbstractionIndex:
     receive no assignment.
     """
     chi = np.asarray(chi)
-    k = chi.shape[1]
-    assignment = {}
-    clusters = [[] for _ in range(k)]
-    for s, row in enumerate(chi):
-        if row.sum() <= 0:
-            continue
-        c = int(np.argmax(row))   # np.argmax returns the first (lowest) maximizer
-        assignment[s] = c
-        clusters[c].append(s)
+    # ``~(sum <= 0)`` rather than ``sum > 0``: a NaN row is assigned, not skipped.
+    states = np.flatnonzero(~(chi.sum(axis=1) <= 0))
+    labels = chi[states].argmax(axis=1)   # the first (lowest) maximizer
+    assignment = dict(zip(states.tolist(), labels.tolist()))
+    clusters = [states[labels == c].tolist() for c in range(chi.shape[1])]
     return AbstractionIndex(assignment=assignment, clusters=clusters)
 
 
@@ -187,7 +172,7 @@ def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list
     from spectral_options.model import transition_probabilities
 
     P = transition_probabilities(model)
-    chi = expand_memberships(result.membership, result.state_ids, model.n_states)
+    chi = result.chi
     index = assign_states(chi)
     options = []
     for (i, j) in connected_pairs(result.connectivity, tau_conn):

@@ -24,7 +24,7 @@ import numpy as np
 from spectral_options.env import N_ACTIONS, GridWorld, Step, Trajectory, step
 from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
-from spectral_options.options import compose_options, expand_memberships
+from spectral_options.options import compose_options
 from spectral_options.agents import (
     EpisodeLog,
     OptionOutcome,
@@ -222,8 +222,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
                 result = cluster(adjacency(model), t_c=config.t_c, k=config.k or None)
                 options = compose_options(model, result, tau_conn=config.tau_conn)
                 Q.drop_options()
-                snapshots.append(expand_memberships(result.membership,
-                                                    result.state_ids, world.n_states))
+                snapshots.append(result.chi)
             except SpectralError as exc:
                 options = []
                 Q.drop_options()

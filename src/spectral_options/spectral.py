@@ -42,6 +42,7 @@ class StochasticLaplacian:
 
     L: np.ndarray
     kept: np.ndarray
+    n_states: int             # size of the adjacency, isolated states included
 
 
 @dataclass
@@ -78,17 +79,27 @@ class ClusterResult:
         """Original state id of each membership row."""
         return self.laplacian.kept
 
+    @property
+    def chi(self) -> np.ndarray:
+        """n_states × k membership of every state, built on each read; states
+        dropped from L get all-zero rows, so no cluster assignment takes them."""
+        chi = np.zeros((self.laplacian.n_states, self.membership.chi.shape[1]))
+        chi[self.laplacian.kept] = self.membership.chi
+        return chi
+
 
 def build_laplacian(W: np.ndarray) -> StochasticLaplacian:
     """Lazy-walk stochastic operator L = I − (Deg − W)/d_max from adjacency W.
 
     Zero-degree rows are dropped with the surviving index set recorded in
-    ``kept``.  Raises SpectralError on negative entries, asymmetry, or an
-    all-zero matrix.
+    ``kept``.  Raises SpectralError on non-finite or negative entries,
+    asymmetry, or an all-zero matrix.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise SpectralError(f"adjacency must be square, got shape {W.shape}")
+    if not np.isfinite(W).all():
+        raise SpectralError("adjacency has non-finite entries")
     if (W < 0).any():
         raise SpectralError("adjacency has negative entries")
     if not np.allclose(W, W.T, atol=1e-9):
@@ -101,7 +112,7 @@ def build_laplacian(W: np.ndarray) -> StochasticLaplacian:
     deg = Wk.sum(axis=1)
     d_max = deg.max()
     L = np.eye(kept.size) + (Wk - np.diag(deg)) / d_max
-    return StochasticLaplacian(L=L, kept=kept)
+    return StochasticLaplacian(L=L, kept=kept, n_states=W.shape[0])
 
 
 def decompose(lap: StochasticLaplacian) -> tuple[np.ndarray, np.ndarray]:

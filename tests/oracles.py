@@ -1,8 +1,9 @@
 """Independent oracles: the reward-weighted adjacency rebuilt from scratch,
 dense value iteration for the flat MDP and for the determinized
-option-augmented SMDP, and the plain forms of the learner's hot path (an
+option-augmented SMDP, the plain forms of the learner's hot path (an
 option action drawn with ``rng.choice``, Q updates that scan with
-``QTable.get``, a move computed from cell coordinates).
+``QTable.get``, a move computed from cell coordinates), and the row-by-row
+argmax assignment of states to clusters.
 
 These deliberately avoid the package's model and learning code: the
 adjacency is recomputed from the full count arrays, and backups are written
@@ -163,3 +164,20 @@ def scan_intra_option_update(Q, transition, options, available):
     target = r + Q.gamma * best2
     Q.set(s, a, Q.get(s, a) + Q.alpha * (target - Q.get(s, a)))
     return updated + 1
+
+
+def loop_assign_states(chi):
+    """(assignment, clusters) from one Python pass over the rows of χ.
+
+    A row summing to ≤ 0 is left unassigned; every other row (a NaN row
+    included) goes to its first maximizer.
+    """
+    assignment = {}
+    clusters = [[] for _ in range(chi.shape[1])]
+    for s, row in enumerate(chi):
+        if row.sum() <= 0:
+            continue
+        c = int(np.argmax(row))
+        assignment[s] = c
+        clusters[c].append(s)
+    return assignment, clusters

@@ -32,11 +32,7 @@ from spectral_options.env import (
     uniform_random_policy,
 )
 from spectral_options.model import adjacency, exhaustive_model
-from spectral_options.options import (
-    assign_states,
-    compose_options,
-    expand_memberships,
-)
+from spectral_options.options import assign_states, compose_options
 from spectral_options.pipeline import (
     OdstcConfig,
     aggregate_model,
@@ -110,8 +106,7 @@ def room_partition(world):
 def exhaustive_clustering(world, v=0.0):
     model = exhaustive_model(world, v=v)
     result = cluster(adjacency(model), t_c=T_C)
-    chi = expand_memberships(result.membership, result.laplacian.kept,
-                             world.n_states)
+    chi = result.chi
     return model, result, chi, assign_states(chi)
 
 

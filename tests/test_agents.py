@@ -7,7 +7,7 @@ import pytest
 
 from spectral_options.env import bundled_map_text, load_gridworld
 from spectral_options.model import adjacency, exhaustive_model
-from spectral_options.options import Option, assign_states, compose_options, expand_memberships
+from spectral_options.options import Option, assign_states, compose_options
 from spectral_options.spectral import cluster
 from spectral_options.agents import (
     QTable,
@@ -30,7 +30,7 @@ def three_rooms_options():
     model = exhaustive_model(world)
     result = cluster(adjacency(model), t_c=0.8)
     options = compose_options(model, result, tau_conn=0.1)
-    chi = expand_memberships(result.membership, result.state_ids, world.n_states)
+    chi = result.chi
     return world, options, chi
 
 

@@ -218,3 +218,10 @@ def test_out_of_range_start_is_error(start):
     with pytest.raises(ValueError, match="outside"):
         sample_trajectory(world, uniform_random_policy, 5,
                           np.random.default_rng(0), start=start)
+
+
+@pytest.mark.parametrize("s, a", [(-1, 0), (-1, -1), (0, -1), (77, 0), (0, 4)])
+def test_move_out_of_range_is_error(s, a):
+    world = load_gridworld(THREE_ROOMS)
+    with pytest.raises(ValueError, match="outside"):
+        world.move(s, a)

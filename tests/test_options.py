@@ -11,9 +11,10 @@ from spectral_options.options import (
     compose_options,
     compose_policy,
     compose_termination,
-    expand_memberships,
 )
 from spectral_options.spectral import cluster
+
+import oracles
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -23,7 +24,7 @@ def three_rooms_setup():
     world = load_gridworld(THREE_ROOMS)
     model = exhaustive_model(world)
     result = cluster(adjacency(model), t_c=0.8)
-    chi = expand_memberships(result.membership, result.state_ids, world.n_states)
+    chi = result.chi
     options = compose_options(model, result, tau_conn=0.1)
     return world, model, result, chi, options
 
@@ -57,6 +58,24 @@ def test_tie_breaks_to_lowest_cluster():
 def test_zero_rows_left_unassigned():
     idx = assign_states(np.array([[0.0, 0.0], [0.3, 0.7]]))
     assert 0 not in idx.assignment and idx.assignment[1] == 1
+
+
+def test_assign_states_matches_row_loop():
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n, k = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        # Small integer levels make exact ties common.
+        chi = rng.integers(0, 3, size=(n, k)).astype(float) / 2
+        chi[rng.random(n) < 0.2] = 0.0
+        if trial % 2:
+            chi[rng.integers(n), rng.integers(k)] = np.nan
+        if trial % 5 == 0:
+            chi[rng.integers(n)] = -chi[rng.integers(n)]
+        idx = assign_states(chi)
+        assignment, clusters = oracles.loop_assign_states(chi)
+        assert list(idx.assignment.items()) == list(assignment.items())
+        assert all(type(s) is int and type(c) is int for s, c in idx.assignment.items())
+        assert idx.clusters == clusters
 
 
 def test_rooms_share_cluster_labels(three_rooms_setup):

@@ -5,6 +5,7 @@ import pytest
 
 from spectral_options.env import bundled_map_text, load_gridworld
 from spectral_options.model import adjacency, exhaustive_model
+from spectral_options.options import assign_states
 from spectral_options.spectral import (
     SpectralError,
     build_laplacian,
@@ -57,6 +58,14 @@ def test_negative_entry_is_error():
 def test_asymmetric_adjacency_is_error():
     with pytest.raises(SpectralError, match="symmetric"):
         build_laplacian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_adjacency_is_error(value):
+    W = block_adjacency([3, 3], coupling=0.1)
+    W[0, 4] = W[4, 0] = value
+    with pytest.raises(SpectralError, match="non-finite"):
+        cluster(W, k=2)
 
 
 def test_zero_degree_states_dropped_with_remap():
@@ -290,3 +299,19 @@ def test_membership_continuity_in_coupling():
 def test_cluster_k_bounds_checked():
     with pytest.raises(SpectralError, match="outside"):
         cluster(block_adjacency([2, 2]), k=5)
+
+
+def test_cluster_chi_covers_every_state():
+    # Two 3-cliques on states 1–3 and 5–7; states 0 and 4 are isolated.
+    kept = [1, 2, 3, 5, 6, 7]
+    W = np.zeros((8, 8))
+    W[np.ix_(kept, kept)] = block_adjacency([3, 3])
+    result = cluster(W)
+    chi = result.chi
+    assert chi.shape == (8, 2)
+    np.testing.assert_array_equal(result.state_ids, kept)
+    assert not chi[[0, 4]].any()
+    assert np.array_equal(chi[result.state_ids], result.membership.chi)
+    index = assign_states(chi)
+    assert sorted(index.assignment) == kept
+    assert sorted(map(sorted, index.clusters)) == [[1, 2, 3], [5, 6, 7]]
