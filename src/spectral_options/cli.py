@@ -264,6 +264,8 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     """Sample a model with a uniform-random policy, cluster once, export."""
     world = cfg.world()
     oc = cfg.odstc()
+    if oc.max_rounds < 1:
+        raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
     out_dir = cfg[("output", "directory")]
     os.makedirs(out_dir, exist_ok=True)
     model = EstimatedModel(world.n_states, v=oc.model_v, d_prior=oc.d_prior,
@@ -355,6 +357,8 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     """
     world = cfg.world()
     oc = cfg.odstc()
+    if oc.max_rounds < 1:
+        raise ConfigError("[pipeline] max_rounds must be >= 1 for the aggregate command")
     out_dir = cfg[("output", "directory")]
     os.makedirs(out_dir, exist_ok=True)
     features = read_features(features_path)

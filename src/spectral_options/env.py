@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
@@ -192,6 +193,11 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
     ``policy`` is called as policy(state, rng) and must return an action id.
     The rollout stops on episode termination or after max_steps steps.
     Raises ValueError for a start outside [0, n_states) or a terminal start.
+
+    With ``policy is uniform_random_policy`` and ``slip_prob == 0`` the
+    actions come from one block draw instead of one call per step; the
+    trajectory and the generator state it leaves are those of the step loop.
+    Any other policy, and slip, take the step loop.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -200,6 +206,8 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
         raise ValueError(f"start state {s} is outside [0, {world.n_states})")
     if world.is_terminal(s):
         raise ValueError(f"cannot start an episode at terminal state {s}")
+    if policy is uniform_random_policy and world.slip_prob == 0.0:
+        return _uniform_trajectory(world, s, max_steps, rng)
     traj = Trajectory()
     for _ in range(max_steps):
         a = policy(s, rng)
@@ -213,3 +221,34 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
 
 def uniform_random_policy(state: int, rng: np.random.Generator) -> int:
     return int(rng.integers(N_ACTIONS))
+
+
+def _uniform_trajectory(world: GridWorld, s: int, max_steps: int,
+                        rng: np.random.Generator) -> Trajectory:
+    """The step loop's episode under uniform_random_policy without slip.
+
+    Array and scalar ``integers(N_ACTIONS)`` draws come from the same buffered
+    32-bit stream, so one draw of max_steps actions starts with the actions
+    the loop would draw.  An episode that reaches a goal after n < max_steps
+    steps rewinds the generator and redraws n, leaving it where the loop
+    would.
+    """
+    saved = rng.bit_generator.state
+    actions = rng.integers(N_ACTIONS, size=max_steps).tolist()
+    successor, goals = world.successor, world.goals
+    states = [s]
+    for a in actions:
+        s = successor[s][a]
+        states.append(s)
+        if s in goals:
+            break
+    n = len(states) - 1
+    if n < max_steps:
+        rng.bit_generator.state = saved
+        rng.integers(N_ACTIONS, size=n)
+    # Steps chain by construction; only the last can reach a goal.
+    steps = list(map(Step, states[:-1], actions[:n], repeat(world.step_reward, n),
+                     states[1:], repeat(False, n)))
+    if s in goals:
+        steps[-1].reward, steps[-1].done = world.goal_reward, True
+    return Trajectory(steps)

@@ -263,13 +263,16 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
         raise ValueError(f"k_m must lie in [1, {n_distinct} distinct points], got {k_m}")
     rng = np.random.default_rng(seed)
 
-    # k-means++ seeding: each new centroid drawn ∝ squared distance to the set.
-    centroids = pts[[rng.integers(n)]]
-    while centroids.shape[0] < k_m:
-        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).min(axis=1)
+    # k-means++ seeding: each new centroid drawn ∝ squared distance to the set,
+    # kept as a running minimum over the centroids chosen so far.
+    chosen = [pts[rng.integers(n)]]
+    d2 = np.full(n, np.inf)
+    while len(chosen) < k_m:
+        d2 = np.minimum(d2, ((pts - chosen[-1]) ** 2).sum(axis=1))
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centroids = np.vstack([centroids, pts[rng.choice(n, p=probs)]])
+        chosen.append(pts[rng.choice(n, p=probs)])
+    centroids = np.array(chosen)
 
     assignments = np.full(n, -1)
     sse_history = []

@@ -2,8 +2,9 @@
 dense value iteration for the flat MDP and for the determinized
 option-augmented SMDP, the plain forms of the learner's hot path (an
 option action drawn with ``rng.choice``, Q updates that scan with
-``QTable.get``, a move computed from cell coordinates), and the row-by-row
-argmax assignment of states to clusters.
+``QTable.get``, a move computed from cell coordinates), the row-by-row
+argmax assignment of states to clusters, and k-means with k-means++ seeding
+that measures each point against every chosen centroid in every round.
 
 These deliberately avoid the package's model and learning code: the
 adjacency is recomputed from the full count arrays, and backups are written
@@ -181,3 +182,37 @@ def loop_assign_states(chi):
         assignment[s] = c
         clusters[c].append(s)
     return assignment, clusters
+
+
+def quadratic_kmeans(pts, k_m, seed, max_iters=100):
+    """(assignments, centroids, sse_history) of k-means++ seeded Lloyd iterations.
+
+    Each seeding round recomputes the distance from every point to every
+    centroid chosen so far, an (n, c, d) array; ``pts`` is a 2-D float array.
+    """
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = pts[[rng.integers(n)]]
+    while centroids.shape[0] < k_m:
+        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).min(axis=1)
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centroids = np.vstack([centroids, pts[rng.choice(n, p=probs)]])
+
+    assignments = np.full(n, -1)
+    sse_history = []
+    for _ in range(max_iters):
+        dist2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        new_assign = dist2.argmin(axis=1)
+        for c in range(k_m):
+            if not (new_assign == c).any():
+                farthest = int(np.argmax(dist2[np.arange(n), new_assign]))
+                centroids[c] = pts[farthest]
+                new_assign[farthest] = c
+        sse_history.append(float(((pts - centroids[new_assign]) ** 2).sum()))
+        if (new_assign == assignments).all():
+            break
+        assignments = new_assign
+        for c in range(k_m):
+            centroids[c] = pts[assignments == c].mean(axis=0)
+    return assignments, centroids, sse_history

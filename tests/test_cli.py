@@ -499,6 +499,20 @@ def test_aggregate_two_gaussian_features(tmp_path):
     assert {int(r["s"]) for r in model_rows} <= {0, 1}
 
 
+@pytest.mark.parametrize("command", ["discover", "aggregate"])
+def test_sampling_commands_reject_zero_rounds(tmp_path, capsys, command):
+    features = tmp_path / "onehot.txt"
+    write_features(features, np.eye(77))
+    out = tmp_path / "o"
+    extra = ["--features", str(features), "--set", "pipeline.k_m=4"] \
+        if command == "aggregate" else []
+    rc = main([command, DISCOVER_INI, "--out-dir", str(out),
+               "--set", "pipeline.max_rounds=0"] + extra)
+    assert rc == EXIT_CONFIG
+    assert "max_rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_requires_k_m(tmp_path):
     features = tmp_path / "onehot.txt"
     write_features(features, np.eye(77))

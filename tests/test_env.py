@@ -225,3 +225,47 @@ def test_move_out_of_range_is_error(s, a):
     world = load_gridworld(THREE_ROOMS)
     with pytest.raises(ValueError, match="outside"):
         world.move(s, a)
+
+
+def looped_uniform_policy(s, rng):
+    """uniform_random_policy under another identity, which takes the step loop."""
+    return uniform_random_policy(s, rng)
+
+
+# Every open cell of the early_goal map is next to a goal, so its episodes
+# end well before max_steps.
+@pytest.mark.parametrize("text, ends_early",
+                         [(THREE_ROOMS, False), (".S...\n.....\n.....\n....G", False),
+                          ("#####\n#S.G#\n#G..#\n#####", True)],
+                         ids=["three_rooms", "open", "early_goal"])
+@pytest.mark.parametrize("max_steps", [1, 5, 200, 500])
+def test_uniform_block_draw_matches_step_loop(text, ends_early, max_steps):
+    # The block draw is only equal to the loop while numpy's array and scalar
+    # bounded-integer draws share one stream; a numpy release that changes
+    # that stream fails here.
+    world = load_gridworld(text, step_reward=-0.5)
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
+    block, loop = np.random.default_rng(11), np.random.default_rng(11)
+    lengths = []
+    for episode in range(3 * len(starts)):
+        start = starts[episode % len(starts)]
+        got = sample_trajectory(world, uniform_random_policy, max_steps, block, start=start)
+        want = sample_trajectory(world, looped_uniform_policy, max_steps, loop, start=start)
+        assert got.steps == want.steps
+        assert all(type(st.state) is type(st.action) is type(st.next_state) is int
+                   for st in got)
+        assert block.bit_generator.state == loop.bit_generator.state
+        lengths.append(len(got))
+    assert block.integers(N_ACTIONS) == loop.integers(N_ACTIONS)
+    if ends_early and max_steps > 1:
+        assert min(lengths) < max_steps
+
+
+def test_slip_keeps_step_loop():
+    world = load_gridworld(THREE_ROOMS, slip_prob=0.3)
+    block, loop = np.random.default_rng(5), np.random.default_rng(5)
+    for start in range(10):
+        got = sample_trajectory(world, uniform_random_policy, 200, block, start=start)
+        want = sample_trajectory(world, looped_uniform_policy, 200, loop, start=start)
+        assert got.steps == want.steps
+        assert block.bit_generator.state == loop.bit_generator.state

@@ -32,6 +32,8 @@ from spectral_options.pipeline import (
     run_odstc,
 )
 
+import oracles
+
 THREE_ROOMS = bundled_map_text("three_rooms")
 
 
@@ -536,6 +538,28 @@ def test_kmeans_deterministic_per_seed():
     a = kmeans_microstates(pts, k_m=3, seed=9)
     b = kmeans_microstates(pts, k_m=3, seed=9)
     assert (a.assignments == b.assignments).all()
+
+
+def test_kmeans_matches_quadratic_seeding_oracle():
+    # Grid points give duplicates and distance ties; k_m runs up to the
+    # number of distinct points.
+    for case in range(200):
+        rng = np.random.default_rng(case)
+        n, dim = int(rng.integers(1, 80)), int(rng.integers(1, 6))
+        if case % 2:
+            pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim))
+            pts[rng.integers(n, size=n // 3)] = pts[0]
+        n_distinct = np.unique(pts, axis=0).shape[0]
+        k_m = n_distinct if case % 3 == 0 else int(rng.integers(1, n_distinct + 1))
+        max_iters = int(rng.integers(1, 20))
+        micro = kmeans_microstates(pts, k_m, seed=case, max_iters=max_iters)
+        want = oracles.quadratic_kmeans(pts, k_m, seed=case, max_iters=max_iters)
+        assert micro.assignments.tolist() == want[0].tolist(), case
+        assert micro.assignments.dtype == want[0].dtype
+        assert (micro.centroids == want[1]).all() and micro.centroids.shape == want[1].shape
+        assert micro.sse_history == want[2], case
 
 
 # --- aggregate_model ---------------------------------------------------------
