@@ -3,7 +3,6 @@
 from spectral_options.env import (
     GridWorld,
     MapError,
-    Step,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -31,7 +30,7 @@ from spectral_options.pipeline import aggregate_model, kmeans_microstates, run_o
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridWorld", "MapError", "Step", "Trajectory", "bundled_map_text",
+    "GridWorld", "MapError", "Trajectory", "bundled_map_text",
     "load_gridworld", "sample_trajectory", "step",
     "EstimatedModel", "adjacency", "exhaustive_model",
     "MembershipMatrix", "build_laplacian", "cluster", "connectivity", "select_k",

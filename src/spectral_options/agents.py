@@ -3,6 +3,7 @@
 A QTable keys values by (state, choice), where a choice is either a primitive
 action id or the key ("opt", i) for the i-th option of the current option set.
 A primitive action is the option that lasts one step, the k = 1 outcome.
+An option run returns its steps as a ``Trajectory``, ``OptionOutcome.segment``.
 SMDP Q-learning updates one entry per completed choice with the
 duration-discounted target; intra-option learning updates, per primitive
 transition, the primitive entry and every option whose policy is consistent
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spectral_options.env import GridWorld, Step, step
+from spectral_options.env import GridWorld, Trajectory, step
 from spectral_options.options import Option
 
 
@@ -77,7 +78,7 @@ class EpisodeLog:
 
 
 class OptionOutcome(NamedTuple):
-    segment: list           # primitive Steps executed under the option
+    segment: Trajectory     # primitive steps executed under the option
     reward: float           # Σ γᵗ rₜ₊₁ over the segment
     duration: int           # primitive steps taken (k)
     end_state: int
@@ -174,9 +175,9 @@ def run_option(world: GridWorld, option: Option, s0: int,
     Actions are sampled from μ by one ``rng.random()`` and a bisection of
     the option's cached cumulative μ row (``Option.draw_rows``), the same
     draws ``rng.choice(len(acts), p=probs)`` makes; termination is sampled
-    from β at each state the option enters.  Returns the SMDP quantities
-    (discounted reward, k) for smdp_q_update.  A state with no μ row
-    terminates the option immediately, flagged via ``missing_policy``.
+    from β at each state the option enters.  Returns the steps, a Trajectory
+    from s0, and the SMDP quantities (discounted reward, k) for smdp_q_update.
+    A state with no μ row terminates the option, flagged via ``missing_policy``.
     Raises ValueError if a μ row is not a probability vector.
     """
     if s0 not in option.initiation:
@@ -184,7 +185,7 @@ def run_option(world: GridWorld, option: Option, s0: int,
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rows = option.draw_rows
-    segment: list[Step] = []
+    segment = Trajectory([s0])
     reward = 0.0
     s = s0
     for t in range(max_steps):
@@ -193,10 +194,9 @@ def run_option(world: GridWorld, option: Option, s0: int,
             return OptionOutcome(segment, reward, t, s, False, True)
         acts, cdf = row
         a = acts[bisect_right(cdf, rng.random())]
-        s2, r, done = step(world, s, a, rng)
-        segment.append(Step(s, a, r, s2, done))
+        s, r, done = step(world, s, a, rng)
+        segment.add(a, r, s, done)
         reward += gamma ** t * r
-        s = s2
-        if done or rng.random() < option.termination_prob(s2):
-            return OptionOutcome(segment, reward, t + 1, s2, False, False)
+        if done or rng.random() < option.termination_prob(s):
+            return OptionOutcome(segment, reward, t + 1, s, False, False)
     return OptionOutcome(segment, reward, max_steps, s, True, False)

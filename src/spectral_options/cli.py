@@ -313,10 +313,11 @@ def cmd_train(cfg: ExperimentConfig) -> int:
                    ["episode", "return", "decision_epochs", "primitive_steps"],
                    _episode_rows(history))
         w = run_cfg.convergence_window
-        plateau = episodes_to_plateau(history, w) if history else 0
-        tail = history[plateau - w:plateau] if history else []
+        returns = [l.cumulative_reward for l in history]
+        plateau = episodes_to_plateau(returns, w)
+        tail = history[plateau - w:plateau]
         mean_dec = float(np.mean([l.decision_epochs for l in tail])) if tail else 0.0
-        mean_ret = float(np.mean([l.cumulative_reward for l in tail])) if tail else 0.0
+        mean_ret = float(np.mean(returns[plateau - w:plateau])) if tail else 0.0
         summary.append([learner, len(history), plateau, _fmt(mean_dec), _fmt(mean_ret)])
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["learner", "episodes", "episodes_to_plateau",
@@ -359,8 +360,6 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     oc = cfg.odstc()
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the aggregate command")
-    out_dir = cfg[("output", "directory")]
-    os.makedirs(out_dir, exist_ok=True)
     features = read_features(features_path)
     k_m = cfg[("pipeline", "k_m")]
     if k_m < 1:
@@ -373,6 +372,8 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
                                    max_iters=cfg[("pipeline", "kmeans_max_iters")])
     except ValueError as exc:
         raise ConfigError(f"[pipeline] {exc}")
+    out_dir = cfg[("output", "directory")]
+    os.makedirs(out_dir, exist_ok=True)
     model = aggregate_model(_sampled_episodes(world, oc), micro.assignments,
                             n_microstates=k_m, v=oc.model_v)
     _write_csv(os.path.join(out_dir, "microstates.csv"),

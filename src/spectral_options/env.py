@@ -5,7 +5,8 @@ A map is a rectangular block of characters: ``#`` wall, ``.`` open floor,
 ``S`` and ``G``) becomes one tabular state; state ids are assigned in
 row-major order.  The four actions move one cell north/east/south/west;
 moving into a wall or off the grid leaves the state unchanged.  Entering a
-goal cell yields ``goal_reward`` and ends the episode.
+goal cell yields ``goal_reward`` and ends the episode.  A sampled episode is a
+``Trajectory``: its visited states, actions and rewards as index lists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from itertools import repeat
 
 import numpy as np
 
@@ -29,31 +29,35 @@ class MapError(ValueError):
     """Raised for any malformed ASCII map."""
 
 
-@dataclass
-class Step:
-    state: int
-    action: int
-    reward: float
-    next_state: int
-    done: bool
-
-
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
-    """A chained sequence of steps from a single episode."""
+    """One episode as index lists: step t is (states[t], actions[t], rewards[t],
+    states[t + 1]), so steps chain by construction.  ``done`` is set when the
+    last step reached a goal."""
 
-    steps: list[Step] = field(default_factory=list)
+    states: list[int]
+    actions: list[int] = field(default_factory=list)
+    rewards: list[float] = field(default_factory=list)
+    done: bool = False
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.actions)
 
-    def __iter__(self):
-        return iter(self.steps)
+    def add(self, a: int, r: float, s2: int, done: bool):
+        """Append the step (states[-1], a, r, s2)."""
+        self.actions.append(a)
+        self.rewards.append(r)
+        self.states.append(s2)
+        self.done = done
 
-    def append(self, step: Step):
-        if self.steps and self.steps[-1].next_state != step.state:
+    def extend(self, segment: Trajectory):
+        """Append every step of a segment that starts where this one ends."""
+        if segment.states[0] != self.states[-1]:
             raise ValueError("trajectory steps must chain: s'_t == s_{t+1}")
-        self.steps.append(step)
+        self.states += segment.states[1:]
+        self.actions += segment.actions
+        self.rewards += segment.rewards
+        self.done = segment.done
 
 
 @dataclass
@@ -208,14 +212,13 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
         raise ValueError(f"cannot start an episode at terminal state {s}")
     if policy is uniform_random_policy and world.slip_prob == 0.0:
         return _uniform_trajectory(world, s, max_steps, rng)
-    traj = Trajectory()
+    traj = Trajectory([s])
     for _ in range(max_steps):
         a = policy(s, rng)
-        s2, r, done = step(world, s, a, rng)
-        traj.append(Step(s, a, r, s2, done))
+        s, r, done = step(world, s, a, rng)
+        traj.add(a, r, s, done)
         if done:
             break
-        s = s2
     return traj
 
 
@@ -246,9 +249,9 @@ def _uniform_trajectory(world: GridWorld, s: int, max_steps: int,
     if n < max_steps:
         rng.bit_generator.state = saved
         rng.integers(N_ACTIONS, size=n)
-    # Steps chain by construction; only the last can reach a goal.
-    steps = list(map(Step, states[:-1], actions[:n], repeat(world.step_reward, n),
-                     states[1:], repeat(False, n)))
-    if s in goals:
-        steps[-1].reward, steps[-1].done = world.goal_reward, True
-    return Trajectory(steps)
+    # Only the last step can reach a goal.
+    rewards = [world.step_reward] * n
+    done = s in goals
+    if done:
+        rewards[-1] = world.goal_reward
+    return Trajectory(states, actions[:n], rewards, done)

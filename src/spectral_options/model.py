@@ -70,9 +70,7 @@ def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
     Each observed (s, a, s') adds one visit and its reward; U and D follow when
     read.  An out-of-range index raises IndexError before any count is written.
     """
-    steps = list(traj)
-    _add_counts(model, [st.state for st in steps], [st.action for st in steps],
-                [st.next_state for st in steps], 1.0, [st.reward for st in steps])
+    _add_counts(model, traj.states[:-1], traj.actions, traj.states[1:], 1.0, traj.rewards)
     return model
 
 

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS, GridWorld, Step, Trajectory, step
+from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, step
 from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options
 from spectral_options.agents import (
     EpisodeLog,
-    OptionOutcome,
     QTable,
     available_choices,
     epsilon_greedy,
@@ -119,17 +118,16 @@ def epsilon_at(episode: int, anneal_episodes: int, eps_start: float,
     return eps_start + (eps_end - eps_start) * frac
 
 
-def convergence_test(logs, window: int | None = None) -> bool:
+def convergence_test(returns, window: int | None = None) -> bool:
     """Plateau check: trailing-window mean return moved < 1% between windows.
 
-    Compares the mean return over the last ``window`` episodes against the
-    mean over the ``window`` episodes before them.
+    Compares the mean of the last ``window`` episode returns against the
+    mean of the ``window`` returns before them.
     """
-    returns = [getattr(l, "cumulative_reward", l) for l in logs]
     if window is None:
         window = len(returns) // 2
     if window < 1 or len(returns) < 2 * window:
-        raise ValueError("need at least two full windows of episode logs")
+        raise ValueError("need at least two full windows of episode returns")
     m_prev = float(np.mean(returns[-2 * window:-window]))
     m_last = float(np.mean(returns[-window:]))
     scale = max(abs(m_prev), abs(m_last), 1e-12)
@@ -143,12 +141,11 @@ def _plateaued(returns: list, window: int) -> bool:
             and convergence_test(returns, window))
 
 
-def episodes_to_plateau(logs, window: int) -> int:
-    """First episode count at which the learning curve has plateaued.
+def episodes_to_plateau(returns, window: int) -> int:
+    """First episode count at which the curve of episode returns has plateaued.
 
-    Returns len(logs) if no plateau is reached.
+    Returns len(returns) if no plateau is reached.
     """
-    returns = [getattr(l, "cumulative_reward", l) for l in logs]
     for e in range(2 * window, len(returns) + 1):
         if _plateaued(returns[:e], window):
             return e
@@ -160,41 +157,41 @@ def run_episode(world: GridWorld, Q: QTable, options: list, epsilon: float,
                 max_steps: int) -> tuple[EpisodeLog, Trajectory]:
     """One behavioral episode with learning updates; returns its log and trajectory.
 
-    A primitive choice is the one-step outcome of its action, so one path
-    records and learns from both kinds of choice.
+    A primitive choice is a one-step segment with k = 1, so one path records
+    (each choice's segment extends the trajectory) and learns from both kinds.
     """
     intra = learner == "intra_option"
     available = available_choices(options, world.n_states, N_ACTIONS)
-    traj = Trajectory()
     s = world.start
-    ret, decisions, prim = 0.0, 0, 0
+    traj = Trajectory([s])
+    decisions = 0
     invoked = []
-    while prim < max_steps:
+    while len(traj) < max_steps:
         c = epsilon_greedy(Q, s, available[s], epsilon, rng)
         decisions += 1
         if isinstance(c, tuple):                       # option choice
             o = options[c[1]]
-            cap = min(world.n_states, max_steps - prim)
+            cap = min(world.n_states, max_steps - len(traj))
             out = run_option(world, o, s, rng, cap, gamma=Q.gamma)
             invoked.append((o.label, out.duration))
+            seg, reward, k, end = out.segment, out.reward, out.duration, out.end_state
         else:                                          # primitive choice
-            s2, r, done = step(world, s, c, rng)
-            out = OptionOutcome([Step(s, c, r, s2, done)], r, 1, s2, False, False)
-        for st in out.segment:
-            traj.append(st)
-            ret += st.reward
-            if intra:
-                intra_option_update(Q, (st.state, st.action, st.reward, st.next_state),
-                                    options, available[st.next_state])
-        prim += out.duration
-        if out.duration > 0 and not intra:
-            smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state,
-                          available[out.end_state])
-        s = out.end_state
-        if out.segment and out.segment[-1].done:
+            end, reward, done = step(world, s, c, rng)
+            seg, k = Trajectory([s, end], [c], [reward], done), 1
+        if intra:
+            for transition in zip(seg.states, seg.actions, seg.rewards, seg.states[1:]):
+                intra_option_update(Q, transition, options, available[transition[3]])
+        elif k > 0:
+            smdp_q_update(Q, s, c, reward, k, end, available[end])
+        traj.extend(seg)
+        s = end
+        if traj.done:
             break
+    ret = 0.0
+    for r in traj.rewards:      # in step order; sum() compensates from Python 3.12
+        ret += r
     log = EpisodeLog(episode=-1, cumulative_reward=ret, decision_epochs=decisions,
-                     primitive_steps=prim, options_invoked=invoked)
+                     primitive_steps=len(traj), options_invoked=invoked)
     return log, traj
 
 
@@ -309,9 +306,6 @@ def aggregate_model(trajectories, assignments, n_microstates: int | None = None,
         n_microstates = int(assignments.max()) + 1
     micro = EstimatedModel(n_microstates, N_ACTIONS, v=v)
     for traj in trajectories:
-        steps = list(traj)
-        _add_counts(micro, assignments[[st.state for st in steps]],
-                    [st.action for st in steps],
-                    assignments[[st.next_state for st in steps]], 1.0,
-                    [st.reward for st in steps])
+        m = assignments[traj.states]
+        _add_counts(micro, m[:-1], traj.actions, m[1:], 1.0, traj.rewards)
     return micro

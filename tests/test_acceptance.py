@@ -297,8 +297,8 @@ def test_07_option_learning_speedup(capsys):
                                                     **regime))
             flat = run_odstc(penalized, OdstcConfig(learner="flat", seed=seed,
                                                     **regime))
-            sp = episodes_to_plateau(smdp.history, window)
-            fp = episodes_to_plateau(flat.history, window)
+            sp = episodes_to_plateau([l.cumulative_reward for l in smdp.history], window)
+            fp = episodes_to_plateau([l.cumulative_reward for l in flat.history], window)
             c.expect(sp <= fp,
                      f"seed {seed}: plateau at {sp} episodes vs flat {fp}")
             se = np.mean([l.decision_epochs for l in smdp.history[-window:]])

@@ -246,7 +246,7 @@ def test_discounted_reward_accumulation():
     # Two steps: reward 0 then goal reward 1 discounted one step.
     assert out.duration == 2
     assert out.reward == pytest.approx(0.5)
-    assert out.segment[-1].done
+    assert out.segment.done
 
 
 def test_determinized_traverse_reaches_target_everywhere(three_rooms_options):
@@ -271,7 +271,7 @@ def test_sampled_runs_end_in_source_or_target(three_rooms_options):
                 out = run_option(world, o, s0, rng, max_steps=world.n_states)
                 runs += 1
                 end_cluster = idx.assignment.get(out.end_state)
-                reached_goal = out.segment and out.segment[-1].done
+                reached_goal = out.segment.done
                 assert end_cluster in (o.source, o.target) or reached_goal
                 if end_cluster == o.target:
                     target_hits += 1
@@ -314,7 +314,7 @@ def test_option_draws_match_rng_choice():
         assert acts == list(mu) and cdf == expected.tolist()
         for _ in range(1000):
             out = run_option(world, o, 0, rng, max_steps=1)
-            assert out.segment[0].action == oracles.choice_draw(mu, rng_oracle)
+            assert out.segment.actions[0] == oracles.choice_draw(mu, rng_oracle)
             rng_oracle.random()          # run_option's termination draw
     assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
@@ -338,7 +338,7 @@ def test_option_draw_on_a_cdf_boundary_goes_right():
         assert np.searchsorted([0.25, 0.5, 0.5, 1.0], u, side="right") == list(mu).index(action)
         o = make_option(initiation=(0,), policy={0: mu})
         out = run_option(world, o, 0, FixedUniforms([u, 0.0]), max_steps=1)
-        assert out.segment[0].action == action
+        assert out.segment.actions[0] == action
 
 
 def random_q_setting(gen, n_states=6, n_options=4):

@@ -513,6 +513,22 @@ def test_sampling_commands_reject_zero_rounds(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, sets, code", [
+    (77, [], EXIT_CONFIG),
+    (None, ["--set", "pipeline.k_m=2"], EXIT_IO),
+    (5, ["--set", "pipeline.k_m=2"], EXIT_CONFIG)],
+    ids=["k_m_unset", "missing_file", "too_few_rows"])
+def test_aggregate_error_leaves_no_out_dir(tmp_path, rows, sets, code):
+    features = tmp_path / "features.txt"
+    if rows is not None:
+        write_features(features, np.eye(rows))
+    out = tmp_path / "o"
+    rc = main(["aggregate", DISCOVER_INI, "--features", str(features),
+               "--out-dir", str(out)] + sets)
+    assert rc == code
+    assert not out.exists()
+
+
 def test_aggregate_requires_k_m(tmp_path):
     features = tmp_path / "onehot.txt"
     write_features(features, np.eye(77))

@@ -7,7 +7,6 @@ from spectral_options.env import (
     N_ACTIONS,
     GridWorld,
     MapError,
-    Step,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -121,10 +120,13 @@ def test_slip_requires_rng():
 
 
 def test_trajectory_chaining_enforced():
-    traj = Trajectory()
-    traj.append(Step(0, 1, 0.0, 1, False))
+    traj = Trajectory([0])
+    traj.add(1, 0.0, 1, False)
+    traj.extend(Trajectory([1, 2], [1], [0.5], True))
+    assert traj == Trajectory([0, 1, 2], [1, 1], [0.0, 0.5], True)
     with pytest.raises(ValueError, match="chain"):
-        traj.append(Step(5, 1, 0.0, 6, False))
+        traj.extend(Trajectory([5, 6], [1], [0.0], False))
+    assert traj == Trajectory([0, 1, 2], [1, 1], [0.0, 0.5], True)
 
 
 def test_max_steps_caps_rollout():
@@ -138,8 +140,7 @@ def test_replay_determinism():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.1)
     t1 = sample_trajectory(world, uniform_random_policy, 500, np.random.default_rng(42))
     t2 = sample_trajectory(world, uniform_random_policy, 500, np.random.default_rng(42))
-    assert [(s.state, s.action, s.reward, s.next_state) for s in t1] == \
-           [(s.state, s.action, s.reward, s.next_state) for s in t2]
+    assert t1 == t2
 
 
 def test_optimal_policy_reaches_goal():
@@ -162,18 +163,19 @@ def test_optimal_policy_reaches_goal():
         return min(range(4), key=lambda a: dist[world.move(s, a)])
 
     traj = sample_trajectory(world, optimal, 500, np.random.default_rng(0))
-    assert traj.steps[-1].done
-    assert traj.steps[-1].next_state == goal
+    assert traj.done
+    assert traj.states[-1] == goal
     assert len(traj) == dist[world.start]
+    assert traj.rewards[-1] == world.goal_reward
+    assert traj.rewards[:-1] == [world.step_reward] * (len(traj) - 1)
 
 
 def test_trajectory_states_are_valid():
     world = load_gridworld(THREE_ROOMS)
     rng = np.random.default_rng(7)
     traj = sample_trajectory(world, uniform_random_policy, 300, rng)
-    for st in traj:
-        assert 0 <= st.state < world.n_states
-        assert 0 <= st.next_state < world.n_states
+    assert len(traj.states) == len(traj) + 1
+    assert all(0 <= s < world.n_states for s in traj.states)
 
 
 def test_start_override_begins_episode_there():
@@ -181,7 +183,7 @@ def test_start_override_begins_episode_there():
     s0 = world.index[(3, 9)]
     traj = sample_trajectory(world, uniform_random_policy, 5,
                              np.random.default_rng(0), start=s0)
-    assert traj.steps[0].state == s0
+    assert traj.states[0] == s0
 
 
 def test_terminal_start_is_error():
@@ -251,9 +253,8 @@ def test_uniform_block_draw_matches_step_loop(text, ends_early, max_steps):
         start = starts[episode % len(starts)]
         got = sample_trajectory(world, uniform_random_policy, max_steps, block, start=start)
         want = sample_trajectory(world, looped_uniform_policy, max_steps, loop, start=start)
-        assert got.steps == want.steps
-        assert all(type(st.state) is type(st.action) is type(st.next_state) is int
-                   for st in got)
+        assert got == want
+        assert all(type(x) is int for x in got.states + got.actions)
         assert block.bit_generator.state == loop.bit_generator.state
         lengths.append(len(got))
     assert block.integers(N_ACTIONS) == loop.integers(N_ACTIONS)
@@ -267,5 +268,5 @@ def test_slip_keeps_step_loop():
     for start in range(10):
         got = sample_trajectory(world, uniform_random_policy, 200, block, start=start)
         want = sample_trajectory(world, looped_uniform_policy, 200, loop, start=start)
-        assert got.steps == want.steps
+        assert got == want
         assert block.bit_generator.state == loop.bit_generator.state

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
-    Step,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -31,9 +30,10 @@ V, D_PRIOR, U_PRIOR = 1.3, 0.2, 0.07
 
 
 def traj_of(*steps):
-    t = Trajectory()
-    for s in steps:
-        t.append(Step(*s))
+    """A trajectory from (s, a, r, s', done) tuples, which must chain."""
+    t = Trajectory([steps[0][0]])
+    for s, a, r, s2, done in steps:
+        t.extend(Trajectory([s, s2], [a], [r], done))
     return t
 
 
@@ -53,7 +53,7 @@ def test_reward_weighting_shrinks_contribution():
 def test_empty_trajectory_is_identity():
     m = EstimatedModel(4, v=2.0, d_prior=0.5)
     before = m.D.copy()
-    update_counts(m, Trajectory())
+    update_counts(m, Trajectory([0]))
     np.testing.assert_array_equal(m.D, before)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
-    Step,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -171,10 +170,11 @@ def test_too_short_log_rejected():
         convergence_test([1.0, 2.0, 3.0], window=2)
 
 
-def test_accepts_episode_logs(penalized_world):
+def test_accepts_run_returns(penalized_world):
     cfg = train_config(max_rounds=2)
     res = run_odstc(penalized_world, cfg)
-    assert isinstance(convergence_test(res.history, window=10), bool)
+    returns = [l.cumulative_reward for l in res.history]
+    assert isinstance(convergence_test(returns, window=10), bool)
 
 
 # --- episodes_to_plateau -----------------------------------------------------
@@ -460,9 +460,15 @@ def test_run_episode_pinned(learner):
     logs, sas = [], []
     for _ in range(4):
         log, traj = run_episode(world, Q, options, 0.3, rng, learner, 25)
+        assert traj.states[0] == world.start
+        assert len(traj) == log.primitive_steps
+        ret = 0.0
+        for r in traj.rewards:      # the return is summed in step order
+            ret += r
+        assert log.cumulative_reward == ret
         logs.append((log.cumulative_reward, log.decision_epochs,
                      log.primitive_steps, log.options_invoked))
-        sas.append([(st.state, st.action, st.next_state) for st in traj])
+        sas.append(list(zip(traj.states, traj.actions, traj.states[1:])))
     want_logs, want_sas, want_q = PINNED_EPISODES[learner]
     assert logs == want_logs
     assert sas == want_sas
@@ -586,7 +592,7 @@ def test_identity_assignment_reproduces_model(world):
 def test_all_states_to_one_microstate_self_loops(world):
     trajs = sample_covering_trajectories(world, n_episodes=5)
     agg = aggregate_model(trajs, np.zeros(world.n_states, dtype=int))
-    total = sum(len(t.steps) for t in trajs)
+    total = sum(len(t) for t in trajs)
     assert agg.U.shape == (1, 4, 1)
     assert agg.U.sum() == total
 
@@ -619,8 +625,7 @@ def test_chain_memberships_are_exact_indicators(world):
 
 
 def test_unassigned_state_rejected():
-    traj = Trajectory()
-    traj.append(Step(0, 1, 0.0, 5, False))
+    traj = Trajectory([0, 5], [1], [0.0])
     with pytest.raises(IndexError):
         aggregate_model([traj], np.zeros(1, dtype=int))
 
