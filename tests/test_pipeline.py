@@ -475,6 +475,197 @@ def test_run_episode_pinned(learner):
     assert list(Q.values.items()) == list(want_q.items())
 
 
+RUN_MAP = """\
+##########
+#S.#..#..#
+#........#
+#..#..#.G#
+##########
+"""
+
+# Recorded per learner over a run that re-clusters at rounds 2, 4 and 6:
+# (return, decisions, steps) per episode, and the Q entries the run wrote.
+PINNED_RUNS = {
+    "flat": (
+        [(-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-0.6000000000000008, 33, 33), (-0.35000000000000053, 28, 28),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (0.19999999999999984, 17, 17),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-0.9500000000000011, 40, 40),
+         (0.04999999999999971, 20, 20), (-0.850000000000001, 38, 38),
+         (-2.000000000000001, 40, 40), (-0.850000000000001, 38, 38),
+         (-0.35000000000000053, 28, 28), (0.55, 10, 10)],
+        {(0, 0): -0.25966622177927967, (0, 1): -0.2566309059146964,
+         (0, 2): -0.25596222332686425, (0, 3): -0.2675215298446262,
+         (1, 0): -0.2554208956818079, (1, 1): -0.2509601913156344,
+         (1, 2): -0.22902809473469854, (1, 3): -0.25434546988255624,
+         (2, 0): -0.14608479641113284, (2, 1): -0.15077518750549318,
+         (2, 2): -0.12829712986408237, (2, 3): -0.14212631640625004,
+         (3, 0): -0.14212631640625, (3, 1): -0.13245405468750002,
+         (3, 2): -0.13059522354610062, (3, 3): -0.14987266699218754,
+         (4, 0): 0.039563022705078124, (4, 1): -0.07218750000000002,
+         (4, 2): 0.20949528934936523, (4, 3): -0.052500000000000005, (5, 0): -0.04875,
+         (5, 1): -0.04875, (5, 2): -0.043750000000000004, (5, 3): -0.06656250000000001,
+         (6, 0): -0.2440099495110154, (6, 1): -0.23937600370455941,
+         (6, 2): -0.24291718114098043, (6, 3): -0.24234532097276953,
+         (7, 0): -0.2299791475750484, (7, 1): -0.17801016011698634,
+         (7, 2): -0.23357851315243885, (7, 3): -0.2343432850649938,
+         (8, 0): -0.16603958822631837, (8, 1): -0.11838250045307934,
+         (8, 2): -0.1696488367132025, (8, 3): -0.16789178491508666,
+         (9, 0): -0.14557493312988284, (9, 1): 0.002092469109422679,
+         (9, 2): -0.141395841796875, (9, 3): -0.15748626063098148,
+         (10, 0): -0.123489900390625, (10, 1): 0.23088366451548573,
+         (10, 2): -0.10786982226562503, (10, 3): -0.1296196915527344,
+         (11, 0): -0.0713125, (11, 1): 0.494693266001892, (11, 2): -0.09680864955116272,
+         (11, 3): -0.11873696706774142, (12, 0): 0.04021626977539062,
+         (12, 1): 0.7586476962738037, (12, 2): -0.004092773437500006,
+         (12, 3): -0.037500000000000006, (13, 0): -0.04875,
+         (13, 1): -0.037500000000000006, (13, 2): 0.9921875,
+         (13, 3): 0.23371038454284668, (14, 0): -0.23488562999763601,
+         (14, 1): -0.24065854054440083, (14, 2): -0.24575608624673156,
+         (14, 3): -0.24785447775965713, (15, 0): -0.23979853622285982,
+         (15, 1): -0.23765990872680814, (15, 2): -0.2401017393251092,
+         (15, 3): -0.24348968560576162, (16, 0): -0.14256930292968753,
+         (16, 1): -0.12973908203125, (16, 2): -0.14160117421875001,
+         (16, 3): -0.15374339179687502, (17, 0): -0.07480893976079751,
+         (17, 1): -0.13106507031250003, (17, 2): -0.12981632031250004,
+         (17, 3): -0.14222836562500002, (18, 0): -0.025, (18, 1): 0.75,
+         (18, 2): 0.30000000000000004}),
+    "intra_option": (
+        [(-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 30, 40), (-2.000000000000001, 25, 40),
+         (-2.000000000000001, 35, 40), (-2.000000000000001, 30, 40),
+         (-2.000000000000001, 33, 40), (-0.2000000000000004, 20, 25),
+         (-2.000000000000001, 28, 40), (-2.000000000000001, 35, 40),
+         (-2.000000000000001, 33, 40), (-2.000000000000001, 35, 40),
+         (-2.220446049250313e-16, 14, 21), (-0.25000000000000044, 19, 26),
+         (-0.10000000000000031, 18, 23), (0.5, 8, 11), (0.35, 13, 14), (0.35, 11, 14),
+         (-0.050000000000000266, 20, 22), (0.2499999999999999, 12, 16)],
+        {(0, ('opt', 1)): -0.13155307776879266, (0, 0): -0.1099761474609375,
+         (0, 1): -0.1043789106179271, (0, 2): -0.10016621955621244,
+         (0, 3): -0.11689750288380418, (1, ('opt', 1)): -0.11993241781957135,
+         (1, 0): -0.11628353383074887, (1, 1): -0.11128857421874999,
+         (1, 2): -0.12046114483090116, (1, 3): -0.11764165305323022,
+         (2, ('opt', 1)): -0.11400840642814516, (2, 0): -0.10469847021484377,
+         (2, 1): -0.13128865325114875, (2, 2): -0.13241018652343753,
+         (2, 3): -0.12294960156250001, (3, ('opt', 1)): -0.06948641682124697,
+         (3, 0): -0.12597015625, (3, 1): -0.129382734375, (3, 2): -0.07410174811637961,
+         (3, 3): -0.13027732070312503, (4, 0): -0.049218750000000006,
+         (4, 1): -0.05500000000000001, (4, 2): -0.07078125000000002,
+         (4, 3): -0.043750000000000004, (5, 0): -0.025, (5, 1): -0.04875,
+         (5, 2): 0.18125, (5, 3): -0.043750000000000004,
+         (6, ('opt', 1)): -0.14335036173822596, (6, 0): -0.1361828063964844,
+         (6, 1): -0.11869210052490235, (6, 2): -0.057580084228515634,
+         (6, 3): -0.116662939453125, (7, ('opt', 1)): -0.1565560966904719,
+         (7, 0): -0.12439738842010499, (7, 1): -0.1538250580720975,
+         (7, 2): -0.0751328125, (7, 3): -0.10172229003906251,
+         (8, ('opt', 1)): -0.1276908314642581, (8, 0): -0.13408520179748537,
+         (8, 1): -0.12840714306832895, (8, 2): -0.13438148437500003,
+         (8, 3): -0.12369677734375001, (9, ('opt', 1)): 0.017302244859516813,
+         (9, 0): -0.10371814650757685, (9, 1): -0.008817301007050748,
+         (9, 2): -0.11050219259033206, (9, 3): -0.14942074831954638,
+         (10, ('opt', 0)): -0.1105372018310547, (10, 0): -0.11111353680419923,
+         (10, 1): 0.26819270144894247, (10, 2): -0.1579153187866211,
+         (10, 3): -0.11453808775086403, (11, ('opt', 0)): -0.07498661560122372,
+         (11, 0): -0.10839155273437501, (11, 1): 0.5203426802635192,
+         (11, 2): -0.1353783720703125, (11, 3): -0.09020514358811453,
+         (12, 0): -0.049843750000000006, (12, 1): 0.5573497314453124,
+         (12, 2): -0.043750000000000004, (12, 3): -0.08811901855468751,
+         (13, 0): -0.037500000000000006, (13, 1): 0.18125, (13, 2): 0.90039306640625,
+         (13, 3): 0.4728125, (14, ('opt', 1)): -0.10500193542176196,
+         (14, 0): -0.10873264434814454, (14, 1): -0.07834375000000002,
+         (14, 2): -0.0713125, (14, 3): -0.07635937500000001,
+         (15, ('opt', 1)): -0.08428113474712688, (15, 0): -0.12579720153808596,
+         (15, 1): -0.10835156250000003, (15, 2): -0.103078125, (15, 3): -0.08021875,
+         (16, ('opt', 1)): -0.025, (16, 0): -0.1675940562216282,
+         (16, 1): -0.10528229626464844, (16, 2): -0.16892150394897465,
+         (16, 3): -0.16927020056762698, (17, ('opt', 1)): 0.016174328056476076,
+         (17, 0): -0.05345567499528174, (17, 1): -0.1546877772216797,
+         (17, 2): -0.14772155664062503, (17, 3): -0.17747534691324238,
+         (18, 0): -0.07218750000000002, (18, 1): 0.75, (18, 3): -0.037500000000000006}),
+    "smdp": (
+        [(-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
+         (-2.000000000000001, 30, 40), (-2.000000000000001, 22, 40),
+         (-2.000000000000001, 25, 40), (-2.000000000000001, 27, 40),
+         (-0.6000000000000008, 26, 33), (0.19999999999999984, 9, 17), (0.4, 6, 13),
+         (-0.050000000000000266, 10, 22), (0.29999999999999993, 7, 15),
+         (-2.220446049250313e-16, 14, 21), (0.1499999999999998, 9, 18),
+         (-2.220446049250313e-16, 9, 21), (-2.000000000000001, 35, 40),
+         (-0.6500000000000008, 27, 34), (-2.000000000000001, 34, 40),
+         (-2.000000000000001, 35, 40), (-2.000000000000001, 34, 40),
+         (0.2499999999999999, 9, 16)],
+        {(0, ('opt', 3)): -0.179310077182474, (0, 0): -0.13663612994384766,
+         (0, 1): -0.12358259225845339, (0, 2): -0.11729250896453858,
+         (0, 3): -0.11664256151199341, (1, 0): -0.10454641113281252,
+         (1, 1): -0.11128857421874999, (1, 2): -0.06912687505371093,
+         (1, 3): -0.11742572021484377, (2, ('opt', 3)): -0.05642259833203124,
+         (2, 0): -0.07349854980823851, (2, 1): -0.07824138396352905,
+         (2, 2): -0.07429687500000001, (2, 3): -0.06765249713430176,
+         (3, ('opt', 3)): -0.08338644635401386, (3, 0): -0.060062500000000005,
+         (3, 1): -0.0713125, (3, 2): -0.07702723800156093, (3, 3): -0.06876921595535887,
+         (4, ('opt', 0)): 0.05410156250000001, (4, 0): -0.030888671874999996,
+         (4, 1): -0.05500000000000001, (4, 2): 0.041601562500000015,
+         (4, 3): -0.037500000000000006, (5, 0): -0.018779296874999993, (5, 1): -0.04875,
+         (5, 2): -0.037500000000000006, (5, 3): -0.043750000000000004,
+         (6, ('opt', 3)): -0.11591875000000001, (6, 0): -0.1425689288444519,
+         (6, 1): -0.09283593750000001, (6, 2): -0.0664638671875,
+         (6, 3): -0.09875009765625001, (7, ('opt', 3)): -0.05629037907519532,
+         (7, 0): -0.1004892626953125, (7, 1): -0.07600000000000001,
+         (7, 2): -0.090210234375, (7, 3): -0.06929687500000001,
+         (8, ('opt', 3)): -0.09071131727316895, (8, 0): -0.10767218785633263,
+         (8, 1): -0.08910156250000001, (8, 2): -0.088734375,
+         (8, 3): -0.08979150390625001, (9, ('opt', 3)): -0.10299881818168945,
+         (9, 0): -0.08597465356962805, (9, 1): -0.1199403251953125,
+         (9, 2): -0.10386674804687501, (9, 3): -0.10519775390625,
+         (10, ('opt', 3)): -0.0890506717467294, (10, 0): -0.0755054133273293,
+         (10, 1): -0.09414291544845449, (10, 2): -0.08521875000000001,
+         (10, 3): -0.07775168308940979, (11, ('opt', 1)): -0.08597500000000001,
+         (11, ('opt', 2)): -0.08297476041296899, (11, 0): -0.09298041094562712,
+         (11, 1): 0.06587890625000001, (11, 2): -0.0899793159680175,
+         (11, 3): -0.0934991977998497, (12, ('opt', 1)): -0.0475, (12, 0): -0.04875,
+         (12, 1): 0.4564453125, (12, 2): -0.043750000000000004, (12, 3): -0.06990625,
+         (13, 0): -0.025, (13, 1): -0.037500000000000006, (13, 2): 0.875,
+         (13, 3): -0.04875, (14, ('opt', 3)): -0.15716467868131526,
+         (14, 0): -0.12138017578125002, (14, 1): -0.08415625, (14, 2): -0.025,
+         (14, 3): -0.043750000000000004, (15, ('opt', 3)): -0.10975862500000001,
+         (15, 0): -0.0765625, (15, 1): -0.08259375000000001,
+         (15, 2): -0.08259375000000001, (15, 3): -0.06656250000000001,
+         (16, ('opt', 3)): -0.11282718750000001, (16, 0): -0.11873303385071962,
+         (16, 1): -0.12454045392548639, (16, 2): -0.12374299072265625,
+         (16, 3): -0.1283815234375, (17, ('opt', 3)): -0.12090066672796021,
+         (17, 0): -0.10236819076526056, (17, 1): -0.11107890625,
+         (17, 2): -0.11107890625, (17, 3): -0.11723662975069886, (18, 0): -0.04875,
+         (18, 1): 0.9375, (18, 3): -0.037500000000000006}),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(PINNED_RUNS))
+def test_run_odstc_pinned(learner):
+    # Each re-clustering replaces the option set, so an option value that
+    # outlives its option shows up in the later episodes and the final table.
+    world = load_gridworld(RUN_MAP, step_reward=-0.05, slip_prob=0.1)
+    config = OdstcConfig(episodes_per_round=3, max_rounds=8, pcca_refresh_interval=2,
+                         k=3, max_steps_per_episode=40, convergence_window=20,
+                         alpha=0.5, gamma=0.9, seed=3, learner=learner)
+    res = run_odstc(world, config)
+    assert res.notes == []
+    assert len(res.chi_snapshots) == (0 if learner == "flat" else 3)
+    want_logs, want_q = PINNED_RUNS[learner]
+    assert [(l.cumulative_reward, l.decision_epochs, l.primitive_steps)
+            for l in res.history] == want_logs
+    written = {key: v for key, v in res.q.values.items() if v != 0.0}
+    # The eigensolve may differ in the last bits between BLAS builds.
+    assert written == pytest.approx(want_q, rel=1e-9, abs=1e-12)
+
+
 # --- kmeans_microstates ------------------------------------------------------
 
 def test_all_distinct_points_zero_sse():
