@@ -1,26 +1,29 @@
 """Value learning over the option-augmented SMDP.
 
-A QTable keys values by (state, choice), where a choice is either a primitive
-action id or the key ("opt", i) for the i-th option of the current option set.
+A QTable holds the values of one option set's choices, one row per state.
+A choice is either a primitive action id or the key ("opt", i) for the i-th
+option of the set; row s holds exactly the choices available at s, options
+in index order, then primitives.  The rows, the availability table and the
+table of options consistent with each (s, a) are built once per option set.
 A primitive action is the option that lasts one step, the k = 1 outcome.
 An option run returns its steps as a ``Trajectory``, ``OptionOutcome.segment``.
 SMDP Q-learning updates one entry per completed choice with the
 duration-discounted target; intra-option learning updates, per primitive
-transition, the primitive entry and every option whose policy is consistent
-with the executed action.  Both updates take the choices available at s'.
-The flat baseline is the SMDP update with primitive choices only.
+transition, the primitive entry and every option offered at s whose policy is
+consistent with the executed action.  Both bootstrap from the row of s'.
+The flat baseline is the SMDP update on a table with no options.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
 
-from spectral_options.env import GridWorld, Trajectory, step
+from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, step
 from spectral_options.options import Option
 
 
@@ -29,43 +32,69 @@ def option_key(index: int) -> tuple:
     return ("opt", index)
 
 
-class QTable:
-    """Sparse action/option value table; unvisited entries read as 0."""
+def _non_finite(s: int, choice) -> ValueError:
+    return ValueError(f"non-finite Q value for ({s}, {choice})")
 
-    def __init__(self, alpha: float = 0.1, gamma: float = 0.99):
+
+class QTable:
+    """Action/option values of one option set, one row per state.
+
+    ``rows[s]`` maps each choice in ``available[s]`` to its value, in that
+    order, so ``max(rows[s].values())`` is the greedy value at s and
+    ``max(rows[s], key=rows[s].__getitem__)`` the greedy choice, ties going
+    to the earliest position.  Entries never written read 0.
+    ``consistent[s][a]`` lists (option key, option) for every option offered
+    at s whose μ gives action a positive probability, in option index order.
+    ``values`` is the table as a {(s, choice): value} dict, built when read.
+    """
+
+    def __init__(self, n_states: int, options=(), alpha: float = 0.1,
+                 gamma: float = 0.99, n_actions: int = N_ACTIONS):
         if not 0 <= alpha <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         if not 0 < gamma < 1:
             raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
         self.alpha = alpha
         self.gamma = gamma
-        self.values: dict[tuple, float] = {}
+        self.n_actions = n_actions
+        self.rows: list[dict] = [{} for _ in range(n_states)]
+        self.set_options(options)
+
+    @property
+    def values(self) -> dict:
+        return {(s, c): v for s, row in enumerate(self.rows) for c, v in row.items()}
 
     def get(self, s: int, choice) -> float:
-        return self.values.get((s, choice), 0.0)
+        """Q(s, choice); a choice not offered at s reads 0."""
+        return self.rows[s].get(choice, 0.0)
 
     def set(self, s: int, choice, value: float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite Q value for ({s}, {choice})")
-        self.values[(s, choice)] = float(value)
+        row = self.rows[s]
+        if choice not in row:
+            raise KeyError(f"choice {choice!r} is not available at state {s}")
+        value = float(value)
+        if not isfinite(value):
+            raise _non_finite(s, choice)
+        row[choice] = value
 
-    def max_value(self, s: int, available) -> float:
-        get = self.values.get
-        return max([get((s, c), 0.0) for c in available])
+    def set_options(self, options):
+        """Offer a new option set: rebuild every table, keep primitive values.
 
-    def argmax(self, s: int, available):
-        """Greedy choice with ties broken toward the earliest list position."""
-        get = self.values.get
-        best, best_v = None, -np.inf
-        for c in available:
-            v = get((s, c), 0.0)
-            if v > best_v:
-                best, best_v = c, v
-        return best
-
-    def drop_options(self):
-        """Remove every option entry (used when the option set is replaced)."""
-        self.values = {k: v for k, v in self.values.items() if isinstance(k[1], int)}
+        Option values are dropped: cluster identities are not stable across
+        re-clusterings, so remapping them by label would be unsound.
+        """
+        self.options = list(options)
+        self.available = available_choices(self.options, len(self.rows), self.n_actions)
+        self.rows = [{c: old.get(c, 0.0) if isinstance(c, int) else 0.0 for c in choices}
+                     for old, choices in zip(self.rows, self.available)]
+        self.consistent = [[[] for _ in range(self.n_actions)] for _ in self.rows]
+        for i, o in enumerate(self.options):
+            key = option_key(i)
+            for s, mu in o.policy.items():
+                if key in self.rows[s]:
+                    for a, p in mu.items():
+                        if p > 0.0:
+                            self.consistent[s][a].append((key, o))
 
 
 @dataclass
@@ -86,20 +115,24 @@ class OptionOutcome(NamedTuple):
     missing_policy: bool    # reached a state with no μ row; terminated, flagged
 
 
-def smdp_q_update(Q: QTable, s: int, choice, r: float, k: int, s2: int,
-                  available) -> QTable:
+def smdp_q_update(Q: QTable, s: int, choice, r: float, k: int, s2: int) -> QTable:
     """One SMDP Q-learning update: Q(s,o) += α[r + γᵏ·max Q(s',·) − Q(s,o)].
 
     ``r`` must already be the caller-accumulated discounted option reward and
     ``k`` the option duration in primitive steps; primitive actions are the
-    k = 1 case.  The bootstrap maximizes over every choice available at s'
-    (options and primitives alike).
+    k = 1 case.  The bootstrap maximizes over the row of s', every choice
+    available there (options and primitives alike).
     """
     if k <= 0:
         raise ValueError(f"option duration must be positive, got {k}")
-    target = r + Q.gamma ** k * Q.max_value(s2, available)
-    q = Q.values.get((s, choice), 0.0)
-    Q.set(s, choice, q + Q.alpha * (target - q))
+    rows = Q.rows
+    target = r + Q.gamma ** k * max(rows[s2].values())
+    row = rows[s]
+    q = row[choice]
+    q += Q.alpha * (target - q)
+    if not isfinite(q):
+        raise _non_finite(s, choice)
+    row[choice] = q
     return Q
 
 
@@ -121,50 +154,52 @@ def available_choices(options: list[Option], n_states: int, n_actions: int) -> l
     return table
 
 
-def intra_option_update(Q: QTable, transition, options: list[Option],
-                        available) -> int:
+def intra_option_update(Q: QTable, transition) -> int:
     """Off-policy updates for one primitive transition (s, a, r, s').
 
-    Every option whose policy at s gives the executed action positive
-    probability receives Q(s,o) += α[r + γ·U(s',o) − Q(s,o)] with
+    Every option offered at s whose policy gives the executed action positive
+    probability, ``Q.consistent[s][a]``, receives
+    Q(s,o) += α[r + γ·U(s',o) − Q(s,o)] with
     U(s',o) = (1−β_o(s'))·Q(s',o) + β_o(s')·max Q(s',·), the maximum taken
-    over ``available``, the choices at s'; the primitive entry gets the
-    standard one-step update.  Returns the number of entries updated.
+    over the row of s'; the primitive entry gets the standard one-step
+    update.  Returns the number of entries updated.
     """
     s, a, r, s2 = transition
-    get = Q.values.get
     alpha, gamma = Q.alpha, Q.gamma
-    best2 = Q.max_value(s2, available)
-    updated = 0
-    for i, o in enumerate(options):
-        mu = o.policy.get(s)
-        if not mu or mu.get(a, 0.0) <= 0.0:
-            continue
-        key = option_key(i)
+    row, row2 = Q.rows[s], Q.rows[s2]
+    best2 = max(row2.values())
+    consistent = Q.consistent[s][a]
+    for key, o in consistent:
         beta2 = o.termination_prob(s2)
-        u = (1.0 - beta2) * get((s2, key), 0.0) + beta2 * best2
+        u = (1.0 - beta2) * row2.get(key, 0.0) + beta2 * best2
         target = r + gamma * u
-        q = get((s, key), 0.0)
-        Q.set(s, key, q + alpha * (target - q))
-        updated += 1
+        q = row[key]
+        q += alpha * (target - q)
+        if not isfinite(q):
+            raise _non_finite(s, key)
+        row[key] = q
     target = r + gamma * best2
-    q = get((s, a), 0.0)
-    Q.set(s, a, q + alpha * (target - q))
-    return updated + 1
+    q = row[a]
+    q += alpha * (target - q)
+    if not isfinite(q):
+        raise _non_finite(s, a)
+    row[a] = q
+    return len(consistent) + 1
 
 
-def epsilon_greedy(Q: QTable, s: int, available, epsilon: float,
-                   rng: np.random.Generator):
-    """ε-greedy behavioral choice over whatever is available at s.
+def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: np.random.Generator):
+    """ε-greedy behavioral choice over the choices available at s.
 
     Ties under the greedy branch resolve to the earliest position in
-    ``available``.
+    ``Q.available[s]``, the order of the row.
     """
-    if not available:
+    row = Q.rows[s]
+    if not row:
         raise ValueError(f"no available choices at state {s}")
     if rng.random() < epsilon:
+        available = Q.available[s]
         return available[int(rng.integers(len(available)))]
-    return Q.argmax(s, available)
+    return max(row, key=row.__getitem__)
 
 
 def run_option(world: GridWorld, option: Option, s0: int,

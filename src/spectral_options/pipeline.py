@@ -28,7 +28,6 @@ from spectral_options.options import compose_options
 from spectral_options.agents import (
     EpisodeLog,
     QTable,
-    available_choices,
     epsilon_greedy,
     intra_option_update,
     run_option,
@@ -83,14 +82,16 @@ class OdstcConfig:
             raise ValueError(f"k must be 0 (spectral gap) or >= 2, got {self.k}")
         if not 0 < self.t_c < 1:
             raise ValueError(f"t_c must lie in (0, 1), got {self.t_c}")
-        for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end}.items():
+        for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end,
+                        "alpha": self.alpha}.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
+        if not 0 < self.gamma < 1:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.learner not in LEARNERS:
             raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
         if self.v < 0 or self.tau_conn < 0:
             raise ValueError("v and tau_conn must be non-negative")
-        QTable(alpha=self.alpha, gamma=self.gamma)
         EstimatedModel(1, d_prior=self.d_prior, u_prior=self.u_prior)
 
 
@@ -152,41 +153,55 @@ def episodes_to_plateau(returns, window: int) -> int:
     return len(returns)
 
 
-def run_episode(world: GridWorld, Q: QTable, options: list, epsilon: float,
+def run_episode(world: GridWorld, Q: QTable, epsilon: float,
                 rng: np.random.Generator, learner: str,
                 max_steps: int) -> tuple[EpisodeLog, Trajectory]:
     """One behavioral episode with learning updates; returns its log and trajectory.
 
-    A primitive choice is a one-step segment with k = 1, so one path records
-    (each choice's segment extends the trajectory) and learns from both kinds.
+    The choices are those of ``Q``'s option set, whose tables were built when
+    the set was offered.  A primitive choice appends its step and makes one
+    update; an option's segment extends the trajectory and makes one SMDP
+    update, or one intra-option update per step.
     """
     intra = learner == "intra_option"
-    available = available_choices(options, world.n_states, N_ACTIONS)
+    options = Q.options
     s = world.start
     traj = Trajectory([s])
+    states, actions, rewards = traj.states, traj.actions, traj.rewards
     decisions = 0
     invoked = []
-    while len(traj) < max_steps:
-        c = epsilon_greedy(Q, s, available[s], epsilon, rng)
+    while len(actions) < max_steps:
+        c = epsilon_greedy(Q, s, epsilon, rng)
         decisions += 1
         if isinstance(c, tuple):                       # option choice
             o = options[c[1]]
-            cap = min(world.n_states, max_steps - len(traj))
+            cap = min(world.n_states, max_steps - len(actions))
             out = run_option(world, o, s, rng, cap, gamma=Q.gamma)
             invoked.append((o.label, out.duration))
-            seg, reward, k, end = out.segment, out.reward, out.duration, out.end_state
+            seg = out.segment
+            if intra:
+                seg_s, seg_a, seg_r = seg.states, seg.actions, seg.rewards
+                for t in range(out.duration):
+                    intra_option_update(Q, (seg_s[t], seg_a[t], seg_r[t], seg_s[t + 1]))
+            elif out.duration > 0:
+                smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state)
+            traj.extend(seg)
+            s = out.end_state
+            if seg.done:
+                break
         else:                                          # primitive choice
-            end, reward, done = step(world, s, c, rng)
-            seg, k = Trajectory([s, end], [c], [reward], done), 1
-        if intra:
-            for transition in zip(seg.states, seg.actions, seg.rewards, seg.states[1:]):
-                intra_option_update(Q, transition, options, available[transition[3]])
-        elif k > 0:
-            smdp_q_update(Q, s, c, reward, k, end, available[end])
-        traj.extend(seg)
-        s = end
-        if traj.done:
-            break
+            s2, r, done = step(world, s, c, rng)
+            if intra:
+                intra_option_update(Q, (s, c, r, s2))
+            else:
+                smdp_q_update(Q, s, c, r, 1, s2)
+            states.append(s2)
+            actions.append(c)
+            rewards.append(r)
+            s = s2
+            if done:
+                traj.done = True
+                break
     ret = 0.0
     for r in traj.rewards:      # in step order; sum() compensates from Python 3.12
         ret += r
@@ -199,14 +214,15 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     """Sample → estimate → cluster → compose → learn, until plateau or budget.
 
     Re-clustering happens at the top of every pcca_refresh_interval-th round
-    (skipping round 0, which has no data).  The flat learner never clusters.
+    (skipping round 0, which has no data), and its options are offered to the
+    Q table, which rebuilds its tables once for the new set.  The flat learner
+    never clusters.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
     model = EstimatedModel(world.n_states, N_ACTIONS, v=config.model_v,
                            d_prior=config.d_prior, u_prior=config.u_prior)
-    Q = QTable(alpha=config.alpha, gamma=config.gamma)
-    options: list = []
+    Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
     snapshots: list[np.ndarray] = []
     notes: list[str] = []
@@ -218,16 +234,15 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
             try:
                 result = cluster(adjacency(model), t_c=config.t_c, k=config.k or None)
                 options = compose_options(model, result, tau_conn=config.tau_conn)
-                Q.drop_options()
                 snapshots.append(result.chi)
             except SpectralError as exc:
                 options = []
-                Q.drop_options()
                 notes.append(f"round {rnd}: clustering failed ({exc}); "
                              "continuing without options")
+            Q.set_options(options)
         for _ in range(config.episodes_per_round):
             eps = epsilon_at(len(history), anneal, config.eps_start, config.eps_end)
-            log, traj = run_episode(world, Q, options, eps, rng, config.learner,
+            log, traj = run_episode(world, Q, eps, rng, config.learner,
                                     config.max_steps_per_episode)
             log.episode = len(history)
             update_counts(model, traj)
@@ -235,7 +250,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
         if _plateaued([l.cumulative_reward for l in history], config.convergence_window):
             converged = True
             break
-    return OdstcResult(q=Q, options=options, history=history,
+    return OdstcResult(q=Q, options=Q.options, history=history,
                        chi_snapshots=snapshots, notes=notes, converged=converged)
 
 

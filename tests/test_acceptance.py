@@ -19,7 +19,6 @@ import pytest
 
 from spectral_options.agents import (
     QTable,
-    available_choices,
     intra_option_update,
     smdp_q_update,
 )
@@ -256,20 +255,16 @@ def test_06_smdp_update_fixpoint(capsys, world, plain_options):
                 r = (world.goal_reward if s2 in world.goals
                      else world.step_reward)
                 outcomes[(s, a)] = (r, 1, s2)
-        choices_at = {}
-        for (s, choice) in outcomes:
-            choices_at.setdefault(s, []).append(choice)
         order = sorted(outcomes.items(),
                        key=lambda item: (item[0][0], str(item[0][1])))
 
-        Q = QTable(alpha=1.0, gamma=gamma)
+        Q = QTable(world.n_states, plain_options, alpha=1.0, gamma=gamma)
         converged = False
         for _ in range(5000):
             delta = 0.0
             for (s, choice), (r, k, s_end) in order:
                 before = Q.get(s, choice)
-                available = choices_at.get(s_end, range(N_ACTIONS))
-                smdp_q_update(Q, s, choice, r, k, s_end, available)
+                smdp_q_update(Q, s, choice, r, k, s_end)
                 delta = max(delta, abs(Q.get(s, choice) - before))
             if delta < 1e-10:
                 converged = True
@@ -315,16 +310,14 @@ def test_08_intra_option_update_breadth(capsys, world, plain_options):
         # both doorways, then south down the goal column.
         path = [world.index[(1, col)] for col in range(1, 18)]
         path += [world.index[(row, 17)] for row in range(2, 6)]
-        Q = QTable(alpha=0.5, gamma=0.99)
-        available = available_choices(plain_options, world.n_states, N_ACTIONS)
+        Q = QTable(world.n_states, plain_options, alpha=0.5, gamma=0.99)
         consistent_transitions = 0
         for s, s2 in zip(path, path[1:]):
             a = next(a for a in range(N_ACTIONS) if world.move(s, a) == s2)
             r = world.goal_reward if s2 in world.goals else world.step_reward
             consistent = any(o.policy.get(s, {}).get(a, 0.0) > 0.0
                              for o in plain_options)
-            updated = intra_option_update(Q, (s, a, r, s2), plain_options,
-                                          available[s2])
+            updated = intra_option_update(Q, (s, a, r, s2))
             if consistent:
                 consistent_transitions += 1
                 c.expect(updated > 1,

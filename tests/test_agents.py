@@ -43,28 +43,28 @@ def make_option(source=0, target=1, initiation=(0,), policy=None, termination=No
 # --- smdp_q_update ---------------------------------------------------------
 
 def test_one_step_arithmetic():
-    Q = QTable(alpha=0.5, gamma=0.9)
-    smdp_q_update(Q, 0, 2, 1.0, 1, 1, available=[0, 1, 2, 3])
+    Q = QTable(2, alpha=0.5, gamma=0.9)
+    smdp_q_update(Q, 0, 2, 1.0, 1, 1)
     assert Q.get(0, 2) == pytest.approx(0.5)
 
 
 def test_zero_alpha_is_identity():
-    Q = QTable(alpha=0.0, gamma=0.9)
-    smdp_q_update(Q, 0, 2, 1.0, 1, 1, available=[0, 1, 2, 3])
+    Q = QTable(2, alpha=0.0, gamma=0.9)
+    smdp_q_update(Q, 0, 2, 1.0, 1, 1)
     assert Q.get(0, 2) == 0.0
 
 
 def test_duration_discounts_bootstrap():
-    Q = QTable(alpha=1.0, gamma=0.5)
+    Q = QTable(2, [make_option(policy={0: {1: 1.0}})], alpha=1.0, gamma=0.5)
     Q.set(1, 0, 8.0)
-    smdp_q_update(Q, 0, option_key(0), 0.0, 3, 1, available=[0])
+    smdp_q_update(Q, 0, option_key(0), 0.0, 3, 1)
     assert Q.get(0, option_key(0)) == pytest.approx(0.5 ** 3 * 8.0)
 
 
 def test_nonpositive_duration_is_error():
-    Q = QTable()
+    Q = QTable(2)
     with pytest.raises(ValueError, match="duration"):
-        smdp_q_update(Q, 0, 0, 0.0, 0, 1, available=[0])
+        smdp_q_update(Q, 0, 0, 0.0, 0, 1)
 
 
 def test_repeated_updates_reach_smdp_fixpoint(three_rooms_options):
@@ -73,8 +73,8 @@ def test_repeated_updates_reach_smdp_fixpoint(three_rooms_options):
     world, options, _ = three_rooms_options
     gamma = 0.99
     star = oracles.smdp_q_star(world, options, gamma)
-    Q = QTable(alpha=1.0, gamma=gamma)
-    available = available_choices(options, world.n_states, 4)
+    Q = QTable(world.n_states, options, alpha=1.0, gamma=gamma)
+    available = Q.available
     for _ in range(200):
         delta = 0.0
         for s in range(world.n_states):
@@ -89,7 +89,7 @@ def test_repeated_updates_reach_smdp_fixpoint(three_rooms_options):
                     r = world.goal_reward if s_end in world.goals else world.step_reward
                     k = 1
                 before = Q.get(s, c)
-                smdp_q_update(Q, s, c, r, k, s_end, available[s_end])
+                smdp_q_update(Q, s, c, r, k, s_end)
                 delta = max(delta, abs(Q.get(s, c) - before))
         if delta < 1e-14:
             break
@@ -102,7 +102,7 @@ def test_flat_updates_reach_value_iteration(three_rooms_options):
     world, _, _ = three_rooms_options
     gamma = 0.99
     star = oracles.flat_q_star(world, gamma)
-    Q = QTable(alpha=1.0, gamma=gamma)
+    Q = QTable(world.n_states, alpha=1.0, gamma=gamma)
     for _ in range(200):
         delta = 0.0
         for s in range(world.n_states):
@@ -112,7 +112,7 @@ def test_flat_updates_reach_value_iteration(three_rooms_options):
                 s2 = world.move(s, a)
                 r = world.goal_reward if s2 in world.goals else world.step_reward
                 before = Q.get(s, a)
-                smdp_q_update(Q, s, a, r, 1, s2, available=range(4))
+                smdp_q_update(Q, s, a, r, 1, s2)
                 delta = max(delta, abs(Q.get(s, a) - before))
         if delta < 1e-14:
             break
@@ -127,8 +127,8 @@ def test_flat_updates_reach_value_iteration(three_rooms_options):
 
 def test_inconsistent_action_updates_only_primitive():
     o = make_option(policy={0: {1: 1.0}})
-    Q = QTable(alpha=1.0, gamma=0.9)
-    n = intra_option_update(Q, (0, 2, 1.0, 1), [o], range(4))
+    Q = QTable(2, [o], alpha=1.0, gamma=0.9)
+    n = intra_option_update(Q, (0, 2, 1.0, 1))
     assert n == 1
     assert Q.get(0, 2) == pytest.approx(1.0)
     assert Q.get(0, option_key(0)) == 0.0
@@ -136,44 +136,46 @@ def test_inconsistent_action_updates_only_primitive():
 
 def test_certain_termination_bootstraps_from_best():
     o = make_option(policy={0: {1: 1.0}}, termination={})  # β(1) defaults to 1
-    Q = QTable(alpha=1.0, gamma=0.9)
+    Q = QTable(2, [o], alpha=1.0, gamma=0.9)
     Q.set(1, 3, 5.0)
-    intra_option_update(Q, (0, 1, 0.0, 1), [o], range(4))
+    intra_option_update(Q, (0, 1, 0.0, 1))
     assert Q.get(0, option_key(0)) == pytest.approx(0.9 * 5.0)
 
 
 def test_continuation_bootstraps_from_own_value():
-    o = make_option(policy={0: {1: 1.0}}, termination={1: 0.0})
-    Q = QTable(alpha=1.0, gamma=0.9)
+    # The option is offered at 1 too, so it has a value there to continue with.
+    o = make_option(initiation=(0, 1), policy={0: {1: 1.0}, 1: {1: 1.0}},
+                    termination={1: 0.0})
+    Q = QTable(2, [o], alpha=1.0, gamma=0.9)
     Q.set(1, option_key(0), 2.0)
-    intra_option_update(Q, (0, 1, 0.0, 1), [o], range(4))
+    intra_option_update(Q, (0, 1, 0.0, 1))
     assert Q.get(0, option_key(0)) == pytest.approx(1.8)
 
 
 def test_update_count_grows_with_consistent_options():
     o1 = make_option(policy={0: {1: 1.0}})
     o2 = make_option(source=1, target=0, policy={0: {1: 0.5, 2: 0.5}})
-    Q = QTable(alpha=0.5, gamma=0.9)
-    n = intra_option_update(Q, (0, 1, 0.0, 1), [o1, o2], range(4))
+    Q = QTable(2, [o1, o2], alpha=0.5, gamma=0.9)
+    n = intra_option_update(Q, (0, 1, 0.0, 1))
     assert n == 3   # two options consistent with action 1, plus the primitive
 
 
 # --- epsilon_greedy --------------------------------------------------------
 
 def test_greedy_picks_argmax():
-    Q = QTable()
+    Q = QTable(1)
     Q.set(0, 1, 0.2)
     Q.set(0, 2, 0.9)
     rng = np.random.default_rng(0)
-    assert epsilon_greedy(Q, 0, [0, 1, 2, 3], 0.0, rng) == 2
+    assert epsilon_greedy(Q, 0, 0.0, rng) == 2
 
 
 def test_full_exploration_is_uniform():
-    Q = QTable()
+    Q = QTable(1)
     rng = np.random.default_rng(1)
     counts = np.zeros(4)
     for _ in range(10_000):
-        counts[epsilon_greedy(Q, 0, [0, 1, 2, 3], 1.0, rng)] += 1
+        counts[epsilon_greedy(Q, 0, 1.0, rng)] += 1
     # χ² test against uniform at p = 0.01 (df = 3, critical value 11.345).
     expected = 2500.0
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -181,15 +183,19 @@ def test_full_exploration_is_uniform():
 
 
 def test_ties_break_to_earliest_position():
-    Q = QTable()
+    # State 0 offers [option 1, action 0, action 1]; option 0 starts only at 1.
+    options = [make_option(initiation=(1,), policy={1: {0: 1.0}}),
+               make_option(initiation=(0,), policy={0: {0: 1.0}})]
+    Q = QTable(2, options, n_actions=2)
     rng = np.random.default_rng(2)
-    assert epsilon_greedy(Q, 0, [option_key(1), 0, 1], 0.0, rng) == option_key(1)
+    assert Q.available[0] == [option_key(1), 0, 1]
+    assert epsilon_greedy(Q, 0, 0.0, rng) == option_key(1)
 
 
 def test_empty_available_is_error():
-    Q = QTable()
+    Q = QTable(1, n_actions=0)
     with pytest.raises(ValueError, match="available"):
-        epsilon_greedy(Q, 0, [], 0.0, np.random.default_rng(0))
+        epsilon_greedy(Q, 0, 0.0, np.random.default_rng(0))
 
 
 def test_options_listed_before_primitives(three_rooms_options):
@@ -282,10 +288,10 @@ def test_episode_log_invariant(three_rooms_options):
     from spectral_options.pipeline import run_episode
 
     world, options, _ = three_rooms_options
-    Q = QTable()
+    Q = QTable(world.n_states, options)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        log, traj = run_episode(world, Q, options, 0.5, rng, "smdp", 200)
+        log, traj = run_episode(world, Q, 0.5, rng, "smdp", 200)
         assert log.decision_epochs <= log.primitive_steps
         assert log.primitive_steps == len(traj)
 
@@ -342,39 +348,39 @@ def test_option_draw_on_a_cdf_boundary_goes_right():
 
 
 def random_q_setting(gen, n_states=6, n_options=4):
-    choices = list(range(4)) + [option_key(i) for i in range(n_options)]
-    Q = QTable(alpha=0.3, gamma=0.9)
-    for s in range(n_states):
-        for c in choices:
-            if gen.random() < 0.6:
-                Q.set(s, c, float(gen.normal()))
+    """Options with μ rows at random states, so each state offers a random
+    subset of them, and a Q table with random values at random entries."""
     options = [make_option(initiation=range(n_states),
                            policy={s: random_mu_row(gen) for s in range(n_states)
                                    if gen.random() < 0.7},
                            termination={s: float(gen.random()) for s in range(n_states)
                                         if gen.random() < 0.7})
                for _ in range(n_options)]
-    available = [[c for c in choices if gen.random() < 0.7] or [0]
-                 for _ in range(n_states)]
-    return Q, options, available
+    Q = QTable(n_states, options, alpha=0.3, gamma=0.9)
+    for s, choices in enumerate(Q.available):
+        for c in choices:
+            if gen.random() < 0.6:
+                Q.set(s, c, float(gen.normal()))
+    return Q, options
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_updates_match_scan_oracles(seed):
     gen = np.random.default_rng(seed)
-    Q, options, available = random_q_setting(gen)
+    Q, options = random_q_setting(gen)
     Q_oracle = copy.deepcopy(Q)
+    available = Q.available
     n_states = len(available)
     for _ in range(300):
         s, s2, a = int(gen.integers(n_states)), int(gen.integers(n_states)), int(gen.integers(4))
         r = float(gen.normal())
         transition = (s, a, r, s2)
-        assert (intra_option_update(Q, transition, options, available[s2])
+        assert (intra_option_update(Q, transition)
                 == oracles.scan_intra_option_update(Q_oracle, transition, options,
                                                     available[s2]))
         choice = available[s][int(gen.integers(len(available[s])))]
         k = int(gen.integers(1, 6))
-        smdp_q_update(Q, s, choice, r, k, s2, available[s2])
+        smdp_q_update(Q, s, choice, r, k, s2)
         oracles.scan_smdp_q_update(Q_oracle, s, choice, r, k, s2, available[s2])
         assert list(Q.values.items()) == list(Q_oracle.values.items())
 
