@@ -315,9 +315,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         w = run_cfg.convergence_window
         returns = [l.cumulative_reward for l in history]
         plateau = episodes_to_plateau(returns, w)
-        tail = history[plateau - w:plateau]
+        start = max(plateau - w, 0)     # a run shorter than the window: all of it
+        tail = history[start:plateau]
         mean_dec = float(np.mean([l.decision_epochs for l in tail])) if tail else 0.0
-        mean_ret = float(np.mean(returns[plateau - w:plateau])) if tail else 0.0
+        mean_ret = float(np.mean(returns[start:plateau])) if tail else 0.0
         summary.append([learner, len(history), plateau, _fmt(mean_dec), _fmt(mean_ret)])
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["learner", "episodes", "episodes_to_plateau",

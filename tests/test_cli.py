@@ -427,6 +427,25 @@ def test_train_flat_only(tmp_path):
     assert set(os.listdir(out)) == {"episodes_flat.csv", "summary.csv"}
 
 
+def test_train_summary_of_a_run_shorter_than_the_window(tmp_path):
+    # 15 episodes against a convergence window of 20: the summary averages
+    # all 15, not the last 5 that a negative slice start would select.
+    rc = main(["train", TRAIN_INI, "--out-dir", str(tmp_path),
+               "--set", "agent.learner=flat",
+               "--set", "pipeline.max_rounds=1",
+               "--set", "pipeline.episodes_per_round=15",
+               "--set", "pipeline.max_steps_per_episode=400"])
+    assert rc == EXIT_OK
+    episodes = read_csv_rows(tmp_path / "episodes_flat.csv")
+    assert len(episodes) == 15
+    (row,) = read_csv_rows(tmp_path / "summary.csv")
+    assert row["episodes_to_plateau"] == "15"
+    assert float(row["mean_decision_epochs"]) == pytest.approx(
+        np.mean([int(r["decision_epochs"]) for r in episodes]))
+    assert float(row["mean_return"]) == pytest.approx(
+        np.mean([float(r["return"]) for r in episodes]))
+
+
 def test_train_reports_clustering_failure(tmp_path, capsys):
     # One primitive step of data cannot support k = 5 clusters.
     rc = main(["train", TRAIN_INI, "--out-dir", str(tmp_path),
