@@ -278,8 +278,12 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
                               cfg[("output", "heatmaps")], cfg[("output", "csv")])
     fallback = bool(result.selection and result.selection.fallback)
     if fallback:
-        print(f"warning: no spectral gap ratio exceeds t_c={oc.t_c}; fell back to "
-              f"the largest ratio, k={result.spectral.k}", file=sys.stderr)
+        sel = result.selection
+        reason = (f"the first spectral gap ratio above t_c={oc.t_c} gives more "
+                  "clusters than half the states" if sel.ratios[sel.k] > oc.t_c else
+                  f"no spectral gap ratio exceeds t_c={oc.t_c}; fell back to "
+                  "the largest ratio")
+        print(f"warning: {reason}, k={sel.k}", file=sys.stderr)
     _write_csv(os.path.join(out_dir, "discover_summary.csv"),
                ["k", "fallback", "n_options", "n_states", "episodes_sampled"],
                [[result.spectral.k, fallback, len(options), world.n_states,

@@ -53,7 +53,7 @@ class SpectralResult:
 
 class KSelection(NamedTuple):
     k: int
-    fallback: bool            # True when no gap ratio cleared the threshold
+    fallback: bool            # no gap ratio cleared the threshold, or k is near-singleton
     ratios: dict              # k → (e_k − e_{k+1}) / (1 − e_{k+1})
 
 
@@ -128,7 +128,9 @@ def select_k(eigenvalues, t_c: float = 0.5) -> KSelection:
     Returns the smallest k ≥ 2 with (e_k − e_{k+1})/(1 − e_{k+1}) > t_c.  A
     vanishing denominator (e_{k+1} = 1) makes the ratio 0: no gap can open
     below a still-unit eigenvalue.  If no k qualifies the argmax ratio is
-    returned with ``fallback=True``.
+    returned with ``fallback=True``.  A k above half the eigenvalue count is
+    a near-singleton clustering, also flagged ``fallback=True``, unless
+    e_1..e_k are all 1: then the graph splits into k components exactly.
     """
     e = np.asarray(eigenvalues, dtype=float)
     if e.size < 3:
@@ -145,7 +147,8 @@ def select_k(eigenvalues, t_c: float = 0.5) -> KSelection:
         ratios[k] = 0.0 if denom < 1e-12 else (e[k - 1] - e[k]) / denom
     for k in sorted(ratios):
         if ratios[k] > t_c:
-            return KSelection(k=k, fallback=False, ratios=ratios)
+            exact = 1.0 - e[k - 1] < 1e-12
+            return KSelection(k=k, fallback=2 * k > e.size and not exact, ratios=ratios)
     best = max(sorted(ratios), key=lambda k: ratios[k])
     return KSelection(k=best, fallback=True, ratios=ratios)
 
