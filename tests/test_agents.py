@@ -123,6 +123,59 @@ def test_flat_updates_reach_value_iteration(three_rooms_options):
             assert Q.get(s, a) == pytest.approx(star[s, a], abs=1e-4)
 
 
+# --- QTable ----------------------------------------------------------------
+
+def test_rows_hold_exactly_the_available_choices():
+    o = make_option(initiation=(0, 1), policy={0: {1: 1.0}})
+    Q = QTable(2, [o])
+    assert Q.available == [[option_key(0), 0, 1, 2, 3], [0, 1, 2, 3]]
+    assert [list(row) for row in Q.rows] == Q.available
+    assert len(Q.values) == 9 and set(Q.values.values()) == {0.0}
+
+
+def test_set_rejects_a_choice_not_offered():
+    Q = QTable(2, [make_option(policy={0: {1: 1.0}})])
+    with pytest.raises(KeyError, match="not available at state 1"):
+        Q.set(1, option_key(0), 1.0)
+
+
+def test_set_options_keeps_primitive_values_and_drops_option_values():
+    o = make_option(policy={0: {1: 1.0}})
+    Q = QTable(2, [o])
+    Q.set(0, 1, 0.5)
+    Q.set(0, option_key(0), 0.7)
+    Q.set_options([o])
+    assert Q.get(0, 1) == 0.5 and Q.get(0, option_key(0)) == 0.0
+    Q.set_options([])
+    assert Q.available[0] == [0, 1, 2, 3] and Q.get(0, 1) == 0.5
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_set_rejects_non_finite_value(bad):
+    Q = QTable(1)
+    with pytest.raises(ValueError, match=r"non-finite Q value for \(0, 1\)"):
+        Q.set(0, 1, bad)
+    assert Q.get(0, 1) == 0.0
+
+
+def test_smdp_update_rejects_non_finite_value():
+    Q = QTable(2)
+    with pytest.raises(ValueError, match=r"non-finite Q value for \(0, 2\)"):
+        smdp_q_update(Q, 0, 2, float("inf"), 1, 1)
+    assert Q.get(0, 2) == 0.0
+
+
+@pytest.mark.parametrize("a, entry", [(1, r"\(0, \('opt', 0\)\)"), (2, r"\(0, 2\)")],
+                         ids=["option-entry", "primitive-entry"])
+def test_intra_option_update_rejects_non_finite_value(a, entry):
+    # Action 1 is consistent with the option, whose entry is written first;
+    # action 2 is not, so only its primitive entry is written.
+    Q = QTable(2, [make_option(policy={0: {1: 1.0}})])
+    with pytest.raises(ValueError, match="non-finite Q value for " + entry):
+        intra_option_update(Q, (0, a, float("nan"), 1))
+    assert set(Q.values.values()) == {0.0}
+
+
 # --- intra_option_update ---------------------------------------------------
 
 def test_inconsistent_action_updates_only_primitive():
