@@ -45,7 +45,6 @@ class QTable:
     to the earliest position.  Entries never written read 0.
     ``consistent[s][a]`` lists (option key, option) for every option offered
     at s whose μ gives action a positive probability, in option index order.
-    ``values`` is the table as a {(s, choice): value} dict, built when read.
     """
 
     def __init__(self, n_states: int, options=(), alpha: float = 0.1,
@@ -62,6 +61,7 @@ class QTable:
 
     @property
     def values(self) -> dict:
+        """The table as {(s, choice): value} over every offered entry, built when read."""
         return {(s, c): v for s, row in enumerate(self.rows) for c, v in row.items()}
 
     def get(self, s: int, choice) -> float:
