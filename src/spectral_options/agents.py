@@ -90,9 +90,10 @@ class QTable:
                      for old, choices in zip(self.rows, self.available)]
         consistent = [[[] for _ in range(self.n_actions)] for _ in self.rows]
         for i, o in enumerate(self.options):
-            entry = (option_key(i), o)
+            key = option_key(i)
+            entry = (key, o)
             for s, mu in o.policy.items():
-                if entry[0] in self.rows[s]:
+                if key in self.rows[s]:
                     for a, p in mu.items():
                         if p > 0.0:
                             consistent[s][a].append(entry)
