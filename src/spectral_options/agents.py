@@ -43,9 +43,8 @@ class QTable:
     order, so ``max(rows[s].values())`` is the greedy value at s and
     ``max(rows[s], key=rows[s].__getitem__)`` the greedy choice, ties going
     to the earliest position.  Entries never written read 0.
-    ``consistent[s][a]`` is a tuple of (option key, option) for every option
-    offered at s whose μ gives action a positive probability, in option
-    index order.
+    ``consistent[s][a]`` lists (option key, option) for every option offered
+    at s whose μ gives action a positive probability, in option index order.
     """
 
     def __init__(self, n_states: int, options=(), alpha: float = 0.1,
@@ -88,7 +87,7 @@ class QTable:
         self.available = available_choices(self.options, len(self.rows), self.n_actions)
         self.rows = [{c: old.get(c, 0.0) if isinstance(c, int) else 0.0 for c in choices}
                      for old, choices in zip(self.rows, self.available)]
-        consistent = [[[] for _ in range(self.n_actions)] for _ in self.rows]
+        self.consistent = [[[] for _ in range(self.n_actions)] for _ in self.rows]
         for i, o in enumerate(self.options):
             key = option_key(i)
             entry = (key, o)
@@ -96,9 +95,7 @@ class QTable:
                 if key in self.rows[s]:
                     for a, p in mu.items():
                         if p > 0.0:
-                            consistent[s][a].append(entry)
-        self.consistent = [[tuple(entries) for entries in by_action]
-                           for by_action in consistent]
+                            self.consistent[s][a].append(entry)
 
 
 @dataclass
