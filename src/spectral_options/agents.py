@@ -32,6 +32,13 @@ def option_key(index: int) -> tuple:
     return ("opt", index)
 
 
+def _check_alpha_gamma(alpha: float, gamma: float):
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+
+
 def _non_finite(s: int, choice) -> ValueError:
     return ValueError(f"non-finite Q value for ({s}, {choice})")
 
@@ -48,14 +55,10 @@ class QTable:
     """
 
     def __init__(self, n_states: int, options=(), alpha: float = 0.1,
-                 gamma: float = 0.99, n_actions: int = N_ACTIONS):
-        if not 0 <= alpha <= 1:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        if not 0 < gamma < 1:
-            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+                 gamma: float = 0.99):
+        _check_alpha_gamma(alpha, gamma)
         self.alpha = alpha
         self.gamma = gamma
-        self.n_actions = n_actions
         self.rows: list[dict] = [{} for _ in range(n_states)]
         self.set_options(options)
 
@@ -84,10 +87,10 @@ class QTable:
         re-clusterings, so remapping them by label would be unsound.
         """
         self.options = list(options)
-        self.available = available_choices(self.options, len(self.rows), self.n_actions)
+        self.available = available_choices(self.options, len(self.rows), N_ACTIONS)
         self.rows = [{c: old.get(c, 0.0) if isinstance(c, int) else 0.0 for c in choices}
                      for old, choices in zip(self.rows, self.available)]
-        self.consistent = [[[] for _ in range(self.n_actions)] for _ in self.rows]
+        self.consistent = [[[] for _ in range(N_ACTIONS)] for _ in self.rows]
         for i, o in enumerate(self.options):
             key = option_key(i)
             entry = (key, o)

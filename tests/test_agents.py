@@ -236,17 +236,18 @@ def test_full_exploration_is_uniform():
 
 
 def test_ties_break_to_earliest_position():
-    # State 0 offers [option 1, action 0, action 1]; option 0 starts only at 1.
+    # State 0 offers [option 1, actions 0-3]; option 0 starts only at 1.
     options = [make_option(initiation=(1,), policy={1: {0: 1.0}}),
                make_option(initiation=(0,), policy={0: {0: 1.0}})]
-    Q = QTable(2, options, n_actions=2)
+    Q = QTable(2, options)
     rng = np.random.default_rng(2)
-    assert Q.available[0] == [option_key(1), 0, 1]
+    assert Q.available[0] == [option_key(1), 0, 1, 2, 3]
     assert epsilon_greedy(Q, 0, 0.0, rng) == option_key(1)
 
 
 def test_empty_available_is_error():
-    Q = QTable(1, n_actions=0)
+    Q = QTable(1)
+    Q.rows[0].clear()
     with pytest.raises(ValueError, match="available"):
         epsilon_greedy(Q, 0, 0.0, np.random.default_rng(0))
 
