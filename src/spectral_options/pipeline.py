@@ -28,6 +28,7 @@ from spectral_options.options import compose_options
 from spectral_options.agents import (
     EpisodeLog,
     QTable,
+    _check_alpha_gamma,
     epsilon_greedy,
     intra_option_update,
     run_option,
@@ -82,16 +83,14 @@ class OdstcConfig:
             raise ValueError(f"k must be 0 (spectral gap) or >= 2, got {self.k}")
         if not 0 < self.t_c < 1:
             raise ValueError(f"t_c must lie in (0, 1), got {self.t_c}")
-        for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end,
-                        "alpha": self.alpha}.items():
+        for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end}.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.learner not in LEARNERS:
             raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
         if self.v < 0 or self.tau_conn < 0:
             raise ValueError("v and tau_conn must be non-negative")
+        _check_alpha_gamma(self.alpha, self.gamma)
         EstimatedModel(1, d_prior=self.d_prior, u_prior=self.u_prior)
 
 
@@ -167,15 +166,14 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
     options = Q.options
     s = world.start
     traj = Trajectory([s])
-    states, actions, rewards = traj.states, traj.actions, traj.rewards
     decisions = 0
     invoked = []
-    while len(actions) < max_steps:
+    while len(traj) < max_steps:
         c = epsilon_greedy(Q, s, epsilon, rng)
         decisions += 1
         if isinstance(c, tuple):                       # option choice
             o = options[c[1]]
-            cap = min(world.n_states, max_steps - len(actions))
+            cap = min(world.n_states, max_steps - len(traj))
             out = run_option(world, o, s, rng, cap, gamma=Q.gamma)
             invoked.append((o.label, out.duration))
             seg = out.segment
@@ -195,12 +193,9 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
                 intra_option_update(Q, (s, c, r, s2))
             else:
                 smdp_q_update(Q, s, c, r, 1, s2)
-            states.append(s2)
-            actions.append(c)
-            rewards.append(r)
+            traj.add(c, r, s2, done)
             s = s2
             if done:
-                traj.done = True
                 break
     ret = 0.0
     for r in traj.rewards:      # in step order; sum() compensates from Python 3.12
