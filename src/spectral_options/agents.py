@@ -144,15 +144,18 @@ def available_choices(options: list[Option], n_states: int, n_actions: int) -> l
     """Choices executable at each state: initiated options first, then primitives.
 
     Entry s lists the options that can start at s in index order.  An option
-    is offered only where its policy has a row (initiation states with no
-    observed actions cannot be executed).  Options come first so that exact
-    value ties at a greedy decision resolve toward the temporally extended
-    choice.
+    is offered only where its policy has a non-empty row: from an initiation
+    state with no observed actions it could take no step.  Options come
+    first so that exact value ties at a greedy decision resolve toward the
+    temporally extended choice.
     """
     table = [[] for _ in range(n_states)]
     for i, o in enumerate(options):
-        for s in o.initiation & o.policy.keys():
-            table[s].append(option_key(i))
+        key = option_key(i)
+        policy = o.policy
+        for s in o.initiation:
+            if policy.get(s):
+                table[s].append(key)
     for choices in table:
         choices.extend(range(n_actions))
     return table
@@ -194,6 +197,10 @@ def intra_option_update(Q: QTable, transition) -> int:
 def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: np.random.Generator):
     """ε-greedy behavioral choice over the choices available at s.
 
+    Draws ``rng.random()`` for the ε test and, when exploring,
+    ``rng.integers(len(Q.available[s]))`` for the choice; ``rng`` is a
+    ``Generator``, or the reader through which ``run_episode`` serves the
+    same values.
     Ties under the greedy branch resolve to the earliest position in
     ``Q.available[s]``, the order of the row.
     """

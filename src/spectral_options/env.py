@@ -23,6 +23,11 @@ ACTION_NAMES = ("N", "E", "S", "W")
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 # Perpendicular action pairs used when slip_prob > 0.
 _PERPENDICULAR = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
+_MASK32 = 0xFFFFFFFF
+# Raw outputs pulled by a reader's first block; each later block doubles, up
+# to the cap, so a short episode pulls little and a long one refills rarely.
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 4096
 
 
 class MapError(ValueError):
@@ -101,6 +106,85 @@ class GridWorld:
             raise ValueError(f"(state {s}, action {a}) is outside "
                              f"[0, {self.n_states}) × [0, {N_ACTIONS})")
         return self.successor[s][a]
+
+
+class _PCG64Reader:
+    """``random()`` and ``integers(n)`` of a PCG64 ``Generator``, served in pure
+    Python from blocks of its raw 64-bit outputs.
+
+    The values, and their order, are numpy's: ``random()`` is
+    ``(x >> 11) · 2⁻⁵³`` of the next raw x; ``integers(n)`` is Lemire's
+    bounded draw on numpy's buffered 32-bit stream (a raw's low half first,
+    its high half kept for the next 32-bit draw), and ``integers(1)`` draws
+    nothing.  They come back as Python float and int.  The generator must
+    not be used directly until ``close()``, which puts it where the same
+    numpy calls would have left it: the start state advanced by the raws
+    consumed, with the 32-bit buffer as the reader left it.
+    """
+
+    __slots__ = ("_bits", "_saved", "_it", "_pulled", "_block", "_has32", "_u32")
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator
+        if type(bits) is not np.random.PCG64:
+            raise TypeError(f"need a PCG64 generator, got {type(bits).__name__}")
+        self._bits = bits
+        self._saved = bits.state
+        self._has32 = bool(self._saved["has_uint32"])
+        self._u32 = self._saved["uinteger"]
+        self._it = iter(())
+        self._pulled = 0
+        self._block = _FIRST_BLOCK
+
+    def _refill(self) -> int:
+        """Pull the next block and return its first raw output."""
+        block = self._bits.random_raw(self._block).tolist()
+        self._pulled += self._block
+        self._block = min(2 * self._block, _MAX_BLOCK)
+        self._it = iter(block)
+        return next(self._it)
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = False
+            return self._u32
+        try:
+            x = next(self._it)
+        except StopIteration:
+            x = self._refill()
+        self._has32 = True
+        self._u32 = x >> 32
+        return x & _MASK32
+
+    def random(self) -> float:
+        try:
+            x = next(self._it)
+        except StopIteration:
+            x = self._refill()
+        return (x >> 11) * 1.1102230246251565e-16    # 2⁻⁵³
+
+    def integers(self, n: int) -> int:
+        """A uniform draw from [0, n), for 1 ≤ n ≤ 2³²."""
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = ((1 << 32) - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def close(self):
+        """Leave the generator where the numpy calls would have left it."""
+        bits = self._bits
+        bits.state = self._saved
+        bits.advance(self._pulled - self._it.__length_hint__())
+        state = bits.state
+        state["has_uint32"] = int(self._has32)
+        state["uinteger"] = self._u32
+        bits.state = state
 
 
 def bundled_map_text(name: str) -> str:

@@ -117,16 +117,18 @@ def _observed_actions(P: dict) -> dict:
 
 
 def compose_policy(i: int, j: int, chi: np.ndarray, P: dict,
-                   index: AbstractionIndex):
+                   index: AbstractionIndex, actions: dict | None = None):
     """Hill-climbing policy table for the option Sᵢ → Sⱼ.
 
     Returns (policy, unmodeled, ascent, fallback): the μ table over cluster-i
     states plus the sets recording states with no observed actions, states on
     the target-membership plateau handled by source-membership ascent, and
-    states that degraded to uniform.
+    states that degraded to uniform.  ``actions`` maps each state to its
+    sorted observed actions in ``P``; it is derived from ``P`` when omitted.
     """
     chi = np.asarray(chi)
-    actions = _observed_actions(P)
+    if actions is None:
+        actions = _observed_actions(P)
     policy: dict[int, dict[int, float]] = {}
     unmodeled, ascent, fallback = set(), set(), set()
     for s in index.clusters[i]:
@@ -174,9 +176,10 @@ def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list
     P = transition_probabilities(model)
     chi = result.chi
     index = assign_states(chi)
+    actions = _observed_actions(P)
     options = []
     for (i, j) in connected_pairs(result.connectivity, tau_conn):
-        policy, unmodeled, ascent, fallback = compose_policy(i, j, chi, P, index)
+        policy, unmodeled, ascent, fallback = compose_policy(i, j, chi, P, index, actions)
         beta = compose_termination(i, j, chi, index)
         options.append(Option(
             source=i, target=j,

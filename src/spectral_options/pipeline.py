@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, step
+from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, _PCG64Reader, step
 from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options
@@ -160,48 +160,58 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
     The choices are those of ``Q``'s option set, whose tables were built when
     the set was offered.  A primitive choice appends its step and makes one
     update; an option's segment extends the trajectory and makes one SMDP
-    update, or one intra-option update per step.
+    update, or one intra-option update per step.  ``rng`` must be a PCG64
+    ``Generator`` (``np.random.default_rng``): the episode draws through a
+    reader of its raw outputs, which yields the values numpy's ``random()``
+    and ``integers(n)`` would and leaves ``rng`` where they would have.
     """
     intra = learner == "intra_option"
     options = Q.options
     s = world.start
     traj = Trajectory([s])
-    decisions = 0
+    steps = decisions = 0
     invoked = []
-    while len(traj) < max_steps:
-        c = epsilon_greedy(Q, s, epsilon, rng)
-        decisions += 1
-        if isinstance(c, tuple):                       # option choice
-            o = options[c[1]]
-            cap = min(world.n_states, max_steps - len(traj))
-            out = run_option(world, o, s, rng, cap, gamma=Q.gamma)
-            invoked.append((o.label, out.duration))
-            seg = out.segment
-            if intra:
-                seg_s, seg_a, seg_r = seg.states, seg.actions, seg.rewards
-                for t in range(out.duration):
-                    intra_option_update(Q, (seg_s[t], seg_a[t], seg_r[t], seg_s[t + 1]))
-            elif out.duration > 0:
-                smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state)
-            traj.extend(seg)
-            s = out.end_state
-            if seg.done:
-                break
-        else:                                          # primitive choice
-            s2, r, done = step(world, s, c, rng)
-            if intra:
-                intra_option_update(Q, (s, c, r, s2))
-            else:
-                smdp_q_update(Q, s, c, r, 1, s2)
-            traj.add(c, r, s2, done)
-            s = s2
-            if done:
-                break
+    draws = _PCG64Reader(rng)
+    try:
+        while steps < max_steps:
+            c = epsilon_greedy(Q, s, epsilon, draws)
+            decisions += 1
+            if isinstance(c, tuple):                       # option choice
+                o = options[c[1]]
+                cap = min(world.n_states, max_steps - steps)
+                out = run_option(world, o, s, draws, cap, gamma=Q.gamma)
+                invoked.append((o.label, out.duration))
+                seg = out.segment
+                if intra:
+                    seg_s, seg_a, seg_r = seg.states, seg.actions, seg.rewards
+                    for t in range(out.duration):
+                        intra_option_update(Q, (seg_s[t], seg_a[t], seg_r[t],
+                                                seg_s[t + 1]))
+                elif out.duration > 0:
+                    smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state)
+                traj.extend(seg)
+                steps += out.duration
+                s = out.end_state
+                if seg.done:
+                    break
+            else:                                          # primitive choice
+                s2, r, done = step(world, s, c, draws)
+                if intra:
+                    intra_option_update(Q, (s, c, r, s2))
+                else:
+                    smdp_q_update(Q, s, c, r, 1, s2)
+                traj.add(c, r, s2, done)
+                steps += 1
+                s = s2
+                if done:
+                    break
+    finally:
+        draws.close()
     ret = 0.0
     for r in traj.rewards:      # in step order; sum() compensates from Python 3.12
         ret += r
     log = EpisodeLog(episode=-1, cumulative_reward=ret, decision_epochs=decisions,
-                     primitive_steps=len(traj), options_invoked=invoked)
+                     primitive_steps=steps, options_invoked=invoked)
     return log, traj
 
 

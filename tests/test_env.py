@@ -5,9 +5,11 @@ import pytest
 
 from spectral_options.env import (
     N_ACTIONS,
+    _MAX_BLOCK,
     GridWorld,
     MapError,
     Trajectory,
+    _PCG64Reader,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -270,3 +272,80 @@ def test_slip_keeps_step_loop():
         want = sample_trajectory(world, looped_uniform_policy, 200, loop, start=start)
         assert got == want
         assert block.bit_generator.state == loop.bit_generator.state
+
+
+# --- raw PCG64 reader ------------------------------------------------------
+
+# Bounds of integers(n) that the learner and the reader's edge cases use: 1
+# draws nothing, 2³¹ + 7 rejects about half its 32-bit draws, 2³² − 4 almost
+# none.
+READER_NS = (1, 2, 3, 4, 7, 2**31 + 7, 2**32 - 4)
+
+
+def reader_pair(seed: int, buffered: bool):
+    """Two generators in one state; with ``buffered`` a 32-bit half is held."""
+    plain, read = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        plain.integers(5)
+        read.integers(5)
+    assert read.bit_generator.state["has_uint32"] == buffered
+    return plain, read
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+@pytest.mark.parametrize("n_draws", [0, 1, 31, 32, 33, 500, 4 * _MAX_BLOCK])
+def test_reader_matches_numpy_draws(buffered, n_draws):
+    # The reader is only equal to numpy while numpy builds random() and
+    # integers(n) from PCG64 raws as the reader does; a numpy release that
+    # changes that layout fails here.
+    plan = np.random.default_rng(n_draws)
+    plain, read = reader_pair(1000 + n_draws, buffered)
+    reader = _PCG64Reader(read)
+    for _ in range(n_draws):
+        if plan.random() < 0.5:
+            want, got = plain.random(), reader.random()
+            assert type(got) is float
+        else:
+            n = READER_NS[plan.integers(len(READER_NS))]
+            want, got = plain.integers(n), reader.integers(n)
+            assert type(got) is int
+        assert got == want
+    reader.close()
+    assert read.bit_generator.state == plain.bit_generator.state
+    assert read.integers(7) == plain.integers(7)
+    assert read.random() == plain.random()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reader_matches_numpy_over_random_interleavings(seed):
+    plan = np.random.default_rng(seed)
+    plain, read = reader_pair(seed, bool(seed % 2))
+    reader = _PCG64Reader(read)
+    n_draws = int(plan.integers(0, 300))
+    share = plan.random()           # share of random() among the draws
+    for _ in range(n_draws):
+        if plan.random() < share:
+            assert reader.random() == plain.random()
+        else:
+            n = READER_NS[plan.integers(len(READER_NS))]
+            assert reader.integers(n) == plain.integers(n)
+    reader.close()
+    assert read.bit_generator.state == plain.bit_generator.state
+    assert read.integers(3) == plain.integers(3)
+
+
+def test_reader_needs_pcg64():
+    for bits in (np.random.MT19937(0), np.random.PCG64DXSM(0), np.random.Philox(0)):
+        with pytest.raises(TypeError, match="PCG64"):
+            _PCG64Reader(np.random.Generator(bits))
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32 + 1, 2**40])
+def test_reader_integers_out_of_range_is_error(n):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    reader = _PCG64Reader(rng)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        reader.integers(n)
+    reader.close()
+    assert rng.bit_generator.state == state

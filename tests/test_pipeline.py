@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
+    _FIRST_BLOCK,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -19,8 +20,10 @@ from spectral_options.model import (
 )
 from spectral_options.spectral import cluster
 from spectral_options.options import Option, compose_options
+from spectral_options import pipeline
 from spectral_options.agents import QTable
 from spectral_options.pipeline import (
+    LEARNERS,
     OdstcConfig,
     aggregate_model,
     convergence_test,
@@ -472,6 +475,53 @@ def test_run_episode_pinned(learner):
     assert logs == want_logs
     assert sas == want_sas
     assert {key: v for key, v in Q.values.items() if v != 0.0} == want_q
+
+
+
+class NumpyDraws:
+    """Stand-in for the raw-block reader that passes every draw to the Generator."""
+
+    def __init__(self, rng):
+        self.random, self.integers = rng.random, rng.integers
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("slip_prob", [0.0, 0.1])
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_run_episode_reader_matches_numpy_draws(learner, slip_prob, monkeypatch):
+    # Oracle: the same loop drawing straight from numpy.  Episodes from pure
+    # exploration to greedy run long enough to cross the reader's block ends.
+    world = load_gridworld(THREE_ROOMS, step_reward=-0.05, slip_prob=slip_prob)
+    options = []
+    if learner != "flat":
+        model = exhaustive_model(load_gridworld(THREE_ROOMS))
+        options = compose_options(model, cluster(adjacency(model), t_c=0.8))
+
+    def episodes():
+        Q = QTable(world.n_states, options, alpha=0.5, gamma=0.9)
+        rng = np.random.default_rng(3)
+        runs = [run_episode(world, Q, eps, rng, learner, 150)
+                for eps in (1.0, 0.6, 0.3, 0.1, 0.0, 1.0, 0.2, 0.05)]
+        return runs, Q.rows, rng.bit_generator.state
+
+    got = episodes()
+    monkeypatch.setattr(pipeline, "_PCG64Reader", NumpyDraws)
+    want = episodes()
+    assert got == want
+    # Every step draws at least once, so the longest episode crosses a block end.
+    assert max(log.primitive_steps for log, _ in got[0]) > 2 * _FIRST_BLOCK
+
+
+def test_option_with_empty_policy_row_is_not_offered():
+    # An option with an empty μ row at its start state stops at once without
+    # a step; offered there, the greedy choice would pick it again forever.
+    world = load_gridworld("S.G")
+    Q = QTable(world.n_states, [Option(0, 1, frozenset({0}), {0: {}}, {})])
+    assert Q.available[0] == [0, 1, 2, 3]
+    log, traj = run_episode(world, Q, 0.0, np.random.default_rng(0), "smdp", 10)
+    assert (log.decision_epochs, log.primitive_steps, log.options_invoked) == (10, 10, [])
 
 
 RUN_MAP = """\
