@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -99,9 +100,12 @@ def _coerce(block: str, key: str, raw: str):
     kind = _FIELDS[key].type
     parse = _PARSERS[kind]
     try:
-        return parse(raw)
+        value = parse(raw)
     except (ValueError, KeyError):
         raise ConfigError(f"[{block}] {key}: cannot parse {raw!r} as {kind}")
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"[{block}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 @dataclass

@@ -7,6 +7,7 @@ adjacency, with R̂ the mean observed reward,
     D(s,s') = D_prior + Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
 are derived from them when read; rewarded transitions fade from D as v grows.
+So is the dense (N, A, N) transition kernel P = U / Σ_{s'} U that options read.
 """
 
 from __future__ import annotations
@@ -74,18 +75,14 @@ def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
     return model
 
 
-def transition_probabilities(model: EstimatedModel) -> dict:
-    """Normalized count estimates P(s,a,·) for every visited (s, a).
+def transition_probabilities(model: EstimatedModel) -> np.ndarray:
+    """The (N, A, N) kernel P(s,a,·) = U(s,a,·) / Σ U(s,a,·), a new array on every read.
 
-    Unvisited pairs are absent from the returned map; callers must treat a
-    missing key as "no estimate" rather than a uniform guess.
+    The row of an unvisited (s, a) is all zero: "no estimate", not a uniform guess.
     """
-    P: dict[tuple[int, int], np.ndarray] = {}
-    U = model.U
-    totals = U.sum(axis=2)
-    for s, a in zip(*np.nonzero(totals)):
-        P[(int(s), int(a))] = U[s, a] / totals[s, a]
-    return P
+    P = model.U
+    totals = P.sum(axis=2, keepdims=True)
+    return np.divide(P, totals, out=P, where=totals > 0)
 
 
 def adjacency(model: EstimatedModel) -> np.ndarray:

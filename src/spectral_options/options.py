@@ -11,14 +11,15 @@ Hill climbing uses a tiered gain rule.  The primary gains are
 
     g(s,a) = Σ_{s'} P(s,a,s')·χ_Sj(s') − χ_Sj(s),
 
-and μ(s,·) is proportional to the positive part.  Clamped memberships are
-exactly zero far from cluster j, so the primary gains can vanish on a plateau;
-there the policy instead ascends the source membership χ_Si — which leads back
-toward the cluster core where the target gradient resumes — and only if that
-also offers no positive direction does it fall back to uniform over observed
-actions (flagged).  The plateau tier is what makes greedy execution reach the
-target cluster from every initiation state rather than stalling at cluster
-fringes.
+for every (s, a) and cluster at once, as the one product P·χ of the (N·A × N)
+kernel with the (N × k) memberships, and μ(s,·) is proportional to the
+positive part.  Clamped memberships are exactly zero far from cluster j, so
+the primary gains can vanish on a plateau; there the policy instead ascends
+the source membership χ_Si — which leads back toward the cluster core where
+the target gradient resumes — and only if that also offers no positive
+direction does it fall back to uniform over observed actions (flagged).  The
+plateau tier is what makes greedy execution reach the target cluster from
+every initiation state rather than stalling at cluster fringes.
 """
 
 from __future__ import annotations
@@ -109,38 +110,27 @@ def assign_states(chi: np.ndarray) -> AbstractionIndex:
     return AbstractionIndex(assignment=assignment, clusters=clusters)
 
 
-def _observed_actions(P: dict) -> dict:
-    by_state: dict[int, list[int]] = {}
-    for (s, a) in P:
-        by_state.setdefault(s, []).append(a)
-    return {s: sorted(acts) for s, acts in by_state.items()}
-
-
-def compose_policy(i: int, j: int, chi: np.ndarray, P: dict,
-                   index: AbstractionIndex, actions: dict | None = None):
+def compose_policy(i: int, j: int, gain: np.ndarray, observed: np.ndarray,
+                   index: AbstractionIndex):
     """Hill-climbing policy table for the option Sᵢ → Sⱼ.
 
+    ``gain[s, a, c]`` is the expected membership gain toward cluster c after
+    taking a in s, and ``observed[s, a]`` marks the (s, a) the model has seen.
     Returns (policy, unmodeled, ascent, fallback): the μ table over cluster-i
     states plus the sets recording states with no observed actions, states on
     the target-membership plateau handled by source-membership ascent, and
-    states that degraded to uniform.  ``actions`` maps each state to its
-    sorted observed actions in ``P``; it is derived from ``P`` when omitted.
+    states that degraded to uniform.
     """
-    chi = np.asarray(chi)
-    if actions is None:
-        actions = _observed_actions(P)
     policy: dict[int, dict[int, float]] = {}
     unmodeled, ascent, fallback = set(), set(), set()
     for s in index.clusters[i]:
-        obs = actions.get(s)
+        obs = np.flatnonzero(observed[s]).tolist()
         if not obs:
             unmodeled.add(s)
             continue
-        gains = {a: float(P[(s, a)] @ chi[:, j] - chi[s, j]) for a in obs}
-        positive = {a: g for a, g in gains.items() if g > 0}
+        positive = {a: g for a in obs if (g := float(gain[s, a, j])) > 0}
         if not positive:
-            towards_core = {a: float(P[(s, a)] @ chi[:, i] - chi[s, i]) for a in obs}
-            positive = {a: g for a, g in towards_core.items() if g > 0}
+            positive = {a: g for a in obs if (g := float(gain[s, a, i])) > 0}
             if positive:
                 ascent.add(s)
             else:
@@ -159,27 +149,30 @@ def compose_termination(i: int, j: int, chi: np.ndarray,
     from block-diagonal cases stay finite.  Only the states ``index`` assigns
     to cluster i are tabled; all others terminate with probability 1.
     """
-    clamped = np.clip(np.asarray(chi), BETA_EPS, 1.0 - BETA_EPS)
-    return {s: float(min(np.log(clamped[s, i]) / np.log(clamped[s, j]), 1.0))
-            for s in index.clusters[i]}
+    members = index.clusters[i]
+    clamped = np.clip(np.asarray(chi)[members], BETA_EPS, 1.0 - BETA_EPS)
+    beta = np.minimum(np.log(clamped[:, i]) / np.log(clamped[:, j]), 1.0)
+    return dict(zip(members, beta.tolist()))
 
 
 def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list[Option]:
     """One option per ordered pair of connected abstract states.
 
     Connectivity is the clustering's C = χᵀLχ with the relative threshold
-    tau_conn (see spectral.connected_pairs); policies follow the model's
-    transition estimates.  Returns an empty list when no pair clears it.
+    tau_conn (see spectral.connected_pairs); every option's gains come from
+    one product P·χ.  Returns an empty list when no pair clears it.
     """
     from spectral_options.model import transition_probabilities
 
     P = transition_probabilities(model)
     chi = result.chi
+    n, n_actions, _ = P.shape
+    gain = (P.reshape(n * n_actions, n) @ chi).reshape(n, n_actions, -1) - chi[:, None, :]
+    observed = P.any(axis=2)
     index = assign_states(chi)
-    actions = _observed_actions(P)
     options = []
     for (i, j) in connected_pairs(result.connectivity, tau_conn):
-        policy, unmodeled, ascent, fallback = compose_policy(i, j, chi, P, index, actions)
+        policy, unmodeled, ascent, fallback = compose_policy(i, j, gain, observed, index)
         beta = compose_termination(i, j, chi, index)
         options.append(Option(
             source=i, target=j,

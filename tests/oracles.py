@@ -3,8 +3,11 @@ dense value iteration for the flat MDP and for the determinized
 option-augmented SMDP, the plain forms of the learner's hot path (an
 option action drawn with ``rng.choice``, Q updates that scan with
 ``QTable.get``, a move computed from cell coordinates), the row-by-row
-argmax assignment of states to clusters, and k-means with k-means++ seeding
-that measures each point against every chosen centroid in every round.
+argmax assignment of states to clusters, k-means with k-means++ seeding
+that measures each point against every chosen centroid in every round, and
+option composition over a dict of one dense kernel row per visited (s, a),
+with one dot product per state, action and option and one scalar log pair
+per termination entry.
 
 These deliberately avoid the package's model and learning code: the
 adjacency is recomputed from the full count arrays, and backups are written
@@ -20,6 +23,7 @@ equal draws and bit-equal values against them.
 import numpy as np
 
 from spectral_options.env import DELTAS, N_ACTIONS
+from spectral_options.options import BETA_EPS
 
 
 def rebuilt_adjacency(model):
@@ -216,3 +220,44 @@ def quadratic_kmeans(pts, k_m, seed, max_iters=100):
         for c in range(k_m):
             centroids[c] = pts[assignments == c].mean(axis=0)
     return assignments, centroids, sse_history
+
+
+def dict_kernel(model):
+    """{(s, a): U(s,a,·) / Σ U(s,a,·)} for every (s, a) with a positive total."""
+    U = model.U
+    totals = U.sum(axis=2)
+    return {(int(s), int(a)): U[s, a] / totals[s, a] for s, a in zip(*np.nonzero(totals))}
+
+
+def dict_compose(i, j, chi, P, members):
+    """(policy, unmodeled, ascent, fallback, termination) of the option Sᵢ → Sⱼ.
+
+    ``members`` are the states assigned to cluster i and ``P`` a dict_kernel.
+    Each gain is its own dot product of a kernel row with a membership column;
+    the tiers are target gain, then source ascent, then uniform.
+    """
+    actions = {}
+    for (s, a) in P:
+        actions.setdefault(s, []).append(a)
+    policy, unmodeled, ascent, fallback = {}, set(), set(), set()
+    for s in members:
+        obs = sorted(actions.get(s, []))
+        if not obs:
+            unmodeled.add(s)
+            continue
+        gains = {a: float(P[(s, a)] @ chi[:, j] - chi[s, j]) for a in obs}
+        positive = {a: g for a, g in gains.items() if g > 0}
+        if not positive:
+            towards_core = {a: float(P[(s, a)] @ chi[:, i] - chi[s, i]) for a in obs}
+            positive = {a: g for a, g in towards_core.items() if g > 0}
+            if positive:
+                ascent.add(s)
+            else:
+                positive = {a: 1.0 for a in obs}
+                fallback.add(s)
+        total = sum(positive.values())
+        policy[s] = {a: g / total for a, g in positive.items()}
+    clamped = np.clip(chi, BETA_EPS, 1.0 - BETA_EPS)
+    termination = {s: float(min(np.log(clamped[s, i]) / np.log(clamped[s, j]), 1.0))
+                   for s in members}
+    return policy, unmodeled, ascent, fallback, termination

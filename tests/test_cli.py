@@ -211,6 +211,36 @@ def test_seed_and_out_dir_arguments_win(tmp_path):
     assert cfg[("output", "directory")] == "elsewhere"
 
 
+FLOAT_KEYS = [block_key for block_key, value in DEFAULTS.items() if type(value) is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block, key", FLOAT_KEYS)
+def test_non_finite_float_override_is_config_error(tmp_path, capsys, block, key, value):
+    out = tmp_path / "o"
+    rc = main(["discover", DISCOVER_INI, "--out-dir", str(out),
+               "--set", f"{block}.{key}={value}"])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+    assert f"[{block}] {key}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["environment.step_reward=nan", "model.u_prior=inf",
+                                     "model.d_prior=1e999"])
+def test_non_finite_float_rejected_before_training(tmp_path, setting):
+    out = tmp_path / "o"
+    rc = main(["train", TRAIN_INI, "--out-dir", str(out), "--set", setting])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_non_finite_float_in_config_file_rejected(tmp_path):
+    path = write_config(tmp_path, "[environment]\nmap = three_rooms\n"
+                                  "[spectral]\ntau_conn = nan\n")
+    with pytest.raises(ConfigError, match=r"\[spectral\] tau_conn: must be finite"):
+        load_config(path)
+
+
 def test_module_invariants_enforced_at_load(tmp_path):
     bad_learner = write_config(tmp_path,
                                "[environment]\nmap = three_rooms\n"

@@ -102,17 +102,22 @@ def test_single_successor_probability_one():
 
 
 def test_unvisited_pairs_absent():
+    # An unvisited (s, a) has no estimate: its row of the kernel is all zero.
     m = EstimatedModel(3)
     update_counts(m, traj_of((0, 0, 0.0, 1, False)))
     P = transition_probabilities(m)
-    assert (0, 0) in P and (0, 1) not in P and (2, 3) not in P
+    assert P.shape == (3, 4, 3)
+    assert P[0, 0].any() and not P[0, 1].any() and not P[2, 3].any()
+    assert np.flatnonzero(P.any(axis=2)).tolist() == [0]
 
 
 def test_probability_rows_sum_to_one():
     world = load_gridworld(THREE_ROOMS)
     m = exhaustive_model(world)
     P = transition_probabilities(m)
-    for (s, a), dist in P.items():
+    visited = m.U.sum(axis=2) > 0
+    assert visited.sum() == 4 * (world.n_states - len(world.goals))
+    for dist in P[visited]:
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
         assert (dist >= 0).all() and (dist <= 1).all()
 

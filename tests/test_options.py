@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from spectral_options.env import bundled_map_text, load_gridworld
-from spectral_options.model import adjacency, exhaustive_model, transition_probabilities
+from spectral_options.env import (
+    bundled_map_text,
+    load_gridworld,
+    sample_trajectory,
+    uniform_random_policy,
+)
+from spectral_options.model import (
+    EstimatedModel,
+    adjacency,
+    exhaustive_model,
+    transition_probabilities,
+    update_counts,
+)
 from spectral_options.options import (
     BETA_EPS,
     assign_states,
@@ -12,9 +23,10 @@ from spectral_options.options import (
     compose_policy,
     compose_termination,
 )
-from spectral_options.spectral import cluster
+from spectral_options.spectral import cluster, connected_pairs
 
 import oracles
+from helpers import room_grid_text
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -89,21 +101,36 @@ def test_rooms_share_cluster_labels(three_rooms_setup):
 
 # --- compose_policy --------------------------------------------------------
 
+def kernel_gains(rows, chi, n_actions=4):
+    """Gains and observed pairs of the kernel whose nonzero rows are ``rows``.
+
+    ``rows`` maps (s, a) to P(s, a, ·); gain[s, a, c] = Σ P(s,a,s')·χ_c(s') − χ_c(s).
+    """
+    n = chi.shape[0]
+    P = np.zeros((n, n_actions, n))
+    for (s, a), dist in rows.items():
+        P[s, a] = dist
+    gain = np.einsum("san,nk->sak", P, chi) - chi[:, None, :]
+    return gain, P.any(axis=2)
+
+
 def test_single_positive_gain_takes_all_mass():
     chi = np.array([[1.0, 0.0], [0.0, 1.0]])
-    P = {(0, 1): np.array([0.0, 1.0])}
+    gain, observed = kernel_gains({(0, 1): np.array([0.0, 1.0])}, chi)
     idx = assign_states(chi)
-    policy, unmodeled, ascent, fallback = compose_policy(0, 1, chi, P, idx)
+    policy, unmodeled, ascent, fallback = compose_policy(0, 1, gain, observed, idx)
     assert policy == {0: {1: 1.0}}
     assert not unmodeled and not ascent and not fallback
 
 
 def test_negative_gains_clamped_to_zero():
     chi = np.array([[0.7, 0.3], [0.9, 0.1], [0.6, 0.4]])
-    P = {(0, 0): np.array([0.0, 1.0, 0.0]),    # gain 0.1 − 0.3 = −0.2
-         (0, 1): np.array([0.0, 0.0, 1.0])}    # gain 0.4 − 0.3 = +0.1
+    gain, observed = kernel_gains(
+        {(0, 0): np.array([0.0, 1.0, 0.0]),    # gain 0.1 − 0.3 = −0.2
+         (0, 1): np.array([0.0, 0.0, 1.0])},   # gain 0.4 − 0.3 = +0.1
+        chi)
     idx = assign_states(chi)
-    policy, _, _, _ = compose_policy(0, 1, chi, P, idx)
+    policy, _, _, _ = compose_policy(0, 1, gain, observed, idx)
     assert 0 not in policy[0]
     assert policy[0][1] == pytest.approx(1.0)
 
@@ -143,13 +170,13 @@ def test_unmodeled_state_excluded_and_reported(three_rooms_setup):
 def test_gain_scale_invariance():
     # Scaling the target membership column scales every gain; μ is unchanged.
     chi = np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]])
-    P = {(0, 0): np.array([0.0, 1.0, 0.0]),
-         (0, 1): np.array([0.0, 0.0, 1.0])}
+    rows = {(0, 0): np.array([0.0, 1.0, 0.0]),
+            (0, 1): np.array([0.0, 0.0, 1.0])}
     idx = assign_states(chi)
-    base, _, _, _ = compose_policy(0, 1, chi, P, idx)
+    base, _, _, _ = compose_policy(0, 1, *kernel_gains(rows, chi), idx)
     scaled = chi.copy()
     scaled[:, 1] *= 3.0
-    mu, _, _, _ = compose_policy(0, 1, scaled, P, idx)
+    mu, _, _, _ = compose_policy(0, 1, *kernel_gains(rows, scaled), idx)
     for a in base[0]:
         assert mu[0][a] == pytest.approx(base[0][a])
 
@@ -284,3 +311,66 @@ def test_no_uniform_fallback_states_on_shipped_map(three_rooms_setup):
     _, _, _, _, options = three_rooms_setup
     for o in options:
         assert not o.fallback_states
+
+
+# --- the P·χ product against the dict-kernel oracle -----------------------
+
+ORACLE_MAPS = {"three_rooms": (THREE_ROOMS, 3),
+               "rooms_2x2": (room_grid_text(2, 2, 4), 4),
+               "rooms_2x3": (room_grid_text(2, 3, 3), 6)}
+
+
+def sampled_model(text, slip_prob, u_prior, seed=0, episodes=40, max_steps=60):
+    """Counts of uniform-random episodes whose starts cycle over the open states."""
+    world = load_gridworld(text, slip_prob=slip_prob)
+    model = EstimatedModel(world.n_states, u_prior=u_prior)
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
+    rng = np.random.default_rng(seed)
+    for e in range(episodes):
+        traj = sample_trajectory(world, uniform_random_policy, max_steps, rng,
+                                 start=starts[e % len(starts)])
+        update_counts(model, traj)
+    return model
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+@pytest.mark.parametrize("slip_prob, u_prior", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.05),
+                                                (0.1, 0.05)])
+def test_composition_matches_dict_kernel_oracle(name, slip_prob, u_prior):
+    # Rows with one successor make every gain exact; otherwise the product
+    # sums in another order than a dot product per row, so values agree to
+    # round-off and the tiers and supports agree exactly.
+    text, k = ORACLE_MAPS[name]
+    model = sampled_model(text, slip_prob, u_prior)
+    result = cluster(adjacency(model), k=k)
+    chi = result.chi
+    options = compose_options(model, result, tau_conn=0.1)
+    P = oracles.dict_kernel(model)
+    _, clusters = oracles.loop_assign_states(chi)
+    pairs = connected_pairs(result.connectivity, 0.1)
+    assert [(o.source, o.target) for o in options] == pairs
+    exact = slip_prob == 0.0 and u_prior == 0.0
+    for o in options:
+        policy, unmodeled, ascent, fallback, termination = oracles.dict_compose(
+            o.source, o.target, chi, P, clusters[o.source])
+        assert o.initiation == frozenset(clusters[o.source])
+        assert (o.unmodeled_states, o.ascent_states, o.fallback_states) == (
+            unmodeled, ascent, fallback)
+        assert {s: list(mu) for s, mu in o.policy.items()} == {
+            s: list(mu) for s, mu in policy.items()}
+        assert list(o.termination) == list(termination)
+        if exact:
+            assert o.policy == policy and o.termination == termination
+        else:
+            for s, mu in policy.items():
+                assert o.policy[s] == pytest.approx(mu, rel=1e-9, abs=0)
+            assert o.termination == pytest.approx(termination, rel=1e-9, abs=0)
+
+
+def test_kernel_rows_equal_dict_kernel_rows():
+    model = sampled_model(THREE_ROOMS, 0.1, 0.05)
+    P = transition_probabilities(model)
+    rows = oracles.dict_kernel(model)
+    assert set(rows) == {tuple(sa) for sa in np.argwhere(P.any(axis=2)).tolist()}
+    for (s, a), dist in rows.items():
+        assert np.array_equal(P[s, a], dist)
