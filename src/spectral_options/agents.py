@@ -6,7 +6,8 @@ option of the set; row s holds exactly the choices available at s, options
 in index order, then primitives.  The rows, the availability table and the
 table of options consistent with each (s, a) are built once per option set.
 A primitive action is the option that lasts one step, the k = 1 outcome.
-An option run returns its steps as a ``Trajectory``, ``OptionOutcome.segment``.
+An option runs inside its episode: it appends its steps to the episode's
+``Trajectory``, from which the learner reads them back.
 SMDP Q-learning updates one entry per completed choice with the
 duration-discounted target; intra-option learning updates, per primitive
 transition, the primitive entry and every option offered at s whose policy is
@@ -87,7 +88,7 @@ class QTable:
         re-clusterings, so remapping them by label would be unsound.
         """
         self.options = list(options)
-        self.available = available_choices(self.options, len(self.rows), N_ACTIONS)
+        self.available = available_choices(self.options, len(self.rows))
         self.rows = [{c: old.get(c, 0.0) if isinstance(c, int) else 0.0 for c in choices}
                      for old, choices in zip(self.rows, self.available)]
         self.consistent = [[[] for _ in range(N_ACTIONS)] for _ in self.rows]
@@ -111,10 +112,7 @@ class EpisodeLog:
 
 
 class OptionOutcome(NamedTuple):
-    segment: Trajectory     # primitive steps executed under the option
-    reward: float           # Σ γᵗ rₜ₊₁ over the segment
-    duration: int           # primitive steps taken (k)
-    end_state: int
+    duration: int           # primitive steps taken (k), appended to the episode
     truncated: bool         # max_steps cap hit
     missing_policy: bool    # reached a state with no μ row; terminated, flagged
 
@@ -140,7 +138,7 @@ def smdp_q_update(Q: QTable, s: int, choice, r: float, k: int, s2: int) -> QTabl
     return Q
 
 
-def available_choices(options: list[Option], n_states: int, n_actions: int) -> list:
+def available_choices(options: list[Option], n_states: int) -> list:
     """Choices executable at each state: initiated options first, then primitives.
 
     Entry s lists the options that can start at s in index order.  An option
@@ -157,7 +155,7 @@ def available_choices(options: list[Option], n_states: int, n_actions: int) -> l
             if policy.get(s):
                 table[s].append(key)
     for choices in table:
-        choices.extend(range(n_actions))
+        choices.extend(range(N_ACTIONS))
     return table
 
 
@@ -213,36 +211,35 @@ def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: np.random.Generator):
     return max(row, key=row.__getitem__)
 
 
-def run_option(world: GridWorld, option: Option, s0: int,
-               rng: np.random.Generator, max_steps: int,
-               gamma: float = 0.99) -> OptionOutcome:
-    """Execute an option from s0 until β fires, the episode ends, or the cap.
+def run_option(world: GridWorld, option: Option, traj: Trajectory,
+               rng: np.random.Generator, max_steps: int) -> OptionOutcome:
+    """Execute an option from ``traj.states[-1]`` until β fires, the episode
+    ends, or the cap, appending each step to ``traj``.
 
     Actions are sampled from μ by one ``rng.random()`` and a bisection of
     the option's cached cumulative μ row (``Option.draw_rows``), the same
     draws ``rng.choice(len(acts), p=probs)`` makes; termination is sampled
-    from β at each state the option enters.  Returns the steps, a Trajectory
-    from s0, and the SMDP quantities (discounted reward, k) for smdp_q_update.
-    A state with no μ row terminates the option, flagged via ``missing_policy``.
-    Raises ValueError if a μ row is not a probability vector.
+    from β at each state the option enters.  The option's steps are the
+    last ``duration`` steps of ``traj``; ``traj.done`` is set if the last
+    one reached a goal.  A state with no μ row terminates the option,
+    flagged via ``missing_policy``.  Raises ValueError, with ``traj``
+    untouched, for a start outside the initiation set, ``max_steps < 1``, or
+    a μ row that is not a probability vector.
     """
-    if s0 not in option.initiation:
-        raise ValueError(f"state {s0} is not in the option's initiation set")
+    s = traj.states[-1]
+    if s not in option.initiation:
+        raise ValueError(f"state {s} is not in the option's initiation set")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rows = option.draw_rows
-    segment = Trajectory([s0])
-    reward = 0.0
-    s = s0
     for t in range(max_steps):
         row = rows.get(s)
         if row is None:
-            return OptionOutcome(segment, reward, t, s, False, True)
+            return OptionOutcome(t, False, True)
         acts, cdf = row
         a = acts[bisect_right(cdf, rng.random())]
         s, r, done = step(world, s, a, rng)
-        segment.add(a, r, s, done)
-        reward += gamma ** t * r
+        traj.add(a, r, s, done)
         if done or rng.random() < option.termination_prob(s):
-            return OptionOutcome(segment, reward, t + 1, s, False, False)
-    return OptionOutcome(segment, reward, max_steps, s, True, False)
+            return OptionOutcome(t + 1, False, False)
+    return OptionOutcome(max_steps, True, False)

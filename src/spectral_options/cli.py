@@ -270,14 +270,14 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     oc = cfg.odstc()
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
-    out_dir = cfg[("output", "directory")]
-    os.makedirs(out_dir, exist_ok=True)
     model = EstimatedModel(world.n_states, v=oc.model_v, d_prior=oc.d_prior,
                            u_prior=oc.u_prior)
     for traj in _sampled_episodes(world, oc):
         update_counts(model, traj)
     result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k or None)
     options = compose_options(model, result, tau_conn=oc.tau_conn)
+    out_dir = cfg[("output", "directory")]
+    os.makedirs(out_dir, exist_ok=True)
     _write_membership_outputs(out_dir, world, result, options,
                               cfg[("output", "heatmaps")], cfg[("output", "csv")])
     fallback = bool(result.selection and result.selection.fallback)

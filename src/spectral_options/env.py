@@ -55,15 +55,6 @@ class Trajectory:
         self.states.append(s2)
         self.done = done
 
-    def extend(self, segment: Trajectory):
-        """Append every step of a segment that starts where this one ends."""
-        if segment.states[0] != self.states[-1]:
-            raise ValueError("trajectory steps must chain: s'_t == s_{t+1}")
-        self.states += segment.states[1:]
-        self.actions += segment.actions
-        self.rewards += segment.rewards
-        self.done = segment.done
-
 
 @dataclass
 class GridWorld:

@@ -22,19 +22,18 @@ from spectral_options.env import N_ACTIONS, GridWorld, Trajectory
 class EstimatedModel:
     """Counts, mean rewards, and reward-weighted adjacency for a tabular MDP."""
 
-    def __init__(self, n_states: int, n_actions: int = N_ACTIONS, v: float = 0.0,
-                 d_prior: float = 0.0, u_prior: float = 0.0):
-        if n_states < 1 or n_actions < 1:
-            raise ValueError("n_states and n_actions must be positive")
+    def __init__(self, n_states: int, *, v: float = 0.0, d_prior: float = 0.0,
+                 u_prior: float = 0.0):
+        if n_states < 1:
+            raise ValueError("n_states must be positive")
         if d_prior < 0 or u_prior < 0:
             raise ValueError("priors must be non-negative")
         self.n_states = n_states
-        self.n_actions = n_actions
         self.v = float(v)
         self.d_prior = float(d_prior)
         self.u_prior = float(u_prior)
-        self.R_sum = np.zeros((n_states, n_actions, n_states))
-        self.R_count = np.zeros((n_states, n_actions, n_states))
+        self.R_sum = np.zeros((n_states, N_ACTIONS, n_states))
+        self.R_count = np.zeros((n_states, N_ACTIONS, n_states))
 
     @property
     def U(self) -> np.ndarray:
@@ -45,7 +44,7 @@ class EstimatedModel:
     def D(self) -> np.ndarray:
         """Adjacency D, a new array on every read, summed one N×N action slice at a time."""
         total = 0.0
-        for a in range(self.n_actions):
+        for a in range(N_ACTIONS):
             n = self.R_count[:, a]
             R_hat = np.divide(self.R_sum[:, a], n, out=np.zeros_like(n), where=n > 0)
             total = total + (n + self.u_prior) * np.exp(-self.v * np.abs(R_hat))
@@ -58,7 +57,7 @@ def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
     All indices are checked first; np.add.at adds repeated indices in batch order.
     """
     s, a, s2 = (np.asarray(x, dtype=np.intp) for x in (s, a, s2))
-    for idx, bound in ((s, model.n_states), (a, model.n_actions), (s2, model.n_states)):
+    for idx, bound in ((s, model.n_states), (a, N_ACTIONS), (s2, model.n_states)):
         if idx.size and not 0 <= idx.min() <= idx.max() < bound:
             raise IndexError(f"index out of range [0, {bound}): {idx.min()}..{idx.max()}")
     np.add.at(model.R_sum, (s, a, s2), reward_sum)
@@ -100,8 +99,7 @@ def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
     """
     if world.slip_prob != 0.0:
         raise ValueError("exhaustive enumeration requires deterministic dynamics")
-    model = EstimatedModel(world.n_states, N_ACTIONS, v=v, d_prior=d_prior,
-                           u_prior=u_prior)
+    model = EstimatedModel(world.n_states, v=v, d_prior=d_prior, u_prior=u_prior)
     moves = [(s, a, world.move(s, a)) for s in range(world.n_states)
              if not world.is_terminal(s) for a in range(N_ACTIONS)]
     s, a, s2 = zip(*moves)
@@ -125,10 +123,10 @@ def save_triplets(model: EstimatedModel, path) -> None:
                              repr(float(model.R_count[s, a, s2])), repr(float(mean_r))])
 
 
-def load_triplets(path, n_states: int, n_actions: int = N_ACTIONS, v: float = 0.0,
-                  d_prior: float = 0.0, u_prior: float = 0.0) -> EstimatedModel:
+def load_triplets(path, n_states: int, *, v: float = 0.0, d_prior: float = 0.0,
+                  u_prior: float = 0.0) -> EstimatedModel:
     """Rebuild a model from a triplet CSV written by save_triplets, rejecting bad values."""
-    model = EstimatedModel(n_states, n_actions, v=v, d_prior=d_prior, u_prior=u_prior)
+    model = EstimatedModel(n_states, v=v, d_prior=d_prior, u_prior=u_prior)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, _PCG64Reader, step
+from spectral_options.env import GridWorld, Trajectory, _PCG64Reader, step
 from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options
@@ -158,17 +158,20 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
     """One behavioral episode with learning updates; returns its log and trajectory.
 
     The choices are those of ``Q``'s option set, whose tables were built when
-    the set was offered.  A primitive choice appends its step and makes one
-    update; an option's segment extends the trajectory and makes one SMDP
-    update, or one intra-option update per step.  ``rng`` must be a PCG64
+    the set was offered.  The episode keeps one ``Trajectory``: a primitive
+    choice appends its step and makes one update; an option appends its
+    steps through ``run_option``, and the learner reads them back from the
+    trajectory for one SMDP update, with the option's discounted return, or
+    one intra-option update per step.  ``rng`` must be a PCG64
     ``Generator`` (``np.random.default_rng``): the episode draws through a
     reader of its raw outputs, which yields the values numpy's ``random()``
     and ``integers(n)`` would and leaves ``rng`` where they would have.
     """
     intra = learner == "intra_option"
-    options = Q.options
+    options, gamma = Q.options, Q.gamma
     s = world.start
     traj = Trajectory([s])
+    states, actions, rewards = traj.states, traj.actions, traj.rewards
     steps = decisions = 0
     invoked = []
     draws = _PCG64Reader(rng)
@@ -179,20 +182,21 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
             if isinstance(c, tuple):                       # option choice
                 o = options[c[1]]
                 cap = min(world.n_states, max_steps - steps)
-                out = run_option(world, o, s, draws, cap, gamma=Q.gamma)
-                invoked.append((o.label, out.duration))
-                seg = out.segment
+                out = run_option(world, o, traj, draws, cap)
+                k = out.duration
+                invoked.append((o.label, k))
                 if intra:
-                    seg_s, seg_a, seg_r = seg.states, seg.actions, seg.rewards
-                    for t in range(out.duration):
-                        intra_option_update(Q, (seg_s[t], seg_a[t], seg_r[t],
-                                                seg_s[t + 1]))
-                elif out.duration > 0:
-                    smdp_q_update(Q, s, c, out.reward, out.duration, out.end_state)
-                traj.extend(seg)
-                steps += out.duration
-                s = out.end_state
-                if seg.done:
+                    for t in range(steps, steps + k):
+                        intra_option_update(Q, (states[t], actions[t], rewards[t],
+                                                states[t + 1]))
+                else:
+                    ret = 0.0
+                    for t, r in enumerate(rewards[steps:]):
+                        ret += gamma ** t * r
+                    smdp_q_update(Q, s, c, ret, k, states[-1])
+                steps += k
+                s = states[-1]
+                if traj.done:
                     break
             else:                                          # primitive choice
                 s2, r, done = step(world, s, c, draws)
@@ -208,7 +212,7 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
     finally:
         draws.close()
     ret = 0.0
-    for r in traj.rewards:      # in step order; sum() compensates from Python 3.12
+    for r in rewards:           # in step order; sum() compensates from Python 3.12
         ret += r
     log = EpisodeLog(episode=-1, cumulative_reward=ret, decision_epochs=decisions,
                      primitive_steps=steps, options_invoked=invoked)
@@ -225,7 +229,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    model = EstimatedModel(world.n_states, N_ACTIONS, v=config.model_v,
+    model = EstimatedModel(world.n_states, v=config.model_v,
                            d_prior=config.d_prior, u_prior=config.u_prior)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
@@ -324,7 +328,7 @@ def aggregate_model(trajectories, assignments, n_microstates: int | None = None,
     assignments = np.asarray(assignments, dtype=np.intp)
     if n_microstates is None:
         n_microstates = int(assignments.max()) + 1
-    micro = EstimatedModel(n_microstates, N_ACTIONS, v=v)
+    micro = EstimatedModel(n_microstates, v=v)
     for traj in trajectories:
         m = assignments[traj.states]
         _add_counts(micro, m[:-1], traj.actions, m[1:], 1.0, traj.rewards)

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from spectral_options.env import bundled_map_text, load_gridworld
+from spectral_options.env import Trajectory, bundled_map_text, load_gridworld
 from spectral_options.model import adjacency, exhaustive_model
 from spectral_options.options import Option, assign_states, compose_options
 from spectral_options.spectral import cluster
@@ -256,7 +256,7 @@ def test_options_listed_before_primitives(three_rooms_options):
     world, options, chi = three_rooms_options
     idx = assign_states(chi)
     s = world.start
-    avail = available_choices(options, world.n_states, 4)[s]
+    avail = available_choices(options, world.n_states)[s]
     option_positions = [i for i, c in enumerate(avail) if isinstance(c, tuple)]
     primitive_positions = [i for i, c in enumerate(avail) if isinstance(c, int)]
     assert option_positions and primitive_positions
@@ -271,8 +271,9 @@ def test_options_listed_before_primitives(three_rooms_options):
 def test_certain_termination_after_one_step():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: {1: 1.0}}, termination={0: 0.0})
-    out = run_option(world, o, 0, np.random.default_rng(0), max_steps=10)
-    assert out.duration == 1 and out.end_state == 1
+    traj = Trajectory([0])
+    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=10)
+    assert out.duration == 1 and traj.states[-1] == 1
     assert not out.truncated and not out.missing_policy
 
 
@@ -280,33 +281,83 @@ def test_max_steps_cap_truncates():
     world = load_gridworld("S.G")
     # Policy bounces west into the wall forever; β = 0 everywhere reached.
     o = make_option(initiation=(0,), policy={0: {3: 1.0}}, termination={0: 0.0})
-    out = run_option(world, o, 0, np.random.default_rng(0), max_steps=5)
-    assert out.truncated and out.duration == 5 and out.end_state == 0
+    traj = Trajectory([0])
+    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    assert out.truncated and out.duration == 5 and traj.states[-1] == 0
 
 
 def test_missing_policy_terminates_flagged():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={}, termination={})
-    out = run_option(world, o, 0, np.random.default_rng(0), max_steps=5)
-    assert out.missing_policy and out.duration == 0 and out.end_state == 0
+    traj = Trajectory([0])
+    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    assert out.missing_policy and out.duration == 0 and traj.states[-1] == 0
 
 
 def test_start_outside_initiation_is_error():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: {1: 1.0}})
     with pytest.raises(ValueError, match="initiation"):
-        run_option(world, o, 1, np.random.default_rng(0), max_steps=5)
+        run_option(world, o, Trajectory([1]), np.random.default_rng(0), max_steps=5)
 
 
 def test_discounted_reward_accumulation():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: {1: 1.0}, 1: {1: 1.0}},
                     termination={0: 0.0, 1: 0.0})
-    out = run_option(world, o, 0, np.random.default_rng(0), max_steps=5, gamma=0.5)
-    # Two steps: reward 0 then goal reward 1 discounted one step.
+    traj = Trajectory([0])
+    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
     assert out.duration == 2
-    assert out.reward == pytest.approx(0.5)
-    assert out.segment.done
+    assert traj.done
+
+
+def test_smdp_update_discounts_the_option_return():
+    from spectral_options.pipeline import run_episode
+
+    world = load_gridworld("S.G")
+    o = make_option(initiation=(0,), policy={0: {1: 1.0}, 1: {1: 1.0}},
+                    termination={0: 0.0, 1: 0.0})
+    Q = QTable(3, [o], alpha=1.0, gamma=0.5)
+    log, traj = run_episode(world, Q, 0.0, np.random.default_rng(0), "smdp", 10)
+    assert log.options_invoked == [(o.label, 2)] and traj.done
+    # Reward 0, then goal reward 1 discounted one step; the goal row is all 0.
+    assert Q.get(0, option_key(0)) == 0.5
+
+
+def test_run_option_appends_after_the_steps_already_taken():
+    world = load_gridworld("S.G")
+    o = make_option(initiation=(0,), policy={0: {1: 1.0}, 1: {1: 1.0}},
+                    termination={0: 0.0, 1: 0.0})
+    traj = Trajectory([0])
+    traj.add(1, 0.0, 1, False)
+    traj.add(3, 0.0, 0, False)
+    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    assert out.duration == 2
+    assert traj == Trajectory([0, 1, 0, 1, 2], [1, 3, 1, 1], [0.0, 0.0, 0.0, 1.0], True)
+
+
+@pytest.mark.parametrize("start, max_steps, match", [(1, 5, "initiation"),
+                                                     (0, 0, "max_steps")])
+def test_rejected_run_leaves_trajectory_unchanged(start, max_steps, match):
+    world = load_gridworld("S..G")
+    o = make_option(initiation=(0,), policy={0: {1: 1.0}})
+    traj = Trajectory([1 - start])
+    traj.add(1 if start else 3, 0.0, start, False)
+    before = copy.deepcopy(traj)
+    with pytest.raises(ValueError, match=match):
+        run_option(world, o, traj, np.random.default_rng(0), max_steps=max_steps)
+    assert traj == before
+
+
+def test_missing_policy_leaves_trajectory_unchanged():
+    world = load_gridworld("S..G")
+    o = make_option(initiation=(1,), policy={}, termination={})
+    traj = Trajectory([0])
+    traj.add(1, 0.0, 1, False)
+    before = copy.deepcopy(traj)
+    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    assert out.missing_policy and out.duration == 0
+    assert traj == before
 
 
 def test_determinized_traverse_reaches_target_everywhere(three_rooms_options):
@@ -328,10 +379,11 @@ def test_sampled_runs_end_in_source_or_target(three_rooms_options):
     for o in options:
         for s0 in sorted(o.policy):
             for _ in range(5):
-                out = run_option(world, o, s0, rng, max_steps=world.n_states)
+                traj = Trajectory([s0])
+                run_option(world, o, traj, rng, max_steps=world.n_states)
                 runs += 1
-                end_cluster = idx.assignment.get(out.end_state)
-                reached_goal = out.segment.done
+                end_cluster = idx.assignment.get(traj.states[-1])
+                reached_goal = traj.done
                 assert end_cluster in (o.source, o.target) or reached_goal
                 if end_cluster == o.target:
                     target_hits += 1
@@ -373,8 +425,9 @@ def test_option_draws_match_rng_choice():
         expected /= expected[-1]
         assert acts == list(mu) and cdf == expected.tolist()
         for _ in range(1000):
-            out = run_option(world, o, 0, rng, max_steps=1)
-            assert out.segment.actions[0] == oracles.choice_draw(mu, rng_oracle)
+            traj = Trajectory([0])
+            run_option(world, o, traj, rng, max_steps=1)
+            assert traj.actions[0] == oracles.choice_draw(mu, rng_oracle)
             rng_oracle.random()          # run_option's termination draw
     assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
@@ -397,8 +450,9 @@ def test_option_draw_on_a_cdf_boundary_goes_right():
     for u, action in [(0.0, 3), (0.25, 0), (0.5, 1), (0.75, 1)]:
         assert np.searchsorted([0.25, 0.5, 0.5, 1.0], u, side="right") == list(mu).index(action)
         o = make_option(initiation=(0,), policy={0: mu})
-        out = run_option(world, o, 0, FixedUniforms([u, 0.0]), max_steps=1)
-        assert out.segment.actions[0] == action
+        traj = Trajectory([0])
+        run_option(world, o, traj, FixedUniforms([u, 0.0]), max_steps=1)
+        assert traj.actions[0] == action
 
 
 def random_q_setting(gen, n_states=6, n_options=4):
@@ -446,7 +500,7 @@ def test_malformed_mu_row_is_error(row):
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: row}, termination={0: 0.0})
     with pytest.raises(ValueError):
-        run_option(world, o, 0, np.random.default_rng(0), max_steps=5)
+        run_option(world, o, Trajectory([0]), np.random.default_rng(0), max_steps=5)
 
 
 def test_malformed_mu_row_names_option_and_state():
@@ -454,4 +508,4 @@ def test_malformed_mu_row_names_option_and_state():
     o = make_option(source=2, target=5, initiation=(0,),
                     policy={0: {1: 1.0}, 1: {0: 0.5, 1: 0.6}})
     with pytest.raises(ValueError, match=r"S2->S5.*state 1"):
-        run_option(world, o, 0, np.random.default_rng(0), max_steps=5)
+        run_option(world, o, Trajectory([0]), np.random.default_rng(0), max_steps=5)

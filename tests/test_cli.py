@@ -267,6 +267,14 @@ def test_numeric_failure_exit_code(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+def test_discover_numeric_failure_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["discover", DISCOVER_INI, "--out-dir", str(out), "--set", "spectral.k=80"])
+    assert rc == EXIT_NUMERIC
+    assert "k=80" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

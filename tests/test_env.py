@@ -8,7 +8,6 @@ from spectral_options.env import (
     _MAX_BLOCK,
     GridWorld,
     MapError,
-    Trajectory,
     _PCG64Reader,
     bundled_map_text,
     load_gridworld,
@@ -119,16 +118,6 @@ def test_slip_requires_rng():
     world = load_gridworld("S.G", slip_prob=0.5)
     with pytest.raises(ValueError, match="rng"):
         step(world, 0, 1)
-
-
-def test_trajectory_chaining_enforced():
-    traj = Trajectory([0])
-    traj.add(1, 0.0, 1, False)
-    traj.extend(Trajectory([1, 2], [1], [0.5], True))
-    assert traj == Trajectory([0, 1, 2], [1, 1], [0.0, 0.5], True)
-    with pytest.raises(ValueError, match="chain"):
-        traj.extend(Trajectory([5, 6], [1], [0.0], False))
-    assert traj == Trajectory([0, 1, 2], [1, 1], [0.0, 0.5], True)
 
 
 def test_max_steps_caps_rollout():

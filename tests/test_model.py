@@ -33,7 +33,8 @@ def traj_of(*steps):
     """A trajectory from (s, a, r, s', done) tuples, which must chain."""
     t = Trajectory([steps[0][0]])
     for s, a, r, s2, done in steps:
-        t.extend(Trajectory([s, s2], [a], [r], done))
+        assert s == t.states[-1], "steps must chain"
+        t.add(a, r, s2, done)
     return t
 
 
@@ -224,6 +225,16 @@ def test_triplet_round_trip_with_count_prior(tmp_path):
 def test_negative_prior_is_error():
     with pytest.raises(ValueError):
         EstimatedModel(2, d_prior=-1.0)
+
+
+def test_weights_and_priors_are_keyword_only(tmp_path):
+    # A stale positional action count must not bind to v.
+    with pytest.raises(TypeError):
+        EstimatedModel(2, 4)
+    path = tmp_path / "model.csv"
+    save_triplets(EstimatedModel(2), path)
+    with pytest.raises(TypeError):
+        load_triplets(path, 2, 4)
 
 
 def test_load_triplets_rejects_negative_index(tmp_path):
