@@ -1,22 +1,30 @@
 """Empirical transition-model estimation from sampled trajectories.
 
-Stores only what was observed, per-transition visit counts and reward sums.
-The smoothed counts U(s,a,s') = counts + U_prior and the reward-weighted
-adjacency, with R̂ the mean observed reward,
+Stores only what was observed: one sorted int64 key (s·A + a)·N + s' per
+counted transition, with its visit count and reward sum.  A write appends
+its batch; the next read folds the batches in.  The dense (N, A, N) views
+R_count and R_sum, the smoothed counts U(s,a,s') = counts + U_prior and the
+reward-weighted adjacency, with R̂ the mean observed reward,
 
     D(s,s') = D_prior + Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
-are derived from them when read; rewarded transitions fade from D as v grows.
-So is the dense (N, A, N) transition kernel P = U / Σ_{s'} U that options read.
+are derived from the keys when read; rewarded transitions fade from D as v
+grows.  So is the dense (N, A, N) transition kernel P = U / Σ_{s'} U that
+options read.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from spectral_options.env import N_ACTIONS, GridWorld, Trajectory
+
+# Pending entries are folded in once they outnumber both the stored keys and
+# this, so unread writes hold at most about as much memory as the store.
+_FOLD_AT = 1 << 16
 
 
 class EstimatedModel:
@@ -26,42 +34,103 @@ class EstimatedModel:
                  u_prior: float = 0.0):
         if n_states < 1:
             raise ValueError("n_states must be positive")
-        if d_prior < 0 or u_prior < 0:
-            raise ValueError("priors must be non-negative")
+        for name, x in (("v", v), ("d_prior", d_prior), ("u_prior", u_prior)):
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {x}")
         self.n_states = n_states
         self.v = float(v)
         self.d_prior = float(d_prior)
         self.u_prior = float(u_prior)
-        self.R_sum = np.zeros((n_states, N_ACTIONS, n_states))
-        self.R_count = np.zeros((n_states, N_ACTIONS, n_states))
+        self._keys = np.zeros(0, dtype=np.int64)   # sorted, unique
+        self._values = np.zeros((2, 0))             # rows: count, reward_sum per key
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []   # (keys, values) batches
+        self._pending_size = 0
+
+    def _folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, count, reward_sum) with every pending batch folded in.
+
+        bincount adds the stored value first, then each pending value in
+        batch order, so every sum is what sequential np.add.at gives.
+        """
+        if self._pending:
+            keys = np.concatenate([self._keys, *(k for k, _ in self._pending)])
+            values = np.concatenate([self._values, *(v for _, v in self._pending)], axis=1)
+            self._keys, inverse = np.unique(keys, return_inverse=True)
+            self._values = np.array([np.bincount(inverse, row) for row in values])
+            self._pending, self._pending_size = [], 0
+        return self._keys, self._values[0], self._values[1]
+
+    def _dense(self, row: int) -> np.ndarray:
+        """Row 0 (count) or 1 (reward_sum) of the store as a zero-filled (N, A, N) array."""
+        self._folded()
+        out = np.zeros((self.n_states, N_ACTIONS, self.n_states))
+        out.put(self._keys, self._values[row])
+        return out
+
+    @property
+    def R_count(self) -> np.ndarray:
+        """Visit counts as a dense (N, A, N) array, a new array on every read."""
+        return self._dense(0)
+
+    @property
+    def R_sum(self) -> np.ndarray:
+        """Reward sums as a dense (N, A, N) array, a new array on every read."""
+        return self._dense(1)
 
     @property
     def U(self) -> np.ndarray:
         """Smoothed counts R_count + u_prior, a new array on every read."""
-        return self.R_count + self.u_prior
+        U = self._dense(0)
+        U += self.u_prior
+        return U
 
     @property
     def D(self) -> np.ndarray:
-        """Adjacency D, a new array on every read, summed one N×N action slice at a time."""
-        total = 0.0
-        for a in range(N_ACTIONS):
-            n = self.R_count[:, a]
-            R_hat = np.divide(self.R_sum[:, a], n, out=np.zeros_like(n), where=n > 0)
-            total = total + (n + self.u_prior) * np.exp(-self.v * np.abs(R_hat))
-        return self.d_prior + total
+        """Adjacency D, a new array on every read, summed one N×N action slice at a time.
+
+        exp is taken on counted entries only: elsewhere R̂ = 0, so an action
+        adds u_prior there.
+        """
+        keys, count, reward_sum = self._folded()
+        seen = count > 0
+        count = count[seen]
+        weight = (count + self.u_prior) * np.exp(-self.v * np.abs(reward_sum[seen] / count))
+        s, a, s2 = _split(keys[seen], self.n_states)
+        cell = s * self.n_states + s2
+        total = np.zeros((self.n_states, self.n_states))
+        for b in range(N_ACTIONS):
+            mine = a == b
+            before = total.take(cell[mine])
+            total += self.u_prior
+            total.put(cell[mine], before + weight[mine])
+        total += self.d_prior
+        return total
+
+
+def _split(keys: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, a, s') of each key (s·A + a)·N + s'."""
+    sa, s2 = np.divmod(keys, n_states)
+    s, a = np.divmod(sa, N_ACTIONS)
+    return s, a, s2
 
 
 def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
-    """Add count and reward_sum to R_count and R_sum at each (s, a, s') of a batch.
+    """Add count and reward_sum at each (s, a, s') of a batch.
 
-    All indices are checked first; np.add.at adds repeated indices in batch order.
+    All indices are checked first; the batch is then appended to the model's
+    pending writes, which its next read folds in, in batch order.
     """
-    s, a, s2 = (np.asarray(x, dtype=np.intp) for x in (s, a, s2))
+    s, a, s2 = (np.asarray(x, dtype=np.int64) for x in (s, a, s2))
     for idx, bound in ((s, model.n_states), (a, N_ACTIONS), (s2, model.n_states)):
         if idx.size and not 0 <= idx.min() <= idx.max() < bound:
             raise IndexError(f"index out of range [0, {bound}): {idx.min()}..{idx.max()}")
-    np.add.at(model.R_sum, (s, a, s2), reward_sum)
-    np.add.at(model.R_count, (s, a, s2), count)
+    keys = ((s * N_ACTIONS + a) * model.n_states + s2).ravel()
+    values = np.empty((2, keys.size))
+    values[0], values[1] = count, reward_sum    # a scalar is broadcast
+    model._pending.append((keys, values))
+    model._pending_size += keys.size
+    if model._pending_size > max(model._keys.size, _FOLD_AT):
+        model._folded()
 
 
 def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
@@ -70,7 +139,8 @@ def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
     Each observed (s, a, s') adds one visit and its reward; U and D follow when
     read.  An out-of-range index raises IndexError before any count is written.
     """
-    _add_counts(model, traj.states[:-1], traj.actions, traj.states[1:], 1.0, traj.rewards)
+    states = np.asarray(traj.states, dtype=np.int64)
+    _add_counts(model, states[:-1], traj.actions, states[1:], 1.0, traj.rewards)
     return model
 
 
@@ -111,16 +181,20 @@ def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
 def save_triplets(model: EstimatedModel, path) -> None:
     """Write visited transitions as CSV rows (s, a, next_s, count, reward_mean).
 
-    ``count`` holds observed visits only, without u_prior, so load_triplets
-    with the same priors rebuilds the model exactly.
+    Rows follow the key order, (s, a, next_s) ascending.  ``count`` holds
+    observed visits only, without u_prior, so load_triplets with the same
+    priors rebuilds the model exactly.
     """
+    keys, count, reward_sum = model._folded()
+    seen = count != 0
+    count = count[seen]
+    mean_r = reward_sum[seen] / count
+    s, a, s2 = _split(keys[seen], model.n_states)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "next_s", "count", "reward_mean"])
-        for s, a, s2 in zip(*np.nonzero(model.R_count)):
-            mean_r = model.R_sum[s, a, s2] / model.R_count[s, a, s2]
-            writer.writerow([int(s), int(a), int(s2),
-                             repr(float(model.R_count[s, a, s2])), repr(float(mean_r))])
+        writer.writerows(zip(s.tolist(), a.tolist(), s2.tolist(),
+                             map(repr, count.tolist()), map(repr, mean_r.tolist())))
 
 
 def load_triplets(path, n_states: int, *, v: float = 0.0, d_prior: float = 0.0,

@@ -1,4 +1,6 @@
-"""Independent oracles: the reward-weighted adjacency rebuilt from scratch,
+"""Independent oracles: the dense count arrays written by np.add.at, with the
+kernel and triplet CSV read from them, the reward-weighted adjacency rebuilt
+from scratch,
 dense value iteration for the flat MDP and for the determinized
 option-augmented SMDP, the plain forms of the learner's hot path (an
 option action drawn with ``rng.choice``, Q updates that scan with
@@ -20,10 +22,49 @@ cell tables, so the learner's cached rows and direct reads are checked for
 equal draws and bit-equal values against them.
 """
 
+import csv
+import io
+from types import SimpleNamespace
+
 import numpy as np
 
 from spectral_options.env import DELTAS, N_ACTIONS
 from spectral_options.options import BETA_EPS
+
+
+def dense_counts(n_states, batches, *, v=0.0, d_prior=0.0, u_prior=0.0):
+    """A model-like record of dense (N, A, N) R_count and R_sum, and U = R_count + u_prior.
+
+    Each (s, a, s', count, reward_sum) batch is added with np.add.at, in
+    order, so repeated transitions sum in the order they were written.
+    """
+    R_sum = np.zeros((n_states, N_ACTIONS, n_states))
+    R_count = np.zeros((n_states, N_ACTIONS, n_states))
+    for s, a, s2, count, reward_sum in batches:
+        idx = tuple(np.asarray(x, dtype=np.intp) for x in (s, a, s2))
+        np.add.at(R_sum, idx, reward_sum)
+        np.add.at(R_count, idx, count)
+    return SimpleNamespace(n_states=n_states, v=v, d_prior=d_prior, u_prior=u_prior,
+                           R_count=R_count, R_sum=R_sum, U=R_count + u_prior)
+
+
+def dense_kernel(counts):
+    """P = U / Σ_{s'} U over the dense U of dense_counts; unvisited rows stay zero."""
+    P = counts.U.copy()
+    totals = P.sum(axis=2, keepdims=True)
+    return np.divide(P, totals, out=P, where=totals > 0)
+
+
+def dense_triplet_csv(counts):
+    """The triplet CSV of dense_counts, one row per nonzero count in (s, a, s') order."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["s", "a", "next_s", "count", "reward_mean"])
+    for s, a, s2 in zip(*np.nonzero(counts.R_count)):
+        mean_r = counts.R_sum[s, a, s2] / counts.R_count[s, a, s2]
+        writer.writerow([int(s), int(a), int(s2),
+                         repr(float(counts.R_count[s, a, s2])), repr(float(mean_r))])
+    return fh.getvalue().encode()
 
 
 def rebuilt_adjacency(model):

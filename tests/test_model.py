@@ -1,8 +1,12 @@
 """Transition-count accumulation and reward-weighted adjacency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spectral_options import model as model_module
+from spectral_options import pipeline
 from spectral_options.env import (
     Trajectory,
     bundled_map_text,
@@ -21,7 +25,8 @@ from spectral_options.model import (
 )
 from spectral_options.pipeline import aggregate_model
 
-from oracles import rebuilt_adjacency
+from helpers import room_grid_text
+from oracles import dense_counts, dense_kernel, dense_triplet_csv, rebuilt_adjacency
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 # Nonzero step reward, v and both priors: every term of D differs from its
@@ -227,6 +232,15 @@ def test_negative_prior_is_error():
         EstimatedModel(2, d_prior=-1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("v", np.nan), ("v", np.inf), ("v", -1.0),
+    ("d_prior", np.nan), ("d_prior", np.inf), ("u_prior", np.nan), ("u_prior", np.inf),
+])
+def test_non_finite_or_negative_weight_is_error(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        EstimatedModel(2, **{name: value})
+
+
 def test_weights_and_priors_are_keyword_only(tmp_path):
     # A stale positional action count must not bind to v.
     with pytest.raises(TypeError):
@@ -330,3 +344,93 @@ def test_aggregated_adjacency_equals_rebuild():
     assignment = np.arange(world.n_states) // 4
     agg = aggregate_model(sampled_trajectories(world), assignment, v=V)
     assert np.array_equal(agg.D, rebuilt_adjacency(agg))
+
+
+# --- the key store against the dense np.add.at writer -----------------------
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Every batch each model receives, keyed by the model, in write order."""
+    seen = {}
+    write = model_module._add_counts
+
+    def spy(model, s, a, s2, count, reward_sum):
+        write(model, s, a, s2, count, reward_sum)
+        seen.setdefault(id(model), []).append(
+            tuple(np.array(x, dtype=float) for x in (s, a, s2, count, reward_sum)))
+
+    monkeypatch.setattr(model_module, "_add_counts", spy)
+    monkeypatch.setattr(pipeline, "_add_counts", spy)
+    return seen
+
+
+def assert_matches_dense(m, batches, tmp_path):
+    ref = dense_counts(m.n_states, batches.get(id(m), []), v=m.v, d_prior=m.d_prior,
+                       u_prior=m.u_prior)
+    for name in ("R_count", "R_sum", "U"):
+        assert np.array_equal(getattr(m, name), getattr(ref, name)), name
+    assert np.array_equal(m.D, rebuilt_adjacency(ref))
+    assert np.array_equal(transition_probabilities(m), dense_kernel(ref))
+    path = tmp_path / "model.csv"
+    save_triplets(m, path)
+    assert path.read_bytes() == dense_triplet_csv(ref)
+
+
+@pytest.mark.parametrize("fold_at", [model_module._FOLD_AT, 50])
+def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path,
+                                                               monkeypatch, fold_at):
+    # fold_at 50 also folds pending writes in between reads, as a long unread
+    # run of writes does.
+    monkeypatch.setattr(model_module, "_FOLD_AT", fold_at)
+    world = slippery_world()
+    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    assert_matches_dense(m, batches, tmp_path)
+    for e, traj in enumerate(sampled_trajectories(world)):
+        update_counts(m, traj)
+        if e % 9 == 4:
+            assert_matches_dense(m, batches, tmp_path)
+    assert_matches_dense(m, batches, tmp_path)
+
+
+def test_aggregated_store_matches_dense_writer(batches, tmp_path):
+    world = slippery_world()
+    agg = aggregate_model(sampled_trajectories(world), np.arange(world.n_states) // 4, v=V)
+    assert len(batches[id(agg)]) == 40
+    assert_matches_dense(agg, batches, tmp_path)
+
+
+def test_exhaustive_store_matches_dense_writer(batches, tmp_path):
+    world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
+    m = exhaustive_model(world, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    assert_matches_dense(m, batches, tmp_path)
+
+
+def test_loaded_store_matches_dense_writer(batches, tmp_path):
+    # A fractional count, a zero count (with a negative mean, so its reward
+    # sum is -0.0), a key written twice and rows out of key order.
+    path = tmp_path / "in.csv"
+    path.write_text("s,a,next_s,count,reward_mean\n"
+                    "2,1,0,2.5,-0.04\n0,3,1,1.0,0.3\n1,0,1,0.0,-0.7\n"
+                    "2,1,0,1.0,0.1\n0,0,2,0.0,0.0\n")
+    m = load_triplets(path, 3, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    assert_matches_dense(m, batches, tmp_path)
+    assert (tmp_path / "model.csv").read_text().count("\n") - 1 == 2   # zero counts unseen
+    update_counts(m, traj_of((1, 0, -0.04, 1, False), (1, 0, -0.04, 1, False),
+                             (1, 2, 0.3, 2, True)))
+    assert_matches_dense(m, batches, tmp_path)
+
+
+def test_store_memory_grows_with_transitions_not_states(tmp_path):
+    # A dense (N, A, N) count array at N = 6,404 would take 1.3 GB.
+    world = load_gridworld(room_grid_text(2, 2, 40))
+    traj = sample_trajectory(world, uniform_random_policy, 200, np.random.default_rng(0))
+    assert world.n_states == 6404 and len(traj) == 200
+    tracemalloc.start()
+    try:
+        m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+        update_counts(m, traj)
+        save_triplets(m, tmp_path / "model.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
