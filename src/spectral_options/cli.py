@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import math
 import os
 import sys
@@ -198,10 +199,16 @@ def write_pgm(path, pixels: np.ndarray):
 
 
 def membership_heatmap(world: GridWorld, chi_column: np.ndarray) -> np.ndarray:
-    """Gray level round(255·χ) per open cell; walls are 0."""
+    """Gray level round(255·χ) per open cell; walls are 0.
+
+    Raises ValueError unless every χ value is finite and lies in [0, 1].
+    """
+    chi_column = np.asarray(chi_column, dtype=float)
+    if not ((chi_column >= 0.0) & (chi_column <= 1.0)).all():
+        raise ValueError("membership values must be finite and lie in [0, 1]")
     img = np.zeros((world.height, world.width), dtype=np.uint8)
-    for s, (r, c) in enumerate(world.cells):
-        img[r, c] = int(np.rint(255.0 * chi_column[s]))
+    rows, cols = np.array(world.cells).T
+    img[rows, cols] = np.rint(255.0 * chi_column)
     return img
 
 
@@ -337,26 +344,34 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def read_features(path) -> np.ndarray:
     """Feature file: one numeric vector per line, comma or whitespace separated."""
-    rows = []
+    rows, records = [], []        # records: (line number, text) of each row
+    malformed = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.replace(",", " ").split()
             try:
-                row = [float(p) for p in parts]
+                rows.append([float(p) for p in line.replace(",", " ").split()])
             except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed feature record {line!r}")
-            if not np.isfinite(row).all():
-                raise ConfigError(f"{path}:{lineno}: non-finite feature value in {line!r}")
-            rows.append(row)
+                malformed = f"{path}:{lineno}: malformed feature record {line!r}"
+                break
+            records.append((lineno, line))
+    # A non-finite value above a malformed line is reported first.
+    values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row = np.searchsorted(np.cumsum([len(r) for r in rows]), bad[0], side="right")
+        lineno, line = records[row]
+        raise ConfigError(f"{path}:{lineno}: non-finite feature value in {line!r}")
+    if malformed:
+        raise ConfigError(malformed)
     if not rows:
         raise ConfigError(f"{path}: feature file is empty")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent feature vector lengths {sorted(widths)}")
-    return np.array(rows)
+    return values.reshape(len(rows), widths.pop())
 
 
 def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:

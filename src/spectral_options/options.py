@@ -121,24 +121,31 @@ def compose_policy(i: int, j: int, gain: np.ndarray, observed: np.ndarray,
     the target-membership plateau handled by source-membership ascent, and
     states that degraded to uniform.
     """
+    members = index.clusters[i]
+    rows = np.asarray(members, dtype=np.intp)
+    obs = observed[rows]
+    toward_j, toward_i = gain[rows, :, j], gain[rows, :, i]
+    up_j = obs & (toward_j > 0)
+    up_i = obs & (toward_i > 0)
+    target = up_j.any(axis=1)
+    ascend = ~target & up_i.any(axis=1)
+    modeled = obs.any(axis=1)
+    # Per row: the target tier's positive gains, else the source tier's, else
+    # weight 1.0 on every observed action.
+    chosen = np.where(target[:, None], up_j, np.where(ascend[:, None], up_i, obs))
+    weight = np.where(target[:, None], toward_j, np.where(ascend[:, None], toward_i, 1.0))
+    actions = np.nonzero(chosen)[1].tolist()
+    weights = weight[chosen].tolist()
     policy: dict[int, dict[int, float]] = {}
-    unmodeled, ascent, fallback = set(), set(), set()
-    for s in index.clusters[i]:
-        obs = np.flatnonzero(observed[s]).tolist()
-        if not obs:
-            unmodeled.add(s)
-            continue
-        positive = {a: g for a in obs if (g := float(gain[s, a, j])) > 0}
-        if not positive:
-            positive = {a: g for a in obs if (g := float(gain[s, a, i])) > 0}
-            if positive:
-                ascent.add(s)
-            else:
-                positive = {a: 1.0 for a in obs}
-                fallback.add(s)
-        total = sum(positive.values())
-        policy[s] = {a: g / total for a, g in positive.items()}
-    return policy, frozenset(unmodeled), frozenset(ascent), frozenset(fallback)
+    end = 0
+    for s, count in zip(members, chosen.sum(axis=1).tolist()):
+        if count:
+            start, end = end, end + count
+            g = weights[start:end]
+            total = sum(g)      # not a numpy sum: sum() compensates from Python 3.12
+            policy[s] = dict(zip(actions[start:end], [x / total for x in g]))
+    return (policy, frozenset(rows[~modeled].tolist()), frozenset(rows[ascend].tolist()),
+            frozenset(rows[modeled & ~target & ~ascend].tolist()))
 
 
 def compose_termination(i: int, j: int, chi: np.ndarray,

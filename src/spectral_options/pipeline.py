@@ -263,13 +263,54 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
                        chi_snapshots=snapshots, notes=notes, converged=converged)
 
 
+# numpy sums fewer than this many terms one after another and blocks longer
+# runs pairwise, so the column loops below reproduce its sums only up to here.
+_PAIRWISE_BLOCK = 8
+
+
+def _choice_index(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """``rng.choice(len(probs), p=probs)`` without its checks on ``probs``: the
+    same cumulative sum, the same single ``random()`` draw, so the same index
+    and the generator left in the same state."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances, bit-equal to
+    ``((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)``.
+
+    numpy sums a short last axis left to right; up to ``_PAIRWISE_BLOCK``
+    columns the squares are added column by column in that order, on (n, k)
+    arrays, instead of reducing an (n, k, d) array.
+    """
+    if pts.shape[1] >= _PAIRWISE_BLOCK:
+        return ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    dist2 = (pts[:, :1] - centroids[:, 0]) ** 2
+    for c in range(1, pts.shape[1]):
+        dist2 += (pts[:, c:c + 1] - centroids[:, c]) ** 2
+    return dist2
+
+
 def kmeans_microstates(features, k_m: int, seed: int = 0,
                        max_iters: int = 100) -> MicrostateMap:
     """k-means++ initialized Lloyd clustering of feature vectors.
 
     Iterates to an assignment fixpoint or max_iters; a cluster left empty is
     reseeded at the point farthest from its current centroid.  Raises when
-    k_m exceeds the number of distinct points or max_iters is below 1.
+    the features are not finite or their squared distances overflow, k_m
+    exceeds the number of distinct points or max_iters is below 1.
+
+    The results are bit-equal to the plain numpy forms (``rng.choice`` for
+    each seeding draw, ``sum(axis=2)`` over an (n, k, d) array for the
+    distances, one boolean-mask ``mean(axis=0)`` per centroid), which rely
+    on numpy internals: how ``Generator.choice`` turns p into one
+    ``random()`` draw, that numpy sums fewer than 8 terms of a last axis left
+    to right, and that an axis-0 mean of a (m, d ≥ 2) array adds rows one
+    after another from +0.0 as ``np.bincount`` with weights does.  Features
+    of 8 columns or more keep the (n, k, d) distances and 1-column features
+    keep the per-centroid mean, which numpy sums pairwise.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -278,7 +319,9 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
         pts = pts[:, None]
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError("features must be a non-empty 2-D array of vectors")
-    n = pts.shape[0]
+    if not np.isfinite(pts).all():
+        raise ValueError("features must be finite")
+    n, dim = pts.shape
     n_distinct = np.unique(pts, axis=0).shape[0]
     if not 1 <= k_m <= n_distinct:
         raise ValueError(f"k_m must lie in [1, {n_distinct} distinct points], got {k_m}")
@@ -289,28 +332,38 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
     chosen = [pts[rng.integers(n)]]
     d2 = np.full(n, np.inf)
     while len(chosen) < k_m:
-        d2 = np.minimum(d2, ((pts - chosen[-1]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(pts, chosen[-1][None])[:, 0])
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("squared feature distances overflow")
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        chosen.append(pts[rng.choice(n, p=probs)])
+        chosen.append(pts[_choice_index(rng, probs)])
     centroids = np.array(chosen)
 
     assignments = np.full(n, -1)
     sse_history = []
     for _ in range(max_iters):
-        dist2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        dist2 = _sq_dists(pts, centroids)
         new_assign = dist2.argmin(axis=1)
-        for c in range(k_m):
-            if not (new_assign == c).any():
-                farthest = int(np.argmax(dist2[np.arange(n), new_assign]))
-                centroids[c] = pts[farthest]
-                new_assign[farthest] = c
+        counts = np.bincount(new_assign, minlength=k_m)
+        if not counts.all():
+            for c in range(k_m):
+                if not (new_assign == c).any():
+                    farthest = int(np.argmax(dist2[np.arange(n), new_assign]))
+                    centroids[c] = pts[farthest]
+                    new_assign[farthest] = c
+            counts = np.bincount(new_assign, minlength=k_m)
         sse_history.append(float(((pts - centroids[new_assign]) ** 2).sum()))
         if (new_assign == assignments).all():
             break
         assignments = new_assign
-        for c in range(k_m):
-            centroids[c] = pts[assignments == c].mean(axis=0)
+        if dim == 1:
+            for c in range(k_m):
+                centroids[c] = pts[assignments == c].mean(axis=0)
+        else:
+            for col in range(dim):
+                centroids[:, col] = np.bincount(assignments, weights=pts[:, col],
+                                                minlength=k_m) / counts
     return MicrostateMap(assignments=assignments, centroids=centroids,
                          sse_history=sse_history)
 

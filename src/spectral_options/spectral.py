@@ -111,7 +111,10 @@ def build_laplacian(W: np.ndarray) -> StochasticLaplacian:
     Wk = W[np.ix_(kept, kept)]
     deg = Wk.sum(axis=1)
     d_max = deg.max()
-    L = np.eye(kept.size) + (Wk - np.diag(deg)) / d_max
+    # Off the diagonal I + (Wk − Deg)/d_max is Wk/d_max; Wk is a fresh copy.
+    diagonal = 1.0 + (Wk.diagonal() - deg) / d_max
+    L = np.divide(Wk, d_max, out=Wk)
+    np.fill_diagonal(L, diagonal)
     return StochasticLaplacian(L=L, kept=kept, n_states=W.shape[0])
 
 

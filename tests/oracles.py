@@ -9,7 +9,8 @@ argmax assignment of states to clusters, k-means with k-means++ seeding
 that measures each point against every chosen centroid in every round, and
 option composition over a dict of one dense kernel row per visited (s, a),
 with one dot product per state, action and option and one scalar log pair
-per termination entry.
+per termination entry, the per-state loop that builds an option's μ table
+from a gain array, and the walk operator built as I + (W − Deg)/d_max.
 
 These deliberately avoid the package's model and learning code: the
 adjacency is recomputed from the full count arrays, and backups are written
@@ -302,3 +303,34 @@ def dict_compose(i, j, chi, P, members):
     termination = {s: float(min(np.log(clamped[s, i]) / np.log(clamped[s, j]), 1.0))
                    for s in members}
     return policy, unmodeled, ascent, fallback, termination
+
+
+def loop_compose_policy(i, j, gain, observed, index):
+    """compose_policy as one pass over the cluster-i states, with a dict per tier."""
+    policy = {}
+    unmodeled, ascent, fallback = set(), set(), set()
+    for s in index.clusters[i]:
+        obs = np.flatnonzero(observed[s]).tolist()
+        if not obs:
+            unmodeled.add(s)
+            continue
+        positive = {a: g for a in obs if (g := float(gain[s, a, j])) > 0}
+        if not positive:
+            positive = {a: g for a in obs if (g := float(gain[s, a, i])) > 0}
+            if positive:
+                ascent.add(s)
+            else:
+                positive = {a: 1.0 for a in obs}
+                fallback.add(s)
+        total = sum(positive.values())
+        policy[s] = {a: g / total for a, g in positive.items()}
+    return policy, frozenset(unmodeled), frozenset(ascent), frozenset(fallback)
+
+
+def dense_laplacian(W):
+    """(L, kept) with L = I + (W_kept − diag(W_kept·1)) / d_max over the rows of
+    positive degree."""
+    kept = np.flatnonzero(W.sum(axis=1) > 0)
+    Wk = W[np.ix_(kept, kept)]
+    deg = Wk.sum(axis=1)
+    return np.eye(kept.size) + (Wk - np.diag(deg)) / deg.max(), kept

@@ -672,6 +672,20 @@ def test_read_features_ragged_rows_rejected(tmp_path):
         read_features(str(path))
 
 
+@pytest.mark.parametrize("line, text", [
+    (3, "1.0 2.0\n3.0 4.0\n5.0 nan\n7.0 8.0\n"),
+    (5, "1.0 2.0\n# comment\n3.0 4.0\n\ninf 6.0\n"),
+    (3, "1.0 2.0\n3.0 4.0\n-inf\n7.0 oops\n"),     # before a malformed line
+])
+def test_read_features_names_first_non_finite_line(tmp_path, line, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    bad = text.splitlines()[line - 1]
+    with pytest.raises(ConfigError) as info:
+        read_features(str(path))
+    assert str(info.value) == f"{path}:{line}: non-finite feature value in {bad!r}"
+
+
 # --- heatmap primitives ------------------------------------------------------
 
 def test_write_pgm_round_trip(tmp_path):
@@ -688,6 +702,15 @@ def test_membership_heatmap_contract():
     for s, (r, c) in enumerate(world.cells):
         assert img[r, c] == int(np.rint(255.0 * chi[s]))
     assert img[0, 0] == 0 and img.shape == (world.height, world.width)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.2])
+def test_membership_heatmap_rejects_values_outside_unit_interval(bad):
+    world = load_gridworld(ONE_ROOM)
+    chi = np.linspace(0.0, 1.0, world.n_states)
+    chi[1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        membership_heatmap(world, chi)
 
 
 @pytest.mark.parametrize("command,setting", [

@@ -205,6 +205,24 @@ def test_step_from_out_of_range_state_is_error(s):
         step(world, s, 0)
 
 
+@pytest.mark.parametrize("s, a, message", [
+    (-1, 0, "state -1 is outside [0, 77)"),
+    (77, 0, "state 77 is outside [0, 77)"),
+    (77, 9, "state 77 is outside [0, 77)"),     # the state is checked first
+    (76, 0, "cannot step from terminal state 76"),
+    (76, -1, "cannot step from terminal state 76"),
+    (0, 4, "invalid action 4"),
+    (0, -1, "invalid action -1"),
+])
+def test_step_error_messages(s, a, message):
+    world = load_gridworld(THREE_ROOMS, slip_prob=0.5)
+    assert world.is_terminal(76)
+    step(world, 0, 1, np.random.default_rng(0))    # the state set is built on first use
+    with pytest.raises(ValueError) as info:
+        step(world, s, a, np.random.default_rng(0))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("start", [-5, -1, 77])
 def test_out_of_range_start_is_error(start):
     world = load_gridworld(THREE_ROOMS)

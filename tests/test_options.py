@@ -374,3 +374,34 @@ def test_kernel_rows_equal_dict_kernel_rows():
     assert set(rows) == {tuple(sa) for sa in np.argwhere(P.any(axis=2)).tolist()}
     for (s, a), dist in rows.items():
         assert np.array_equal(P[s, a], dist)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_policy_matches_loop_oracle(seed):
+    # Gains drawn from a few values give ties and zeros, NaN and negative
+    # gains are never positive, and the rest are normal draws whose totals
+    # round; some rows of `observed` are empty, and the last cluster has no
+    # states.
+    rng = np.random.default_rng(seed)
+    n, k = 60, 4
+    values = [0.0, -0.0, -0.3, 0.1, 0.25, np.nan, 1e-300, 3.0]
+    gain = rng.choice(values, size=(n, 4, k))
+    spread = rng.random((n, 4, k)) < 0.4
+    gain[spread] = rng.normal(size=spread.sum())
+    observed = rng.random((n, 4)) < 0.6
+    observed[rng.integers(n, size=5)] = False
+    index = assign_states(np.eye(k)[rng.integers(k - 1, size=n)])
+    assert index.clusters[k - 1] == []
+    tiers = [0, 0, 0]
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            got = compose_policy(i, j, gain, observed, index)
+            want = oracles.loop_compose_policy(i, j, gain, observed, index)
+            assert [(s, list(mu.items())) for s, mu in got[0].items()] == [
+                (s, list(mu.items())) for s, mu in want[0].items()]
+            assert got[1:] == want[1:]
+            assert all(type(s) is int for states in got[1:] for s in states)
+            tiers = [t + len(states) for t, states in zip(tiers, got[1:])]
+    assert all(tiers)      # unmodeled, ascent and fallback states all occur

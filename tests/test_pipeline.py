@@ -35,6 +35,7 @@ from spectral_options.pipeline import (
 )
 
 import oracles
+from helpers import room_grid_text
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -806,6 +807,92 @@ def test_kmeans_matches_quadratic_seeding_oracle():
         assert micro.assignments.dtype == want[0].dtype
         assert (micro.centroids == want[1]).all() and micro.centroids.shape == want[1].shape
         assert micro.sse_history == want[2], case
+
+
+def kmeans_width_cases():
+    """(points, k_m, max_iters, seed): widths 1-12 at up to 500 points, so
+    clusters hold more than 8 points, with k_m = 1 and k_m = the number of
+    distinct points among them, plus the benchmark's 404-point (row, col) grid."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for dim in range(1, 13):
+        n = int(rng.integers(200, 501))
+        spread = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, dim))
+        cases.append(pytest.param(spread, int(rng.integers(2, 25)), int(rng.integers(1, 30)),
+                                  dim, id=f"normal-{dim}"))
+        cases.append(pytest.param(spread, 1, 5, dim, id=f"one-{dim}"))
+        grid = rng.integers(0, 3, size=(int(rng.integers(200, 501)), dim)).astype(float)
+        n_distinct = np.unique(grid, axis=0).shape[0]
+        cases.append(pytest.param(grid, min(n_distinct, 40), int(rng.integers(1, 30)),
+                                  dim, id=f"grid-{dim}"))
+    cells = np.array(load_gridworld(room_grid_text(2, 2, 10)).cells, dtype=float)
+    assert cells.shape == (404, 2)
+    cases.append(pytest.param(cells, 64, 100, 0, id="bench-grid"))
+    return cases
+
+
+@pytest.mark.parametrize("pts, k_m, max_iters, seed", kmeans_width_cases())
+def test_kmeans_matches_oracle_across_widths(pts, k_m, max_iters, seed):
+    micro = kmeans_microstates(pts, k_m, seed=seed, max_iters=max_iters)
+    want = oracles.quadratic_kmeans(pts, k_m, seed=seed, max_iters=max_iters)
+    assert micro.assignments.tolist() == want[0].tolist()
+    assert micro.centroids.tobytes() == want[1].tobytes()
+    assert micro.sse_history == want[2]
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_squared_distances_match_numpy_sum(dim):
+    # Bit-equal to numpy's own reduction, below and above the width where
+    # numpy starts to sum pairwise; magnitudes spread so order matters.
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(300, dim)) * 10.0 ** rng.uniform(-4, 4, size=(300, dim))
+    centroids = rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-4, 4, size=(40, dim))
+    want = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    assert pipeline._sq_dists(pts, centroids).tobytes() == want.tobytes()
+    one = pipeline._sq_dists(pts, centroids[:1])[:, 0]
+    assert one.tobytes() == ((pts - centroids[0]) ** 2).sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("probs", [
+    np.full(7, 1.0 / 7),                          # the uniform fallback
+    np.array([0.0, 0.5, 0.0, 0.0, 0.5]),          # zeros first and inside
+    np.array([0.0, 0.0, 1.0]),
+    np.array([1.0, 0.0, 0.0]),
+    np.array([0.1, 0.2, 0.3, 0.4]),
+    np.random.default_rng(5).dirichlet(np.ones(404)),
+])
+def test_choice_index_matches_rng_choice(probs):
+    for seed in range(200):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = want_rng.choice(len(probs), p=probs)
+        got = pipeline._choice_index(got_rng, probs)
+        assert got == want and type(got) is int
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_choice_index_on_a_cdf_boundary_goes_right():
+    # A draw equal to a cumulative probability skips the zero-probability
+    # entries after it, as rng.choice does.
+    for seed in range(20):
+        u = np.random.default_rng(seed).random()
+        probs = np.array([u, 0.0, 1.0 - u])
+        assert probs.cumsum()[-1] == 1.0
+        want = np.random.default_rng(seed).choice(3, p=probs)
+        assert pipeline._choice_index(np.random.default_rng(seed), probs) == want == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_features(bad):
+    pts = np.arange(12.0).reshape(6, 2)
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_microstates(pts, k_m=2)
+
+
+def test_kmeans_rejects_overflowing_distances():
+    # rng.choice rejected the probabilities of an infinite total.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        kmeans_microstates([[-1e200], [0.0], [1e200]], k_m=2)
 
 
 # --- aggregate_model ---------------------------------------------------------

@@ -18,6 +18,7 @@ from spectral_options.spectral import (
     select_k,
 )
 
+import oracles
 from helpers import block_adjacency
 
 THREE_ROOMS = bundled_map_text("three_rooms")
@@ -74,6 +75,26 @@ def test_zero_degree_states_dropped_with_remap():
     lap = build_laplacian(W)
     np.testing.assert_array_equal(lap.kept, [0, 2])
     assert lap.L.shape == (2, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_laplacian_matches_dense_oracle(seed):
+    # Random symmetric weights with zero entries, zero-degree states and
+    # diagonal weight; L must equal I + (W − Deg)/d_max bit for bit.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    W = rng.random((n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    W[rng.random((n, n)) < 0.5] = 0.0
+    W = W + W.T
+    isolated = rng.integers(n, size=n // 4)
+    W[isolated] = 0.0
+    W[:, isolated] = 0.0
+    if not W.any():
+        W[0, 0] = 1.0
+    lap = build_laplacian(W)
+    L, kept = oracles.dense_laplacian(W)
+    assert np.array_equal(lap.kept, kept)
+    assert lap.L.tobytes() == L.tobytes() and lap.L.shape == L.shape
 
 
 def test_laplacian_is_row_stochastic_on_three_rooms():
