@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import itertools
 import math
 import os
 import sys
@@ -344,34 +343,26 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def read_features(path) -> np.ndarray:
     """Feature file: one numeric vector per line, comma or whitespace separated."""
-    rows, records = [], []        # records: (line number, text) of each row
-    malformed = None
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            parts = line.replace(",", " ").split()
             try:
-                rows.append([float(p) for p in line.replace(",", " ").split()])
+                row = [float(p) for p in parts]
             except ValueError:
-                malformed = f"{path}:{lineno}: malformed feature record {line!r}"
-                break
-            records.append((lineno, line))
-    # A non-finite value above a malformed line is reported first.
-    values = np.fromiter(itertools.chain.from_iterable(rows), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        row = np.searchsorted(np.cumsum([len(r) for r in rows]), bad[0], side="right")
-        lineno, line = records[row]
-        raise ConfigError(f"{path}:{lineno}: non-finite feature value in {line!r}")
-    if malformed:
-        raise ConfigError(malformed)
+                raise ConfigError(f"{path}:{lineno}: malformed feature record {line!r}")
+            if not all(map(math.isfinite, row)):
+                raise ConfigError(f"{path}:{lineno}: non-finite feature value in {line!r}")
+            rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: feature file is empty")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent feature vector lengths {sorted(widths)}")
-    return values.reshape(len(rows), widths.pop())
+    return np.array(rows)
 
 
 def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:

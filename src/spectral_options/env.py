@@ -23,7 +23,6 @@ ACTION_NAMES = ("N", "E", "S", "W")
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 # Perpendicular action pairs used when slip_prob > 0.
 _PERPENDICULAR = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
-_ACTION_IDS = frozenset(range(N_ACTIONS))
 _MASK32 = 0xFFFFFFFF
 # Raw outputs pulled by a reader's first block; each later block doubles, up
 # to the cap, so a short episode pulls little and a long one refills rarely.
@@ -88,11 +87,6 @@ class GridWorld:
         index = self.index
         return [[index.get((r + dr, c + dc), s) for dr, dc in DELTAS]
                 for s, (r, c) in enumerate(self.cells)]
-
-    @cached_property
-    def _steppable(self) -> frozenset[int]:
-        """The in-range non-terminal states, the ones ``step`` accepts."""
-        return frozenset(range(self.n_states)) - self.goals
 
     def move(self, s: int, a: int) -> int:
         """Deterministic successor of (s, a): neighbour cell, or s on a wall bump.
@@ -251,28 +245,23 @@ def step(world: GridWorld, s: int, a: int, rng: np.random.Generator | None = Non
     Raises ValueError for a state outside [0, n_states), a terminal state or
     an invalid action.
     """
-    if s not in world._steppable or a not in _ACTION_IDS:
-        _check_step(world, s, a)
+    successor = world.successor
+    if not 0 <= s < len(successor):
+        raise ValueError(f"state {s} is outside [0, {len(successor)})")
+    goals = world.goals
+    if s in goals:
+        raise ValueError(f"cannot step from terminal state {s}")
+    if not 0 <= a < N_ACTIONS:
+        raise ValueError(f"invalid action {a}")
     if world.slip_prob > 0.0:
         if rng is None:
             raise ValueError("slip_prob > 0 requires an rng")
         if rng.random() < world.slip_prob:
             a = _PERPENDICULAR[a][rng.integers(2)]
-    s2 = world.successor[s][a]
-    done = s2 in world.goals
+    s2 = successor[s][a]
+    done = s2 in goals
     reward = world.goal_reward if done else world.step_reward
     return s2, reward, done
-
-
-def _check_step(world: GridWorld, s: int, a: int):
-    """step's checks, in their order, for a pair outside its fast test."""
-    n = world.n_states
-    if not 0 <= s < n:
-        raise ValueError(f"state {s} is outside [0, {n})")
-    if s in world.goals:
-        raise ValueError(f"cannot step from terminal state {s}")
-    if not 0 <= a < N_ACTIONS:
-        raise ValueError(f"invalid action {a}")
 
 
 def sample_trajectory(world: GridWorld, policy, max_steps: int,
