@@ -1,6 +1,7 @@
 """Option discovery for tabular MDPs via spectral clustering of estimated models."""
 
 from spectral_options.env import (
+    Draws,
     GridWorld,
     MapError,
     Trajectory,
@@ -30,7 +31,7 @@ from spectral_options.pipeline import aggregate_model, kmeans_microstates, run_o
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridWorld", "MapError", "Trajectory", "bundled_map_text",
+    "Draws", "GridWorld", "MapError", "Trajectory", "bundled_map_text",
     "load_gridworld", "sample_trajectory", "step",
     "EstimatedModel", "adjacency", "exhaustive_model",
     "MembershipMatrix", "build_laplacian", "cluster", "connectivity", "select_k",

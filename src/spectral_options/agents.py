@@ -18,13 +18,11 @@ The flat baseline is the SMDP update on a table with no options.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
 
-import numpy as np
-
-from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, step
+from spectral_options.env import N_ACTIONS, Draws, GridWorld, Trajectory, step
 from spectral_options.options import Option
 
 
@@ -108,7 +106,6 @@ class EpisodeLog:
     cumulative_reward: float
     decision_epochs: int
     primitive_steps: int
-    options_invoked: list = field(default_factory=list)   # (option label, duration)
 
 
 class OptionOutcome(NamedTuple):
@@ -192,13 +189,11 @@ def intra_option_update(Q: QTable, transition) -> int:
     return len(consistent) + 1
 
 
-def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: np.random.Generator):
+def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: Draws):
     """ε-greedy behavioral choice over the choices available at s.
 
     Draws ``rng.random()`` for the ε test and, when exploring,
-    ``rng.integers(len(Q.available[s]))`` for the choice; ``rng`` is a
-    ``Generator``, or the reader through which ``run_episode`` serves the
-    same values.
+    ``rng.integers(len(Q.available[s]))`` for the choice.
     Ties under the greedy branch resolve to the earliest position in
     ``Q.available[s]``, the order of the row.
     """
@@ -207,19 +202,19 @@ def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: np.random.Generator):
         raise ValueError(f"no available choices at state {s}")
     if rng.random() < epsilon:
         available = Q.available[s]
-        return available[int(rng.integers(len(available)))]
+        return available[rng.integers(len(available))]
     return max(row, key=row.__getitem__)
 
 
 def run_option(world: GridWorld, option: Option, traj: Trajectory,
-               rng: np.random.Generator, max_steps: int) -> OptionOutcome:
+               rng: Draws, max_steps: int) -> OptionOutcome:
     """Execute an option from ``traj.states[-1]`` until β fires, the episode
     ends, or the cap, appending each step to ``traj``.
 
-    Actions are sampled from μ by one ``rng.random()`` and a bisection of
-    the option's cached cumulative μ row (``Option.draw_rows``), the same
-    draws ``rng.choice(len(acts), p=probs)`` makes; termination is sampled
-    from β at each state the option enters.  The option's steps are the
+    Each action is drawn from μ by one ``rng.random()`` u: the first action
+    of the option's cached cumulative μ row (``Option.draw_rows``) whose
+    entry exceeds u.  At each state it enters short of a goal, one more
+    ``rng.random()`` samples termination from β.  The option's steps are the
     last ``duration`` steps of ``traj``; ``traj.done`` is set if the last
     one reached a goal.  A state with no μ row terminates the option,
     flagged via ``missing_policy``.  Raises ValueError, with ``traj``

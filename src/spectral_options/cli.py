@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from spectral_options.env import (
+    Draws,
     GridWorld,
     MapError,
     bundled_map_text,
@@ -263,7 +264,7 @@ def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
     whole map evenly; episodes anchored to the map start alone leave distant
     regions under-sampled, which skews the spectrum.
     """
-    rng = np.random.default_rng(oc.seed)
+    rng = Draws(oc.seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     for episode in range(oc.max_rounds * oc.episodes_per_round):
         yield sample_trajectory(world, uniform_random_policy, oc.max_steps_per_episode,

@@ -7,13 +7,17 @@ row-major order.  The four actions move one cell north/east/south/west;
 moving into a wall or off the grid leaves the state unchanged.  Entering a
 goal cell yields ``goal_reward`` and ends the episode.  A sampled episode is a
 ``Trajectory``: its visited states, actions and rewards as index lists.
+Every random draw comes from a ``Draws``, the package's stream of values read
+from raw PCG64 outputs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
@@ -23,11 +27,10 @@ ACTION_NAMES = ("N", "E", "S", "W")
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 # Perpendicular action pairs used when slip_prob > 0.
 _PERPENDICULAR = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
-_MASK32 = 0xFFFFFFFF
-# Raw outputs pulled by a reader's first block; each later block doubles, up
-# to the cap, so a short episode pulls little and a long one refills rarely.
-_FIRST_BLOCK = 32
-_MAX_BLOCK = 4096
+_TWO_64 = 1 << 64
+_MASK64 = _TWO_64 - 1
+# Raw outputs a Draws pulls per refill.
+_BLOCK = 1024
 
 
 class MapError(ValueError):
@@ -99,83 +102,64 @@ class GridWorld:
         return self.successor[s][a]
 
 
-class _PCG64Reader:
-    """``random()`` and ``integers(n)`` of a PCG64 ``Generator``, served in pure
-    Python from blocks of its raw 64-bit outputs.
+class Draws:
+    """The package's random stream: values read from the raw 64-bit outputs of
+    ``np.random.PCG64(seed)``, numpy's default bit generator, whose raw stream
+    numpy keeps stable across releases (NEP 19).
 
-    The values, and their order, are numpy's: ``random()`` is
-    ``(x >> 11) · 2⁻⁵³`` of the next raw x; ``integers(n)`` is Lemire's
-    bounded draw on numpy's buffered 32-bit stream (a raw's low half first,
-    its high half kept for the next 32-bit draw), and ``integers(1)`` draws
-    nothing.  They come back as Python float and int.  The generator must
-    not be used directly until ``close()``, which puts it where the same
-    numpy calls would have left it: the start state advanced by the raws
-    consumed, with the 32-bit buffer as the reader left it.
+    Each draw takes the raws after those the previous draws took:
+    ``random()`` is ``(x >> 11) · 2⁻⁵³`` of the next raw x; ``integers(n)``
+    is Lemire's bounded draw ``(x · n) >> 64``, redrawn while the low 64 bits
+    of x · n fall below 2⁶⁴ mod n, so ``integers(4)`` is ``x >> 62``;
+    ``raws(n)`` is the next n raws.  Scalars come back as Python float and
+    int.  Raws are pulled ``block`` at a time; no value depends on ``block``.
     """
 
-    __slots__ = ("_bits", "_saved", "_it", "_pulled", "_block", "_has32", "_u32")
+    __slots__ = ("_bits", "_block", "_it")
 
-    def __init__(self, rng: np.random.Generator):
-        bits = rng.bit_generator
-        if type(bits) is not np.random.PCG64:
-            raise TypeError(f"need a PCG64 generator, got {type(bits).__name__}")
-        self._bits = bits
-        self._saved = bits.state
-        self._has32 = bool(self._saved["has_uint32"])
-        self._u32 = self._saved["uinteger"]
+    def __init__(self, seed: int, block: int = _BLOCK):
+        if block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
+        self._bits = np.random.PCG64(seed)
+        self._block = block
         self._it = iter(())
-        self._pulled = 0
-        self._block = _FIRST_BLOCK
 
     def _refill(self) -> int:
         """Pull the next block and return its first raw output."""
-        block = self._bits.random_raw(self._block).tolist()
-        self._pulled += self._block
-        self._block = min(2 * self._block, _MAX_BLOCK)
-        self._it = iter(block)
+        self._it = iter(self._bits.random_raw(self._block).tolist())
         return next(self._it)
 
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = False
-            return self._u32
+    def _raw(self) -> int:
         try:
-            x = next(self._it)
+            return next(self._it)
         except StopIteration:
-            x = self._refill()
-        self._has32 = True
-        self._u32 = x >> 32
-        return x & _MASK32
+            return self._refill()
 
     def random(self) -> float:
-        try:
+        """A uniform draw from [0, 1) on the 2⁻⁵³ grid."""
+        try:                          # _raw() inlined: the learner's hot path
             x = next(self._it)
         except StopIteration:
             x = self._refill()
         return (x >> 11) * 1.1102230246251565e-16    # 2⁻⁵³
 
     def integers(self, n: int) -> int:
-        """A uniform draw from [0, n), for 1 ≤ n ≤ 2³²."""
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
-        if n == 1:
-            return 0
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = ((1 << 32) - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return m >> 32
+        """A uniform draw from [0, n), for 1 ≤ n ≤ 2⁶⁴."""
+        n = operator.index(n)
+        if not 1 <= n <= _TWO_64:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**64, got {n}")
+        m = self._raw() * n
+        if m & _MASK64 < n:
+            threshold = _TWO_64 % n
+            while m & _MASK64 < threshold:
+                m = self._raw() * n
+        return m >> 64
 
-    def close(self):
-        """Leave the generator where the numpy calls would have left it."""
-        bits = self._bits
-        bits.state = self._saved
-        bits.advance(self._pulled - self._it.__length_hint__())
-        state = bits.state
-        state["has_uint32"] = int(self._has32)
-        state["uinteger"] = self._u32
-        bits.state = state
+    def raws(self, n: int) -> np.ndarray:
+        """The next n raw outputs as a uint64 array, the buffered ones first."""
+        head = list(islice(self._it, n))
+        rest = self._bits.random_raw(n - len(head))
+        return np.concatenate((np.array(head, dtype=np.uint64), rest)) if head else rest
 
 
 def bundled_map_text(name: str) -> str:
@@ -236,12 +220,13 @@ def load_gridworld(map_text: str, step_reward: float = 0.0, goal_reward: float =
                      goal_reward=goal_reward, slip_prob=slip_prob)
 
 
-def step(world: GridWorld, s: int, a: int, rng: np.random.Generator | None = None):
+def step(world: GridWorld, s: int, a: int, rng: Draws | None = None):
     """One environment transition from state s under action a.
 
     Returns (next_state, reward, done).  With slip_prob > 0 the commanded
     action is replaced, with that probability, by one of the two
-    perpendicular actions chosen uniformly; an rng is then required.
+    perpendicular actions chosen uniformly, by one ``rng.random()`` and one
+    ``rng.integers(2)``; an rng is then required.
     Raises ValueError for a state outside [0, n_states), a terminal state or
     an invalid action.
     """
@@ -264,8 +249,7 @@ def step(world: GridWorld, s: int, a: int, rng: np.random.Generator | None = Non
     return s2, reward, done
 
 
-def sample_trajectory(world: GridWorld, policy, max_steps: int,
-                      rng: np.random.Generator,
+def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
                       start: int | None = None) -> Trajectory:
     """Roll out one episode from ``start`` (the map start state by default).
 
@@ -274,9 +258,10 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
     Raises ValueError for a start outside [0, n_states) or a terminal start.
 
     With ``policy is uniform_random_policy`` and ``slip_prob == 0`` the
-    actions come from one block draw instead of one call per step; the
-    trajectory and the generator state it leaves are those of the step loop.
-    Any other policy, and slip, take the step loop.
+    actions are ``rng.raws(max_steps) >> 62``, so the episode takes exactly
+    max_steps raws however early it ends, and its steps are those of the
+    step loop, whose ``integers(4)`` is ``x >> 62`` of one raw x.  Any other
+    policy, and slip, take the step loop.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -297,22 +282,15 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int,
     return traj
 
 
-def uniform_random_policy(state: int, rng: np.random.Generator) -> int:
-    return int(rng.integers(N_ACTIONS))
+def uniform_random_policy(state: int, rng: Draws) -> int:
+    return rng.integers(N_ACTIONS)
 
 
 def _uniform_trajectory(world: GridWorld, s: int, max_steps: int,
-                        rng: np.random.Generator) -> Trajectory:
-    """The step loop's episode under uniform_random_policy without slip.
-
-    Array and scalar ``integers(N_ACTIONS)`` draws come from the same buffered
-    32-bit stream, so one draw of max_steps actions starts with the actions
-    the loop would draw.  An episode that reaches a goal after n < max_steps
-    steps rewinds the generator and redraws n, leaving it where the loop
-    would.
-    """
-    saved = rng.bit_generator.state
-    actions = rng.integers(N_ACTIONS, size=max_steps).tolist()
+                        rng: Draws) -> Trajectory:
+    """The step loop's episode under uniform_random_policy without slip,
+    from one block of max_steps raws."""
+    actions = (rng.raws(max_steps) >> 62).tolist()
     successor, goals = world.successor, world.goals
     states = [s]
     for a in actions:
@@ -321,9 +299,6 @@ def _uniform_trajectory(world: GridWorld, s: int, max_steps: int,
         if s in goals:
             break
     n = len(states) - 1
-    if n < max_steps:
-        rng.bit_generator.state = saved
-        rng.integers(N_ACTIONS, size=n)
     # Only the last step can reach a goal.
     rewards = [world.step_reward] * n
     done = s in goals

@@ -34,7 +34,7 @@ import numpy as np
 from spectral_options.spectral import ClusterResult, connected_pairs
 
 BETA_EPS = 1e-6   # log-domain clamp; exact 0/1 memberships occur in block cases
-# numpy's tolerance on a probability vector's sum in Generator.choice
+# Tolerance on a μ row's sum before it is drawn from
 _P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
@@ -75,9 +75,9 @@ class Option:
     def draw_rows(self) -> dict:
         """State -> (actions in μ's order, cumulative μ divided by its last entry).
 
-        The rows ``Generator.choice`` would build on each draw, checked as it
-        checks them: entries finite and non-negative, sum within √eps of 1.
-        States with an empty μ row are left out.
+        ``run_option`` draws an action by bisecting a row with one uniform.
+        Each row is checked first: entries finite and non-negative, sum
+        within √eps of 1.  States with an empty μ row are left out.
         """
         rows = {}
         for s, mu in self.policy.items():

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spectral_options.env import GridWorld, Trajectory, _PCG64Reader, step
+from spectral_options.env import Draws, GridWorld, Trajectory, step
 from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options
@@ -106,7 +106,6 @@ class OdstcResult:
     q: QTable
     options: list
     history: list             # EpisodeLog per episode
-    chi_snapshots: list       # full-state-space membership matrix per refresh
     notes: list
     converged: bool
 
@@ -152,9 +151,8 @@ def episodes_to_plateau(returns, window: int) -> int:
     return len(returns)
 
 
-def run_episode(world: GridWorld, Q: QTable, epsilon: float,
-                rng: np.random.Generator, learner: str,
-                max_steps: int) -> tuple[EpisodeLog, Trajectory]:
+def run_episode(world: GridWorld, Q: QTable, epsilon: float, rng: Draws,
+                learner: str, max_steps: int) -> tuple[EpisodeLog, Trajectory]:
     """One behavioral episode with learning updates; returns its log and trajectory.
 
     The choices are those of ``Q``'s option set, whose tables were built when
@@ -162,10 +160,9 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
     choice appends its step and makes one update; an option appends its
     steps through ``run_option``, and the learner reads them back from the
     trajectory for one SMDP update, with the option's discounted return, or
-    one intra-option update per step.  ``rng`` must be a PCG64
-    ``Generator`` (``np.random.default_rng``): the episode draws through a
-    reader of its raw outputs, which yields the values numpy's ``random()``
-    and ``integers(n)`` would and leaves ``rng`` where they would have.
+    one intra-option update per step.  Every draw, the ε test and choice,
+    the option's actions and terminations and the slips, comes from ``rng``
+    in the order the episode makes them.
     """
     intra = learner == "intra_option"
     options, gamma = Q.options, Q.gamma
@@ -173,49 +170,42 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float,
     traj = Trajectory([s])
     states, actions, rewards = traj.states, traj.actions, traj.rewards
     steps = decisions = 0
-    invoked = []
-    draws = _PCG64Reader(rng)
-    try:
-        while steps < max_steps:
-            c = epsilon_greedy(Q, s, epsilon, draws)
-            decisions += 1
-            if isinstance(c, tuple):                       # option choice
-                o = options[c[1]]
-                cap = min(world.n_states, max_steps - steps)
-                out = run_option(world, o, traj, draws, cap)
-                k = out.duration
-                invoked.append((o.label, k))
-                if intra:
-                    for t in range(steps, steps + k):
-                        intra_option_update(Q, (states[t], actions[t], rewards[t],
-                                                states[t + 1]))
-                else:
-                    ret = 0.0
-                    for t, r in enumerate(rewards[steps:]):
-                        ret += gamma ** t * r
-                    smdp_q_update(Q, s, c, ret, k, states[-1])
-                steps += k
-                s = states[-1]
-                if traj.done:
-                    break
-            else:                                          # primitive choice
-                s2, r, done = step(world, s, c, draws)
-                if intra:
-                    intra_option_update(Q, (s, c, r, s2))
-                else:
-                    smdp_q_update(Q, s, c, r, 1, s2)
-                traj.add(c, r, s2, done)
-                steps += 1
-                s = s2
-                if done:
-                    break
-    finally:
-        draws.close()
+    while steps < max_steps:
+        c = epsilon_greedy(Q, s, epsilon, rng)
+        decisions += 1
+        if isinstance(c, tuple):                       # option choice
+            o = options[c[1]]
+            cap = min(world.n_states, max_steps - steps)
+            k = run_option(world, o, traj, rng, cap).duration
+            if intra:
+                for t in range(steps, steps + k):
+                    intra_option_update(Q, (states[t], actions[t], rewards[t],
+                                            states[t + 1]))
+            else:
+                ret = 0.0
+                for t, r in enumerate(rewards[steps:]):
+                    ret += gamma ** t * r
+                smdp_q_update(Q, s, c, ret, k, states[-1])
+            steps += k
+            s = states[-1]
+            if traj.done:
+                break
+        else:                                          # primitive choice
+            s2, r, done = step(world, s, c, rng)
+            if intra:
+                intra_option_update(Q, (s, c, r, s2))
+            else:
+                smdp_q_update(Q, s, c, r, 1, s2)
+            traj.add(c, r, s2, done)
+            steps += 1
+            s = s2
+            if done:
+                break
     ret = 0.0
     for r in rewards:           # in step order; sum() compensates from Python 3.12
         ret += r
     log = EpisodeLog(episode=-1, cumulative_reward=ret, decision_epochs=decisions,
-                     primitive_steps=steps, options_invoked=invoked)
+                     primitive_steps=steps)
     return log, traj
 
 
@@ -228,12 +218,11 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     never clusters.
     """
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    rng = Draws(config.seed)
     model = EstimatedModel(world.n_states, v=config.model_v,
                            d_prior=config.d_prior, u_prior=config.u_prior)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
-    snapshots: list[np.ndarray] = []
     notes: list[str] = []
     anneal = config.eps_anneal_episodes or config.max_rounds * config.episodes_per_round
     converged = False
@@ -243,7 +232,6 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
             try:
                 result = cluster(adjacency(model), t_c=config.t_c, k=config.k or None)
                 options = compose_options(model, result, tau_conn=config.tau_conn)
-                snapshots.append(result.chi)
             except SpectralError as exc:
                 options = []
                 notes.append(f"round {rnd}: clustering failed ({exc}); "
@@ -259,8 +247,8 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
         if _plateaued([l.cumulative_reward for l in history], config.convergence_window):
             converged = True
             break
-    return OdstcResult(q=Q, options=Q.options, history=history,
-                       chi_snapshots=snapshots, notes=notes, converged=converged)
+    return OdstcResult(q=Q, options=Q.options, history=history, notes=notes,
+                       converged=converged)
 
 
 # numpy sums fewer than this many terms one after another and blocks longer
@@ -268,10 +256,9 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
 _PAIRWISE_BLOCK = 8
 
 
-def _choice_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """``rng.choice(len(probs), p=probs)`` without its checks on ``probs``: the
-    same cumulative sum, the same single ``random()`` draw, so the same index
-    and the generator left in the same state."""
+def _choice_index(rng: Draws, probs: np.ndarray) -> int:
+    """An index drawn ∝ ``probs`` by one ``rng.random()`` u: the first index
+    whose cumulative probability, divided by the total, exceeds u."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
@@ -302,15 +289,16 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
     the features are not finite or their squared distances overflow, k_m
     exceeds the number of distinct points or max_iters is below 1.
 
-    The results are bit-equal to the plain numpy forms (``rng.choice`` for
-    each seeding draw, ``sum(axis=2)`` over an (n, k, d) array for the
-    distances, one boolean-mask ``mean(axis=0)`` per centroid), which rely
-    on numpy internals: how ``Generator.choice`` turns p into one
-    ``random()`` draw, that numpy sums fewer than 8 terms of a last axis left
-    to right, and that an axis-0 mean of a (m, d ≥ 2) array adds rows one
-    after another from +0.0 as ``np.bincount`` with weights does.  Features
-    of 8 columns or more keep the (n, k, d) distances and 1-column features
-    keep the per-centroid mean, which numpy sums pairwise.
+    Seeding draws come from ``Draws(seed)``: the first centroid is the point
+    at ``integers(n)`` and each later one is drawn by ``_choice_index``.
+    Distances and centroids are bit-equal to the plain numpy forms
+    (``sum(axis=2)`` over an (n, k, d) array, one boolean-mask
+    ``mean(axis=0)`` per centroid), which relies on numpy internals: that
+    numpy sums fewer than 8 terms of a last axis left to right, and that an
+    axis-0 mean of a (m, d ≥ 2) array adds rows one after another from +0.0
+    as ``np.bincount`` with weights does.  Features of 8 columns or more
+    keep the (n, k, d) distances and 1-column features keep the
+    per-centroid mean, which numpy sums pairwise.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -325,7 +313,7 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
     n_distinct = np.unique(pts, axis=0).shape[0]
     if not 1 <= k_m <= n_distinct:
         raise ValueError(f"k_m must lie in [1, {n_distinct} distinct points], got {k_m}")
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
 
     # k-means++ seeding: each new centroid drawn ∝ squared distance to the set,
     # kept as a running minimum over the centroids chosen so far.

@@ -3,7 +3,8 @@ kernel and triplet CSV read from them, the reward-weighted adjacency rebuilt
 from scratch,
 dense value iteration for the flat MDP and for the determinized
 option-augmented SMDP, the plain forms of the learner's hot path (an
-option action drawn with ``rng.choice``, Q updates that scan with
+option action drawn with ``rng.choice``, a bounded integer drawn by
+Lemire's method in Python integers, Q updates that scan with
 ``QTable.get``, a move computed from cell coordinates), the row-by-row
 argmax assignment of states to clusters, k-means with k-means++ seeding
 that measures each point against every chosen centroid in every round, and
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spectral_options.env import DELTAS, N_ACTIONS
+from spectral_options.env import DELTAS, N_ACTIONS, Draws
 from spectral_options.options import BETA_EPS
 
 
@@ -183,6 +184,17 @@ def choice_draw(mu, rng):
     return acts[int(rng.choice(len(acts), p=probs))]
 
 
+def bounded_draw(raws, n):
+    """A uniform draw from [0, n) by Lemire's method on 64-bit raws, in Python
+    integers: the next x · n, for x from ``raws``, whose low 64 bits are at
+    least 2⁶⁴ mod n, shifted down by 64 bits."""
+    threshold = 2**64 % n
+    while True:
+        m = next(raws) * n
+        if m % 2**64 >= threshold:
+            return m // 2**64
+
+
 def _max_q(Q, s, available):
     return max(Q.get(s, c) for c in available)
 
@@ -234,16 +246,20 @@ def quadratic_kmeans(pts, k_m, seed, max_iters=100):
     """(assignments, centroids, sse_history) of k-means++ seeded Lloyd iterations.
 
     Each seeding round recomputes the distance from every point to every
-    centroid chosen so far, an (n, c, d) array; ``pts`` is a 2-D float array.
+    centroid chosen so far, an (n, c, d) array, and takes the point at which
+    the normalised cumulative probabilities first exceed one ``random()``
+    draw of ``Draws(seed)``; ``pts`` is a 2-D float array.
     """
     n = pts.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     centroids = pts[[rng.integers(n)]]
     while centroids.shape[0] < k_m:
         d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).min(axis=1)
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centroids = np.vstack([centroids, pts[rng.choice(n, p=probs)]])
+        cdf = probs.cumsum()
+        u = rng.random()
+        centroids = np.vstack([centroids, pts[np.count_nonzero(cdf / cdf[-1] <= u)]])
 
     assignments = np.full(n, -1)
     sse_history = []

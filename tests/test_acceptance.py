@@ -25,6 +25,7 @@ from spectral_options.agents import (
 from spectral_options.cli import main
 from spectral_options.env import (
     N_ACTIONS,
+    Draws,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -339,7 +340,7 @@ def test_09_aggregation_recovery(capsys, world):
         left, middle, right = room_partition(world)
         assignment = np.array([0 if s in left else 1 if s in middle else 2
                                for s in range(world.n_states)])
-        rng = np.random.default_rng(0)
+        rng = Draws(0)
         starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
         trajectories = [sample_trajectory(world, uniform_random_policy, 100,
                                           rng, start=starts[e % len(starts)])

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from spectral_options.env import Trajectory, bundled_map_text, load_gridworld
+from spectral_options.env import Draws, Trajectory, bundled_map_text, load_gridworld
 from spectral_options.model import adjacency, exhaustive_model
 from spectral_options.options import Option, assign_states, compose_options
 from spectral_options.spectral import cluster
@@ -219,13 +219,13 @@ def test_greedy_picks_argmax():
     Q = QTable(1)
     Q.set(0, 1, 0.2)
     Q.set(0, 2, 0.9)
-    rng = np.random.default_rng(0)
+    rng = Draws(0)
     assert epsilon_greedy(Q, 0, 0.0, rng) == 2
 
 
 def test_full_exploration_is_uniform():
     Q = QTable(1)
-    rng = np.random.default_rng(1)
+    rng = Draws(1)
     counts = np.zeros(4)
     for _ in range(10_000):
         counts[epsilon_greedy(Q, 0, 1.0, rng)] += 1
@@ -240,7 +240,7 @@ def test_ties_break_to_earliest_position():
     options = [make_option(initiation=(1,), policy={1: {0: 1.0}}),
                make_option(initiation=(0,), policy={0: {0: 1.0}})]
     Q = QTable(2, options)
-    rng = np.random.default_rng(2)
+    rng = Draws(2)
     assert Q.available[0] == [option_key(1), 0, 1, 2, 3]
     assert epsilon_greedy(Q, 0, 0.0, rng) == option_key(1)
 
@@ -249,7 +249,7 @@ def test_empty_available_is_error():
     Q = QTable(1)
     Q.rows[0].clear()
     with pytest.raises(ValueError, match="available"):
-        epsilon_greedy(Q, 0, 0.0, np.random.default_rng(0))
+        epsilon_greedy(Q, 0, 0.0, Draws(0))
 
 
 def test_options_listed_before_primitives(three_rooms_options):
@@ -272,7 +272,7 @@ def test_certain_termination_after_one_step():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: {1: 1.0}}, termination={0: 0.0})
     traj = Trajectory([0])
-    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=10)
+    out = run_option(world, o, traj, Draws(0), max_steps=10)
     assert out.duration == 1 and traj.states[-1] == 1
     assert not out.truncated and not out.missing_policy
 
@@ -282,7 +282,7 @@ def test_max_steps_cap_truncates():
     # Policy bounces west into the wall forever; β = 0 everywhere reached.
     o = make_option(initiation=(0,), policy={0: {3: 1.0}}, termination={0: 0.0})
     traj = Trajectory([0])
-    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    out = run_option(world, o, traj, Draws(0), max_steps=5)
     assert out.truncated and out.duration == 5 and traj.states[-1] == 0
 
 
@@ -290,7 +290,7 @@ def test_missing_policy_terminates_flagged():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={}, termination={})
     traj = Trajectory([0])
-    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    out = run_option(world, o, traj, Draws(0), max_steps=5)
     assert out.missing_policy and out.duration == 0 and traj.states[-1] == 0
 
 
@@ -298,7 +298,7 @@ def test_start_outside_initiation_is_error():
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: {1: 1.0}})
     with pytest.raises(ValueError, match="initiation"):
-        run_option(world, o, Trajectory([1]), np.random.default_rng(0), max_steps=5)
+        run_option(world, o, Trajectory([1]), Draws(0), max_steps=5)
 
 
 def test_discounted_reward_accumulation():
@@ -306,7 +306,7 @@ def test_discounted_reward_accumulation():
     o = make_option(initiation=(0,), policy={0: {1: 1.0}, 1: {1: 1.0}},
                     termination={0: 0.0, 1: 0.0})
     traj = Trajectory([0])
-    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    out = run_option(world, o, traj, Draws(0), max_steps=5)
     assert out.duration == 2
     assert traj.done
 
@@ -318,8 +318,8 @@ def test_smdp_update_discounts_the_option_return():
     o = make_option(initiation=(0,), policy={0: {1: 1.0}, 1: {1: 1.0}},
                     termination={0: 0.0, 1: 0.0})
     Q = QTable(3, [o], alpha=1.0, gamma=0.5)
-    log, traj = run_episode(world, Q, 0.0, np.random.default_rng(0), "smdp", 10)
-    assert log.options_invoked == [(o.label, 2)] and traj.done
+    log, traj = run_episode(world, Q, 0.0, Draws(0), "smdp", 10)
+    assert (log.decision_epochs, log.primitive_steps) == (1, 2) and traj.done
     # Reward 0, then goal reward 1 discounted one step; the goal row is all 0.
     assert Q.get(0, option_key(0)) == 0.5
 
@@ -331,7 +331,7 @@ def test_run_option_appends_after_the_steps_already_taken():
     traj = Trajectory([0])
     traj.add(1, 0.0, 1, False)
     traj.add(3, 0.0, 0, False)
-    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    out = run_option(world, o, traj, Draws(0), max_steps=5)
     assert out.duration == 2
     assert traj == Trajectory([0, 1, 0, 1, 2], [1, 3, 1, 1], [0.0, 0.0, 0.0, 1.0], True)
 
@@ -345,7 +345,7 @@ def test_rejected_run_leaves_trajectory_unchanged(start, max_steps, match):
     traj.add(1 if start else 3, 0.0, start, False)
     before = copy.deepcopy(traj)
     with pytest.raises(ValueError, match=match):
-        run_option(world, o, traj, np.random.default_rng(0), max_steps=max_steps)
+        run_option(world, o, traj, Draws(0), max_steps=max_steps)
     assert traj == before
 
 
@@ -355,7 +355,7 @@ def test_missing_policy_leaves_trajectory_unchanged():
     traj = Trajectory([0])
     traj.add(1, 0.0, 1, False)
     before = copy.deepcopy(traj)
-    out = run_option(world, o, traj, np.random.default_rng(0), max_steps=5)
+    out = run_option(world, o, traj, Draws(0), max_steps=5)
     assert out.missing_policy and out.duration == 0
     assert traj == before
 
@@ -373,7 +373,7 @@ def test_determinized_traverse_reaches_target_everywhere(three_rooms_options):
 def test_sampled_runs_end_in_source_or_target(three_rooms_options):
     world, options, chi = three_rooms_options
     idx = assign_states(chi)
-    rng = np.random.default_rng(7)
+    rng = Draws(7)
     target_hits = 0
     runs = 0
     for o in options:
@@ -395,7 +395,7 @@ def test_episode_log_invariant(three_rooms_options):
 
     world, options, _ = three_rooms_options
     Q = QTable(world.n_states, options)
-    rng = np.random.default_rng(11)
+    rng = Draws(11)
     for _ in range(10):
         log, traj = run_episode(world, Q, 0.5, rng, "smdp", 200)
         assert log.decision_epochs <= log.primitive_steps
@@ -416,7 +416,8 @@ def random_mu_row(rng):
 def test_option_draws_match_rng_choice():
     world = load_gridworld("S....\n.....\n.....\n....G")
     gen = np.random.default_rng(11)
-    rng, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    # Draws.random() is numpy's random(), and rng.choice(n, p=p) draws one.
+    rng, rng_oracle = Draws(5), np.random.default_rng(5)
     for _ in range(24):
         mu = random_mu_row(gen)
         o = make_option(initiation=(0,), policy={0: mu}, termination={})
@@ -429,11 +430,11 @@ def test_option_draws_match_rng_choice():
             run_option(world, o, traj, rng, max_steps=1)
             assert traj.actions[0] == oracles.choice_draw(mu, rng_oracle)
             rng_oracle.random()          # run_option's termination draw
-    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+    assert rng.random() == rng_oracle.random()
 
 
 class FixedUniforms:
-    """Stands in for a Generator whose random() returns the given values."""
+    """Stands in for a Draws whose random() returns the given values."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -444,7 +445,7 @@ class FixedUniforms:
 
 def test_option_draw_on_a_cdf_boundary_goes_right():
     # u equal to a cumulative entry selects the next action, as
-    # searchsorted(side="right") does inside Generator.choice.
+    # searchsorted(side="right") does.
     world = load_gridworld("S....\n.....\n....G")
     mu = {3: 0.25, 0: 0.25, 2: 0.0, 1: 0.5}
     for u, action in [(0.0, 3), (0.25, 0), (0.5, 1), (0.75, 1)]:
@@ -500,7 +501,7 @@ def test_malformed_mu_row_is_error(row):
     world = load_gridworld("S.G")
     o = make_option(initiation=(0,), policy={0: row}, termination={0: 0.0})
     with pytest.raises(ValueError):
-        run_option(world, o, Trajectory([0]), np.random.default_rng(0), max_steps=5)
+        run_option(world, o, Trajectory([0]), Draws(0), max_steps=5)
 
 
 def test_malformed_mu_row_names_option_and_state():
@@ -508,4 +509,4 @@ def test_malformed_mu_row_names_option_and_state():
     o = make_option(source=2, target=5, initiation=(0,),
                     policy={0: {1: 1.0}, 1: {0: 0.5, 1: 0.6}})
     with pytest.raises(ValueError, match=r"S2->S5.*state 1"):
-        run_option(world, o, Trajectory([0]), np.random.default_rng(0), max_steps=5)
+        run_option(world, o, Trajectory([0]), Draws(0), max_steps=5)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
+    _BLOCK,
     N_ACTIONS,
-    _MAX_BLOCK,
+    Draws,
     GridWorld,
     MapError,
-    _PCG64Reader,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -107,7 +107,7 @@ def test_invalid_action_is_error():
 
 def test_slip_spreads_over_perpendicular_moves():
     world = load_gridworld("...\n.S.\n.G.", slip_prob=1.0)
-    rng = np.random.default_rng(0)
+    rng = Draws(0)
     s = world.start
     seen = {step(world, s, 0, rng)[0] for _ in range(200)}
     # Commanded N always slips to E or W.
@@ -122,15 +122,15 @@ def test_slip_requires_rng():
 
 def test_max_steps_caps_rollout():
     world = load_gridworld(THREE_ROOMS)
-    rng = np.random.default_rng(3)
+    rng = Draws(3)
     traj = sample_trajectory(world, uniform_random_policy, max_steps=1, rng=rng)
     assert len(traj) == 1
 
 
 def test_replay_determinism():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.1)
-    t1 = sample_trajectory(world, uniform_random_policy, 500, np.random.default_rng(42))
-    t2 = sample_trajectory(world, uniform_random_policy, 500, np.random.default_rng(42))
+    t1 = sample_trajectory(world, uniform_random_policy, 500, Draws(42))
+    t2 = sample_trajectory(world, uniform_random_policy, 500, Draws(42))
     assert t1 == t2
 
 
@@ -153,7 +153,7 @@ def test_optimal_policy_reaches_goal():
     def optimal(s, rng):
         return min(range(4), key=lambda a: dist[world.move(s, a)])
 
-    traj = sample_trajectory(world, optimal, 500, np.random.default_rng(0))
+    traj = sample_trajectory(world, optimal, 500, Draws(0))
     assert traj.done
     assert traj.states[-1] == goal
     assert len(traj) == dist[world.start]
@@ -163,7 +163,7 @@ def test_optimal_policy_reaches_goal():
 
 def test_trajectory_states_are_valid():
     world = load_gridworld(THREE_ROOMS)
-    rng = np.random.default_rng(7)
+    rng = Draws(7)
     traj = sample_trajectory(world, uniform_random_policy, 300, rng)
     assert len(traj.states) == len(traj) + 1
     assert all(0 <= s < world.n_states for s in traj.states)
@@ -173,7 +173,7 @@ def test_start_override_begins_episode_there():
     world = load_gridworld(THREE_ROOMS)
     s0 = world.index[(3, 9)]
     traj = sample_trajectory(world, uniform_random_policy, 5,
-                             np.random.default_rng(0), start=s0)
+                             Draws(0), start=s0)
     assert traj.states[0] == s0
 
 
@@ -182,7 +182,7 @@ def test_terminal_start_is_error():
     goal = world.index[(5, 17)]
     with pytest.raises(ValueError, match="terminal"):
         sample_trajectory(world, uniform_random_policy, 5,
-                          np.random.default_rng(0), start=goal)
+                          Draws(0), start=goal)
 
 
 @pytest.mark.parametrize("text", [THREE_ROOMS, "S.#.\n..#G\n....", ".S.\n...\n.G."],
@@ -218,7 +218,7 @@ def test_step_error_messages(s, a, message):
     world = load_gridworld(THREE_ROOMS, slip_prob=0.5)
     assert world.is_terminal(76)
     with pytest.raises(ValueError) as info:
-        step(world, s, a, np.random.default_rng(0))
+        step(world, s, a, Draws(0))
     assert str(info.value) == message
 
 
@@ -227,7 +227,7 @@ def test_out_of_range_start_is_error(start):
     world = load_gridworld(THREE_ROOMS)
     with pytest.raises(ValueError, match="outside"):
         sample_trajectory(world, uniform_random_policy, 5,
-                          np.random.default_rng(0), start=start)
+                          Draws(0), start=start)
 
 
 @pytest.mark.parametrize("s, a", [(-1, 0), (-1, -1), (0, -1), (77, 0), (0, 4)])
@@ -250,12 +250,11 @@ def looped_uniform_policy(s, rng):
                          ids=["three_rooms", "open", "early_goal"])
 @pytest.mark.parametrize("max_steps", [1, 5, 200, 500])
 def test_uniform_block_draw_matches_step_loop(text, ends_early, max_steps):
-    # The block draw is only equal to the loop while numpy's array and scalar
-    # bounded-integer draws share one stream; a numpy release that changes
-    # that stream fails here.
+    # A uniform episode takes exactly max_steps raws, however early it ends;
+    # the loop takes one raw per step, so it skips the rest to keep up.
     world = load_gridworld(text, step_reward=-0.5)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    block, loop = np.random.default_rng(11), np.random.default_rng(11)
+    block, loop = Draws(11), Draws(11)
     lengths = []
     for episode in range(3 * len(starts)):
         start = starts[episode % len(starts)]
@@ -263,95 +262,140 @@ def test_uniform_block_draw_matches_step_loop(text, ends_early, max_steps):
         want = sample_trajectory(world, looped_uniform_policy, max_steps, loop, start=start)
         assert got == want
         assert all(type(x) is int for x in got.states + got.actions)
-        assert block.bit_generator.state == loop.bit_generator.state
+        loop.raws(max_steps - len(want))
         lengths.append(len(got))
-    assert block.integers(N_ACTIONS) == loop.integers(N_ACTIONS)
+    n_raws = 3 * len(starts) * max_steps
+    assert block.raws(3).tolist() == np.random.PCG64(11).random_raw(n_raws + 3)[-3:].tolist()
     if ends_early and max_steps > 1:
         assert min(lengths) < max_steps
 
 
 def test_slip_keeps_step_loop():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.3)
-    block, loop = np.random.default_rng(5), np.random.default_rng(5)
+    block, loop = Draws(5), Draws(5)
     for start in range(10):
         got = sample_trajectory(world, uniform_random_policy, 200, block, start=start)
         want = sample_trajectory(world, looped_uniform_policy, 200, loop, start=start)
         assert got == want
-        assert block.bit_generator.state == loop.bit_generator.state
+        assert block.random() == loop.random()
 
 
-# --- raw PCG64 reader ------------------------------------------------------
+# --- the package's random stream ------------------------------------------
 
-# Bounds of integers(n) that the learner and the reader's edge cases use: 1
-# draws nothing, 2³¹ + 7 rejects about half its 32-bit draws, 2³² − 4 almost
-# none.
-READER_NS = (1, 2, 3, 4, 7, 2**31 + 7, 2**32 - 4)
+# Bounds of integers(n): 1 takes a raw and returns 0, 2⁶³ + 1 rejects about
+# half its raws, 2⁶⁴ returns the raw itself.
+DRAW_NS = (1, 2, 3, 4, 7, 2**31 + 7, 2**32 - 4, 2**63 + 1, 2**64)
 
 
-def reader_pair(seed: int, buffered: bool):
-    """Two generators in one state; with ``buffered`` a 32-bit half is held."""
-    plain, read = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
-        plain.integers(5)
-        read.integers(5)
-    assert read.bit_generator.state["has_uint32"] == buffered
-    return plain, read
+def test_draws_known_answer():
+    # The first ten raws of PCG64(2024): three random(), four integers(n),
+    # where 2⁶³ + 1 rejects one raw, then two raws.
+    draws = Draws(2024)
+    assert [draws.random() for _ in range(3)] == [
+        0.6758313379812818, 0.21432320123825765, 0.3094520308816917]
+    assert [draws.integers(n) for n in (4, 7, 2**63 + 1, 1)] == [
+        3, 6, 726114886686888755, 0]
+    assert draws.raws(2).tolist() == [6634314167898596036, 3128922889320554696]
+
+
+def test_draws_raws_are_the_pcg64_stream():
+    assert Draws(9).raws(1000).tolist() == np.random.PCG64(9).random_raw(1000).tolist()
+    draws = Draws(9, block=7)
+    assert draws.raws(0).tolist() == []
+    assert draws.raws(1).dtype == np.uint64
+
+
+def test_draws_random_is_numpy_random():
+    draws, rng = Draws(17), np.random.default_rng(17)
+    got = [draws.random() for _ in range(3000)]
+    assert all(type(x) is float for x in got)
+    assert got == rng.random(3000).tolist()
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
-@pytest.mark.parametrize("n_draws", [0, 1, 31, 32, 33, 500, 4 * _MAX_BLOCK])
+@pytest.mark.parametrize("n_draws", [0, 1, 31, 32, 33, 500, 16 * _BLOCK])
 def test_reader_matches_numpy_draws(buffered, n_draws):
-    # The reader is only equal to numpy while numpy builds random() and
-    # integers(n) from PCG64 raws as the reader does; a numpy release that
-    # changes that layout fails here.
+    # random() and raws(k) interleaved on one Draws read the stream numpy's
+    # Generator.random() and its bit generator's random_raw(k) read; with
+    # ``buffered`` a block is partly used before the comparison starts.
     plan = np.random.default_rng(n_draws)
-    plain, read = reader_pair(1000 + n_draws, buffered)
-    reader = _PCG64Reader(read)
+    draws, rng = Draws(1000 + n_draws), np.random.default_rng(1000 + n_draws)
+    if buffered:
+        assert draws.random() == rng.random()
     for _ in range(n_draws):
-        if plan.random() < 0.5:
-            want, got = plain.random(), reader.random()
-            assert type(got) is float
+        if plan.random() < 0.9:
+            got = draws.random()
+            assert type(got) is float and got == rng.random()
         else:
-            n = READER_NS[plan.integers(len(READER_NS))]
-            want, got = plain.integers(n), reader.integers(n)
-            assert type(got) is int
-        assert got == want
-    reader.close()
-    assert read.bit_generator.state == plain.bit_generator.state
-    assert read.integers(7) == plain.integers(7)
-    assert read.random() == plain.random()
+            k = int(plan.integers(0, 40))
+            assert draws.raws(k).tolist() == rng.bit_generator.random_raw(k).tolist()
+    assert draws.random() == rng.random()
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_reader_matches_numpy_over_random_interleavings(seed):
+    # The same plan of random(), integers(n) and raws(k) gives the same
+    # values under blocks of 1, 7 and the default size, and equals the
+    # definition applied to PCG64(seed)'s raws one at a time.
     plan = np.random.default_rng(seed)
-    plain, read = reader_pair(seed, bool(seed % 2))
-    reader = _PCG64Reader(read)
     n_draws = int(plan.integers(0, 300))
-    share = plan.random()           # share of random() among the draws
+    share = plan.random(3)
+    steps = []
     for _ in range(n_draws):
-        if plan.random() < share:
-            assert reader.random() == plain.random()
+        u = plan.random() * share.sum()
+        if u < share[0]:
+            steps.append(("random", None))
+        elif u < share[0] + share[1]:
+            steps.append(("integers", DRAW_NS[plan.integers(len(DRAW_NS))]))
         else:
-            n = READER_NS[plan.integers(len(READER_NS))]
-            assert reader.integers(n) == plain.integers(n)
-    reader.close()
-    assert read.bit_generator.state == plain.bit_generator.state
-    assert read.integers(3) == plain.integers(3)
+            steps.append(("raws", int(plan.integers(0, 40))))
+
+    def run(draws):
+        out = []
+        for kind, arg in steps:
+            if kind == "random":
+                out.append(draws.random())
+            elif kind == "integers":
+                out.append(draws.integers(arg))
+            else:
+                out.append(draws.raws(arg).tolist())
+        return out
+
+    bits = np.random.PCG64(seed)
+    raws = iter(lambda: int(bits.random_raw()), None)
+    want = []
+    for kind, arg in steps:
+        if kind == "random":
+            want.append((next(raws) >> 11) / 2**53)
+        elif kind == "integers":
+            want.append(oracles.bounded_draw(raws, arg))
+        else:
+            want.append([next(raws) for _ in range(arg)])
+    for block in (1, 7, _BLOCK):
+        assert run(Draws(seed, block=block)) == want
 
 
-def test_reader_needs_pcg64():
-    for bits in (np.random.MT19937(0), np.random.PCG64DXSM(0), np.random.Philox(0)):
-        with pytest.raises(TypeError, match="PCG64"):
-            _PCG64Reader(np.random.Generator(bits))
+def test_draws_integers_rejects_below_the_threshold():
+    # At n = 2⁶³ + 1 about half the raws fall below 2⁶⁴ mod n and are redrawn.
+    n = 2**63 + 1
+    bits = np.random.PCG64(3)
+    raws = bits.random_raw(200).tolist()
+    assert sum((x * n) % 2**64 < 2**64 % n for x in raws) == 103
+    draws, it = Draws(3), iter(raws)
+    got = [draws.integers(n) for _ in range(40)]
+    assert got == [oracles.bounded_draw(it, n) for _ in range(40)]
+    assert all(type(x) is int and 0 <= x < n for x in got)
+    assert Draws(3).integers(4) == raws[0] >> 62
 
 
-@pytest.mark.parametrize("n", [0, -3, 2**32 + 1, 2**40])
+@pytest.mark.parametrize("n", [0, -3, 2**64 + 1, 2**70])
 def test_reader_integers_out_of_range_is_error(n):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    reader = _PCG64Reader(rng)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        reader.integers(n)
-    reader.close()
-    assert rng.bit_generator.state == state
+    draws = Draws(0)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        draws.integers(n)
+    assert draws.random() == np.random.default_rng(0).random()
+
+
+def test_draws_integers_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Draws(0).integers(2.0)

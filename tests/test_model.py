@@ -8,6 +8,7 @@ import pytest
 from spectral_options import model as model_module
 from spectral_options import pipeline
 from spectral_options.env import (
+    Draws,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -178,7 +179,7 @@ def test_exhaustive_adjacency_matches_grid_structure():
 def test_count_monotonicity():
     world = load_gridworld(THREE_ROOMS)
     m = EstimatedModel(world.n_states)
-    rng = np.random.default_rng(0)
+    rng = Draws(0)
     from spectral_options.env import sample_trajectory, uniform_random_policy
     prev = m.U.copy()
     for _ in range(5):
@@ -304,7 +305,7 @@ def slippery_world():
 
 
 def sampled_trajectories(world, n_episodes=40, seed=3):
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     return [sample_trajectory(world, uniform_random_policy, 60, rng,
                               start=starts[e * 7 % len(starts)])
@@ -423,7 +424,7 @@ def test_loaded_store_matches_dense_writer(batches, tmp_path):
 def test_store_memory_grows_with_transitions_not_states(tmp_path):
     # A dense (N, A, N) count array at N = 6,404 would take 1.3 GB.
     world = load_gridworld(room_grid_text(2, 2, 40))
-    traj = sample_trajectory(world, uniform_random_policy, 200, np.random.default_rng(0))
+    traj = sample_trajectory(world, uniform_random_policy, 200, Draws(0))
     assert world.n_states == 6404 and len(traj) == 200
     tracemalloc.start()
     try:

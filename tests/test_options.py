@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
+    Draws,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -325,7 +326,7 @@ def sampled_model(text, slip_prob, u_prior, seed=0, episodes=40, max_steps=60):
     world = load_gridworld(text, slip_prob=slip_prob)
     model = EstimatedModel(world.n_states, u_prior=u_prior)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     for e in range(episodes):
         traj = sample_trajectory(world, uniform_random_policy, max_steps, rng,
                                  start=starts[e % len(starts)])

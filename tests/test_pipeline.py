@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_options.env import (
-    _FIRST_BLOCK,
+    Draws,
     Trajectory,
     bundled_map_text,
     load_gridworld,
@@ -113,15 +113,30 @@ def test_zero_round_budget_is_valid():
     OdstcConfig(max_rounds=0).validate()
 
 
-def test_none_means_automatic_k_and_anneal(world):
+@pytest.fixture
+def clusterings(monkeypatch):
+    """χ of every clustering ``run_odstc`` makes, recorded by a spy on ``cluster``."""
+    chis = []
+
+    def spy(*args, **kwargs):
+        result = cluster(*args, **kwargs)
+        chis.append(result.chi)
+        return result
+
+    monkeypatch.setattr(pipeline, "cluster", spy)
+    return chis
+
+
+def test_none_means_automatic_k_and_anneal(world, clusterings):
     # Library callers may pass None for the two "0 = automatic" settings.
     cfg = dict(episodes_per_round=2, max_rounds=3, pcca_refresh_interval=2,
                max_steps_per_episode=100, seed=4)
     auto = run_odstc(world, OdstcConfig(k=None, eps_anneal_episodes=None, **cfg))
+    assert len(clusterings) == 1
     zero = run_odstc(world, OdstcConfig(k=0, eps_anneal_episodes=0, **cfg))
+    assert len(clusterings) == 2
     assert [l.cumulative_reward for l in auto.history] == \
         [l.cumulative_reward for l in zero.history]
-    assert len(auto.chi_snapshots) == len(zero.chi_snapshots) == 1
 
 
 # --- epsilon schedule --------------------------------------------------------
@@ -202,13 +217,13 @@ def test_no_plateau_returns_budget_length():
 
 # --- run_odstc ---------------------------------------------------------------
 
-def test_single_round_budget_learns_flat_only(world):
+def test_single_round_budget_learns_flat_only(world, clusterings):
     cfg = OdstcConfig(episodes_per_round=5, max_rounds=1, seed=0,
                       max_steps_per_episode=50)
     res = run_odstc(world, cfg)
     assert res.options == []
     assert len(res.history) == 5
-    assert res.chi_snapshots == []
+    assert clusterings == []
     assert all(isinstance(a, int) for (_, a) in res.q.values)
 
 
@@ -265,15 +280,15 @@ def test_clustering_failure_noted_and_loop_continues(world):
     assert len(res.history) == 2
 
 
-def test_flat_learner_never_clusters(penalized_world):
+def test_flat_learner_never_clusters(penalized_world, clusterings):
     res = run_odstc(penalized_world, train_config(learner="flat", max_rounds=10))
-    assert res.options == [] and res.chi_snapshots == []
+    assert res.options == [] and clusterings == []
 
 
-def test_chi_snapshot_per_refresh(penalized_world):
-    res = run_odstc(penalized_world, train_config(max_rounds=9))
-    assert len(res.chi_snapshots) == 1
-    chi = res.chi_snapshots[0]
+def test_chi_snapshot_per_refresh(penalized_world, clusterings):
+    run_odstc(penalized_world, train_config(max_rounds=9))
+    assert len(clusterings) == 1
+    chi = clusterings[0]
     assert chi.shape == (penalized_world.n_states, 3)
 
 
@@ -324,132 +339,129 @@ def pin_options():
     return [west, east]
 
 
-# Recorded per learner: (return, decisions, steps, options invoked) per
-# episode, the (s, a, s') sequence per episode, and the Q entries written.
+# Recorded per learner: (return, decisions, steps) per episode, the (s, a, s') sequence per episode, and the Q entries written.
 PINNED_EPISODES = {
     "flat": (
-        [(-1.2500000000000004, 25, 25, []), (0.55, 10, 10, []),
-         (-1.2500000000000004, 25, 25, []), (-1.2500000000000004, 25, 25, [])],
-        [[(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 5), (5, 3, 4), (4, 0, 0),
-          (0, 2, 4), (4, 1, 5), (5, 0, 1), (1, 3, 5), (5, 0, 1), (1, 0, 1), (1, 1, 1),
-          (1, 2, 1), (1, 3, 0), (0, 3, 0), (0, 0, 0), (0, 1, 1), (1, 3, 0), (0, 2, 1),
-          (1, 0, 1), (1, 1, 1), (1, 2, 0), (0, 3, 0)],
-         [(0, 0, 0), (0, 3, 0), (0, 1, 1), (1, 3, 5), (5, 1, 6), (6, 1, 7), (7, 0, 2),
-          (2, 0, 2), (2, 3, 2), (2, 1, 3)],
-         [(0, 2, 0), (0, 0, 0), (0, 0, 0), (0, 3, 0), (0, 1, 1), (1, 2, 5), (5, 2, 5),
-          (5, 1, 6), (6, 0, 6), (6, 3, 5), (5, 2, 5), (5, 3, 4), (4, 2, 4), (4, 3, 4),
-          (4, 0, 0), (0, 2, 1), (1, 3, 5), (5, 1, 5), (5, 3, 4), (4, 3, 4), (4, 1, 5),
-          (5, 2, 4), (4, 1, 5), (5, 0, 1), (1, 2, 5)],
-         [(0, 1, 1), (1, 3, 0), (0, 2, 4), (4, 2, 4), (4, 2, 4), (4, 3, 4), (4, 0, 0),
-          (0, 2, 4), (4, 2, 4), (4, 3, 4), (4, 1, 5), (5, 3, 4), (4, 1, 5), (5, 2, 5),
-          (5, 2, 5), (5, 1, 6), (6, 2, 6), (6, 0, 6), (6, 1, 6), (6, 2, 6), (6, 3, 5),
-          (5, 1, 6), (6, 0, 6), (6, 1, 7), (7, 0, 8)]],
-        {(0, 0): -0.10346406250000001,
-         (0, 1): -0.099203125,
-         (1, 0): -0.0713125,
-         (1, 1): -0.0713125,
-         (1, 2): -0.07740625000000001,
-         (5, 3): -0.09213515625000002,
-         (4, 0): -0.09849777343750002,
-         (0, 2): -0.09755507812500001,
-         (4, 1): -0.0963203125,
-         (5, 0): -0.074265625,
-         (1, 3): -0.09927351562500002,
+        [(-1.2500000000000004, 25, 25), (-1.2500000000000004, 25, 25),
+         (-1.2500000000000004, 25, 25), (-1.2500000000000004, 25, 25)],
+        [[(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 0, 1),
+          (1, 1, 1), (1, 2, 5), (5, 0, 1), (1, 0, 1), (1, 1, 1), (1, 2, 5), (5, 1, 6),
+          (6, 0, 6), (6, 1, 6), (6, 1, 7), (7, 0, 2), (2, 0, 2), (2, 2, 7), (7, 1, 8),
+          (8, 0, 8), (8, 1, 8), (8, 2, 8), (8, 3, 7)],
+         [(0, 3, 0), (0, 1, 1), (1, 3, 5), (5, 2, 5), (5, 3, 4), (4, 3, 4), (4, 0, 0),
+          (0, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 0), (0, 0, 0), (0, 1, 1), (1, 2, 5),
+          (5, 1, 1), (1, 3, 0), (0, 2, 4), (4, 2, 4), (4, 1, 5), (5, 2, 5), (5, 3, 4),
+          (4, 3, 4), (4, 2, 5), (5, 0, 4), (4, 0, 0)],
+         [(0, 3, 0), (0, 1, 0), (0, 2, 4), (4, 1, 5), (5, 2, 5), (5, 3, 4), (4, 3, 4),
+          (4, 2, 4), (4, 0, 0), (0, 3, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 5),
+          (5, 1, 6), (6, 2, 6), (6, 0, 6), (6, 3, 6), (6, 2, 6), (6, 3, 5), (5, 1, 6),
+          (6, 0, 6), (6, 0, 6), (6, 1, 7), (7, 2, 6)],
+         [(0, 2, 4), (4, 1, 5), (5, 0, 6), (6, 0, 6), (6, 2, 5), (5, 1, 6), (6, 1, 7),
+          (7, 3, 6), (6, 2, 5), (5, 2, 5), (5, 1, 6), (6, 2, 6), (6, 1, 7), (7, 0, 6),
+          (6, 1, 6), (6, 3, 5), (5, 2, 5), (5, 3, 4), (4, 3, 4), (4, 2, 4), (4, 0, 0),
+          (0, 2, 4), (4, 1, 5), (5, 0, 1), (1, 1, 5)]],
+        {(0, 0): -0.08259375000000001,
+         (0, 1): -0.08710937500000002,
+         (0, 2): -0.11204859375000001,
          (0, 3): -0.092746875,
-         (5, 1): -0.07459375000000001,
-         (6, 1): -0.049375,
-         (7, 0): -0.037500000000000006,
+         (1, 0): -0.0713125,
+         (1, 1): -0.09909960937500001,
+         (1, 2): -0.07696875,
+         (1, 3): -0.06568750000000001,
          (2, 0): -0.025,
-         (2, 3): -0.025,
-         (2, 1): 0.5,
-         (5, 2): -0.09357812500000001,
-         (6, 0): -0.0713125,
-         (6, 3): -0.06801562500000001,
-         (4, 2): -0.092746875,
+         (2, 2): -0.025,
+         (4, 0): -0.10697812500000001,
+         (4, 1): -0.10499687500000002,
+         (4, 2): -0.10239234375000002,
          (4, 3): -0.092746875,
-         (6, 2): -0.04875}),
-    "smdp": (
-        [(0.7, 4, 7, [('S0->S1', 2), ('S0->S1', 1), ('S1->S0', 3)]),
-         (0.6000000000000001, 5, 9, [('S0->S1', 2), ('S1->S0', 4)]),
-         (-1.2500000000000004, 21, 25, [('S0->S1', 3), ('S0->S1', 2), ('S1->S0', 2)]),
-         (0.4, 6, 13, [('S0->S1', 1), ('S0->S1', 6), ('S1->S0', 3)])],
-        [[(0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 2, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)],
-         [(0, 0, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 2, 6), (6, 1, 7), (7, 1, 8),
-          (8, 0, 8), (8, 0, 3)],
-         [(0, 1, 4), (4, 1, 0), (0, 2, 4), (4, 1, 5), (5, 2, 5), (5, 2, 4), (4, 0, 0),
-          (0, 2, 4), (4, 2, 4), (4, 3, 4), (4, 1, 4), (4, 1, 5), (5, 2, 5), (5, 2, 5),
-          (5, 0, 1), (1, 3, 0), (0, 3, 0), (0, 0, 0), (0, 1, 4), (4, 0, 0), (0, 2, 4),
-          (4, 1, 5), (5, 1, 6), (6, 1, 7), (7, 1, 8)],
-         [(0, 3, 0), (0, 2, 4), (4, 2, 4), (4, 3, 4), (4, 1, 0), (0, 2, 4), (4, 1, 5),
-          (5, 3, 4), (4, 1, 5), (5, 1, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)]],
-        {(0, ('opt', 0)): -0.060000000000000005,
-         (5, ('opt', 0)): -0.025,
-         (6, 2): -0.025,
-         (6, ('opt', 1)): 0.45262500000000006,
-         (0, 0): -0.04875,
-         (1, ('opt', 0)): -0.0475,
-         (4, 1): -0.037500000000000006,
-         (5, 2): -0.024345835937499994,
-         (0, 1): -0.04875,
-         (4, ('opt', 0)): -0.08941658893749999,
-         (4, 0): -0.04875,
-         (0, 2): -0.04875,
-         (4, 2): -0.04875,
-         (4, 3): -0.04875,
-         (5, 0): -0.025,
-         (1, 3): -0.025,
-         (0, 3): -0.04875,
-         (5, 1): 0.18897500000000006}),
-    "intra_option": (
-        [(0.7, 4, 7, [('S0->S1', 2), ('S0->S1', 1), ('S1->S0', 3)]),
-         (-1.2500000000000004, 24, 25, [('S0->S1', 2)]),
-         (0.1499999999999998, 14, 18, [('S0->S1', 2), ('S0->S1', 2), ('S1->S0', 3)]),
-         (0.2499999999999999, 14, 16, [('S0->S1', 3), ('S1->S0', 1)])],
-        [[(0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 2, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)],
-         [(0, 0, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 2, 6), (6, 0, 5), (5, 0, 1),
-          (1, 0, 1), (1, 1, 1), (1, 2, 5), (5, 3, 4), (4, 0, 4), (4, 2, 5), (5, 0, 1),
-          (1, 0, 1), (1, 1, 1), (1, 2, 0), (0, 1, 1), (1, 1, 1), (1, 3, 0), (0, 3, 0),
-          (0, 3, 0), (0, 0, 0), (0, 1, 4), (4, 3, 4)],
-         [(0, 2, 4), (4, 1, 5), (5, 3, 4), (4, 0, 0), (0, 1, 4), (4, 3, 4), (4, 2, 4),
-          (4, 3, 4), (4, 1, 5), (5, 1, 6), (6, 3, 5), (5, 2, 5), (5, 3, 5), (5, 1, 6),
-          (6, 2, 6), (6, 1, 7), (7, 1, 8), (8, 0, 3)],
-         [(0, 0, 0), (0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 0, 6), (6, 3, 5), (5, 0, 1),
-          (1, 2, 5), (5, 2, 5), (5, 1, 6), (6, 1, 7), (7, 3, 6), (6, 1, 7), (7, 2, 7),
-          (7, 0, 2), (2, 1, 3)]],
-        {(0, ('opt', 0)): -0.09755909747907306,
-         (0, 2): -0.07810781250000001,
-         (4, ('opt', 0)): -0.09867500117585166,
-         (4, 1): -0.07881250000000001,
-         (5, ('opt', 0)): -0.06688130484358887,
-         (5, 1): -0.07375000000000001,
-         (6, 2): -0.04875,
-         (6, ('opt', 1)): -0.069375,
-         (6, 1): -0.046875,
-         (7, ('opt', 1)): 0.18125,
-         (7, 0): 0.18750000000000003,
-         (2, ('opt', 1)): 0.75,
-         (2, 1): 0.75,
-         (0, 0): -0.0713125,
-         (1, ('opt', 0)): -0.092171628301461,
-         (1, 3): -0.037500000000000006,
-         (5, 2): -0.0713125,
-         (6, 0): -0.04875,
-         (5, 0): -0.06625,
-         (1, 0): -0.04875,
-         (1, 1): -0.060625000000000005,
-         (1, 2): -0.06568750000000001,
-         (5, 3): -0.06625,
-         (4, 0): -0.05690625000000001,
-         (4, 2): -0.059437500000000004,
-         (0, 1): -0.0578125,
-         (0, 3): -0.04875,
-         (4, 3): -0.0713125,
-         (6, 3): -0.06506250000000001,
+         (5, 0): -0.09332500000000002,
+         (5, 1): -0.0854296875,
+         (5, 2): -0.10346406250000001,
+         (5, 3): -0.092746875,
+         (6, 0): -0.08078125000000001,
+         (6, 1): -0.081703125,
+         (6, 2): -0.094629296875,
+         (6, 3): -0.08758281250000001,
+         (7, 0): -0.064359375,
          (7, 1): -0.025,
-         (8, ('opt', 1)): 0.5,
-         (8, 0): 0.5,
-         (7, 3): -0.044687500000000005,
-         (7, 2): -0.025}),
+         (7, 2): -0.044687500000000005,
+         (7, 3): -0.04609375,
+         (8, 0): -0.025,
+         (8, 1): -0.025,
+         (8, 2): -0.025,
+         (8, 3): -0.025}),
+    "intra_option": (
+        [(0.7, 4, 7), (-1.2500000000000004, 22, 25), (0.55, 5, 10),
+         (0.29999999999999993, 8, 15)],
+        [[(0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 0, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)],
+         [(0, 2, 4), (4, 1, 5), (5, 1, 1), (1, 2, 5), (5, 0, 6), (6, 2, 6), (6, 3, 5),
+          (5, 2, 4), (4, 0, 0), (0, 0, 0), (0, 0, 0), (0, 3, 0), (0, 1, 1), (1, 0, 1),
+          (1, 1, 1), (1, 1, 5), (5, 2, 5), (5, 3, 4), (4, 3, 4), (4, 2, 4), (4, 1, 5),
+          (5, 0, 1), (1, 3, 0), (0, 1, 1), (1, 3, 0)],
+         [(0, 3, 0), (0, 0, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 3, 6),
+          (6, 1, 7), (7, 1, 8), (8, 0, 3)],
+         [(0, 2, 1), (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 0, 6), (6, 2, 7),
+          (7, 2, 7), (7, 3, 6), (6, 1, 7), (7, 0, 2), (2, 1, 2), (2, 1, 7), (7, 1, 8),
+          (8, 0, 3)]],
+        {(0, ('opt', 0)): -0.10834136313671877,
+         (0, 0): -0.05500000000000001,
+         (0, 1): -0.04875,
+         (0, 2): -0.068125,
+         (0, 3): -0.04875,
+         (1, ('opt', 0)): -0.10879368361832031,
+         (1, 0): -0.025,
+         (1, 1): -0.037500000000000006,
+         (1, 2): -0.025,
+         (1, 3): -0.08146875,
+         (2, ('opt', 1)): 0.282125,
+         (2, 1): 0.28437500000000004,
+         (4, ('opt', 0)): -0.08943745703125,
+         (4, 0): -0.025,
+         (4, 1): -0.068125,
+         (4, 2): -0.025,
+         (4, 3): -0.025,
+         (5, ('opt', 0)): -0.061469218750000006,
+         (5, 0): -0.037500000000000006,
+         (5, 1): -0.06375,
+         (5, 2): -0.037500000000000006,
+         (5, 3): -0.025,
+         (6, ('opt', 1)): -0.064,
+         (6, 0): -0.04875,
+         (6, 1): -0.05500000000000001,
+         (6, 2): -0.037500000000000006,
+         (6, 3): -0.04875,
+         (7, ('opt', 1)): 0.290625,
+         (7, 0): 0.18750000000000003,
+         (7, 1): 0.18750000000000003,
+         (7, 2): -0.025,
+         (7, 3): -0.04187500000000001,
+         (8, ('opt', 1)): 0.75,
+         (8, 0): 0.75}),
+    "smdp": (
+        [(0.7, 4, 7), (0.55, 3, 10), (0.2499999999999999, 10, 16), (0.35, 9, 14)],
+        [[(0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 0, 6), (6, 1, 7), (7, 0, 2), (2, 1, 3)],
+         [(0, 2, 4), (4, 1, 5), (5, 1, 1), (1, 2, 5), (5, 0, 6), (6, 1, 7), (7, 0, 6),
+          (6, 1, 7), (7, 1, 8), (8, 0, 3)],
+         [(0, 0, 0), (0, 1, 1), (1, 3, 1), (1, 2, 0), (0, 2, 4), (4, 1, 4), (4, 1, 5),
+          (5, 3, 4), (4, 3, 4), (4, 1, 5), (5, 3, 4), (4, 1, 5), (5, 0, 6), (6, 1, 7),
+          (7, 0, 2), (2, 1, 3)],
+         [(0, 2, 4), (4, 1, 5), (5, 0, 1), (1, 1, 1), (1, 2, 5), (5, 0, 1), (1, 2, 1),
+          (1, 3, 0), (0, 2, 4), (4, 1, 5), (5, 1, 6), (6, 1, 7), (7, 1, 8), (8, 0, 3)]],
+        {(0, ('opt', 0)): -0.10972500000000002,
+         (0, 0): -0.025,
+         (0, 1): -0.025,
+         (0, 2): -0.0006029687499999915,
+         (1, ('opt', 0)): 0.03416528325000003,
+         (1, 1): -0.025,
+         (1, 2): 0.01601946875,
+         (4, ('opt', 0)): 0.10664675000000003,
+         (4, 3): -0.025,
+         (5, ('opt', 0)): -0.025,
+         (5, 0): 0.027785948437500013,
+         (5, 3): -0.0212353125,
+         (6, ('opt', 1)): 0.25895625,
+         (6, 0): -0.025,
+         (7, ('opt', 1)): 0.425}),
 }
 
 
@@ -459,7 +471,7 @@ def test_run_episode_pinned(learner):
     world = load_gridworld(PIN_MAP, step_reward=-0.05, slip_prob=0.2)
     options = [] if learner == "flat" else pin_options()
     Q = QTable(world.n_states, options, alpha=0.5, gamma=0.9)
-    rng = np.random.default_rng(7)
+    rng = Draws(7)
     logs, sas = [], []
     for _ in range(4):
         log, traj = run_episode(world, Q, 0.3, rng, learner, 25)
@@ -469,8 +481,7 @@ def test_run_episode_pinned(learner):
         for r in traj.rewards:      # the return is summed in step order
             ret += r
         assert log.cumulative_reward == ret
-        logs.append((log.cumulative_reward, log.decision_epochs,
-                     log.primitive_steps, log.options_invoked))
+        logs.append((log.cumulative_reward, log.decision_epochs, log.primitive_steps))
         sas.append(list(zip(traj.states, traj.actions, traj.states[1:])))
     want_logs, want_sas, want_q = PINNED_EPISODES[learner]
     assert logs == want_logs
@@ -480,39 +491,37 @@ def test_run_episode_pinned(learner):
 
 
 class NumpyDraws:
-    """Stand-in for the raw-block reader that passes every draw to the Generator."""
+    """Stand-in for Draws that takes each draw straight from numpy's PCG64:
+    random() from the Generator, integers(n) from its bit generator's raws,
+    one at a time."""
 
-    def __init__(self, rng):
-        self.random, self.integers = rng.random, rng.integers
-
-    def close(self):
-        pass
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        raws = iter(lambda: int(rng.bit_generator.random_raw()), None)
+        self.random = rng.random
+        self.integers = lambda n: oracles.bounded_draw(raws, n)
 
 
 @pytest.mark.parametrize("slip_prob", [0.0, 0.1])
 @pytest.mark.parametrize("learner", LEARNERS)
-def test_run_episode_reader_matches_numpy_draws(learner, slip_prob, monkeypatch):
-    # Oracle: the same loop drawing straight from numpy.  Episodes from pure
-    # exploration to greedy run long enough to cross the reader's block ends.
+def test_run_episode_reader_matches_numpy_draws(learner, slip_prob):
+    # Oracle: the same loop drawing straight from numpy's PCG64.  Episodes
+    # from pure exploration to greedy cross many ends of 7-raw blocks.
     world = load_gridworld(THREE_ROOMS, step_reward=-0.05, slip_prob=slip_prob)
     options = []
     if learner != "flat":
         model = exhaustive_model(load_gridworld(THREE_ROOMS))
         options = compose_options(model, cluster(adjacency(model), t_c=0.8))
 
-    def episodes():
+    def episodes(rng):
         Q = QTable(world.n_states, options, alpha=0.5, gamma=0.9)
-        rng = np.random.default_rng(3)
         runs = [run_episode(world, Q, eps, rng, learner, 150)
                 for eps in (1.0, 0.6, 0.3, 0.1, 0.0, 1.0, 0.2, 0.05)]
-        return runs, Q.rows, rng.bit_generator.state
+        return runs, Q.rows, rng.random()
 
-    got = episodes()
-    monkeypatch.setattr(pipeline, "_PCG64Reader", NumpyDraws)
-    want = episodes()
-    assert got == want
-    # Every step draws at least once, so the longest episode crosses a block end.
-    assert max(log.primitive_steps for log, _ in got[0]) > 2 * _FIRST_BLOCK
+    want = episodes(NumpyDraws(3))
+    assert episodes(Draws(3)) == want
+    assert episodes(Draws(3, block=7)) == want
 
 
 def test_option_with_empty_policy_row_is_not_offered():
@@ -521,8 +530,9 @@ def test_option_with_empty_policy_row_is_not_offered():
     world = load_gridworld("S.G")
     Q = QTable(world.n_states, [Option(0, 1, frozenset({0}), {0: {}}, {})])
     assert Q.available[0] == [0, 1, 2, 3]
-    log, traj = run_episode(world, Q, 0.0, np.random.default_rng(0), "smdp", 10)
-    assert (log.decision_epochs, log.primitive_steps, log.options_invoked) == (10, 10, [])
+    log, traj = run_episode(world, Q, 0.0, Draws(0), "smdp", 10)
+    assert (log.decision_epochs, log.primitive_steps) == (10, 10)
+    assert traj.actions == [0] * 10
 
 
 RUN_MAP = """\
@@ -538,167 +548,287 @@ RUN_MAP = """\
 PINNED_RUNS = {
     "flat": (
         [(-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-0.6000000000000008, 33, 33), (-0.35000000000000053, 28, 28),
+         (-2.000000000000001, 40, 40), (-0.25000000000000044, 26, 26),
          (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
          (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
          (-2.000000000000001, 40, 40), (0.19999999999999984, 17, 17),
+         (-2.220446049250313e-16, 21, 21), (-2.000000000000001, 40, 40),
+         (-0.7500000000000009, 36, 36), (-0.9500000000000011, 40, 40),
+         (-2.000000000000001, 40, 40), (0.2499999999999999, 16, 16),
          (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-0.9500000000000011, 40, 40),
-         (0.04999999999999971, 20, 20), (-0.850000000000001, 38, 38),
-         (-2.000000000000001, 40, 40), (-0.850000000000001, 38, 38),
-         (-0.35000000000000053, 28, 28), (0.55, 10, 10)],
-        {(0, 0): -0.25966622177927967, (0, 1): -0.2566309059146964,
-         (0, 2): -0.25596222332686425, (0, 3): -0.2675215298446262,
-         (1, 0): -0.2554208956818079, (1, 1): -0.2509601913156344,
-         (1, 2): -0.22902809473469854, (1, 3): -0.25434546988255624,
-         (2, 0): -0.14608479641113284, (2, 1): -0.15077518750549318,
-         (2, 2): -0.12829712986408237, (2, 3): -0.14212631640625004,
-         (3, 0): -0.14212631640625, (3, 1): -0.13245405468750002,
-         (3, 2): -0.13059522354610062, (3, 3): -0.14987266699218754,
-         (4, 0): 0.039563022705078124, (4, 1): -0.07218750000000002,
-         (4, 2): 0.20949528934936523, (4, 3): -0.052500000000000005, (5, 0): -0.04875,
-         (5, 1): -0.04875, (5, 2): -0.043750000000000004, (5, 3): -0.06656250000000001,
-         (6, 0): -0.2440099495110154, (6, 1): -0.23937600370455941,
-         (6, 2): -0.24291718114098043, (6, 3): -0.24234532097276953,
-         (7, 0): -0.2299791475750484, (7, 1): -0.17801016011698634,
-         (7, 2): -0.23357851315243885, (7, 3): -0.2343432850649938,
-         (8, 0): -0.16603958822631837, (8, 1): -0.11838250045307934,
-         (8, 2): -0.1696488367132025, (8, 3): -0.16789178491508666,
-         (9, 0): -0.14557493312988284, (9, 1): 0.002092469109422679,
-         (9, 2): -0.141395841796875, (9, 3): -0.15748626063098148,
-         (10, 0): -0.123489900390625, (10, 1): 0.23088366451548573,
-         (10, 2): -0.10786982226562503, (10, 3): -0.1296196915527344,
-         (11, 0): -0.0713125, (11, 1): 0.494693266001892, (11, 2): -0.09680864955116272,
-         (11, 3): -0.11873696706774142, (12, 0): 0.04021626977539062,
-         (12, 1): 0.7586476962738037, (12, 2): -0.004092773437500006,
-         (12, 3): -0.037500000000000006, (13, 0): -0.04875,
-         (13, 1): -0.037500000000000006, (13, 2): 0.9921875,
-         (13, 3): 0.23371038454284668, (14, 0): -0.23488562999763601,
-         (14, 1): -0.24065854054440083, (14, 2): -0.24575608624673156,
-         (14, 3): -0.24785447775965713, (15, 0): -0.23979853622285982,
-         (15, 1): -0.23765990872680814, (15, 2): -0.2401017393251092,
-         (15, 3): -0.24348968560576162, (16, 0): -0.14256930292968753,
-         (16, 1): -0.12973908203125, (16, 2): -0.14160117421875001,
-         (16, 3): -0.15374339179687502, (17, 0): -0.07480893976079751,
-         (17, 1): -0.13106507031250003, (17, 2): -0.12981632031250004,
-         (17, 3): -0.14222836562500002, (18, 0): -0.025, (18, 1): 0.75,
-         (18, 2): 0.30000000000000004}),
+         (-0.10000000000000031, 23, 23), (-0.25000000000000044, 26, 26),
+         (0.19999999999999984, 17, 17), (0.4, 13, 13), (0.35, 14, 14),
+         (0.29999999999999993, 15, 15)],
+        {(0, 0): -0.2507809114585457,
+         (0, 1): -0.2431218127523958,
+         (0, 2): -0.24128287139971358,
+         (0, 3): -0.2489181472755198,
+         (1, 0): -0.22214352969229686,
+         (1, 1): -0.23624735064670224,
+         (1, 2): -0.2140719353811808,
+         (1, 3): -0.23855670207627466,
+         (2, 0): -0.11890527343750003,
+         (2, 1): -0.13112669921875003,
+         (2, 2): -0.10233829101562501,
+         (2, 3): -0.11486170794677736,
+         (3, 0): -0.12248707031250002,
+         (3, 1): -0.13531046875000002,
+         (3, 2): 0.06414851719970706,
+         (3, 3): -0.12202441406250003,
+         (6, 0): -0.24135933814927207,
+         (6, 1): -0.21965524215211085,
+         (6, 2): -0.22519637549698848,
+         (6, 3): -0.23071406011251622,
+         (7, 0): -0.22433436951328506,
+         (7, 1): -0.09506236135363094,
+         (7, 2): -0.21323708160888297,
+         (7, 3): -0.2068525653333588,
+         (8, 0): -0.1816868493015594,
+         (8, 1): 0.04856609278597696,
+         (8, 2): -0.16497523362487795,
+         (8, 3): -0.17687653838806155,
+         (9, 0): -0.1280886191210747,
+         (9, 1): 0.21918300466108329,
+         (9, 2): -0.1399330314397812,
+         (9, 3): -0.1406123001113129,
+         (10, 0): -0.1325726669921875,
+         (10, 1): 0.39215938705444336,
+         (10, 2): -0.11644246093750002,
+         (10, 3): -0.13453943728637696,
+         (11, 0): 0.22753823693847658,
+         (11, 1): 0.5452250226135253,
+         (11, 2): 0.21599173040771485,
+         (11, 3): 0.10968254089355473,
+         (12, 1): 0.40625,
+         (12, 2): 0.7695199127197265,
+         (12, 3): -0.025,
+         (13, 2): 0.9375,
+         (14, 0): -0.2353077411668112,
+         (14, 1): -0.22884410973468586,
+         (14, 2): -0.22465425811699807,
+         (14, 3): -0.22657275985020198,
+         (15, 0): -0.190428519323267,
+         (15, 1): -0.21760170332023243,
+         (15, 2): -0.22093410708175876,
+         (15, 3): -0.22299411412578782,
+         (16, 0): -0.1344165239105225,
+         (16, 1): -0.13182334960937503,
+         (16, 2): -0.14830101953125002,
+         (16, 3): -0.15607224633865358,
+         (17, 0): 0.002926966552734389,
+         (17, 1): -0.125560283203125,
+         (17, 2): -0.11696705078125,
+         (17, 3): -0.14395254296875,
+         (18, 0): -0.025,
+         (18, 1): 0.9797700805664062,
+         (18, 2): 0.6146722900390624}),
     "intra_option": (
         [(-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 30, 40), (-2.000000000000001, 25, 40),
-         (-2.000000000000001, 35, 40), (-2.000000000000001, 30, 40),
-         (-2.000000000000001, 33, 40), (-0.2000000000000004, 20, 25),
-         (-2.000000000000001, 28, 40), (-2.000000000000001, 35, 40),
-         (-2.000000000000001, 33, 40), (-2.000000000000001, 35, 40),
-         (-2.220446049250313e-16, 14, 21), (-0.25000000000000044, 19, 26),
-         (-0.10000000000000031, 18, 23), (0.5, 8, 11), (0.35, 13, 14), (0.35, 11, 14),
-         (-0.050000000000000266, 20, 22), (0.2499999999999999, 12, 16)],
-        {(0, ('opt', 1)): -0.13155307776879266, (0, 0): -0.1099761474609375,
-         (0, 1): -0.1043789106179271, (0, 2): -0.10016621955621244,
-         (0, 3): -0.11689750288380418, (1, ('opt', 1)): -0.11993241781957135,
-         (1, 0): -0.11628353383074887, (1, 1): -0.11128857421874999,
-         (1, 2): -0.12046114483090116, (1, 3): -0.11764165305323022,
-         (2, ('opt', 1)): -0.11400840642814516, (2, 0): -0.10469847021484377,
-         (2, 1): -0.13128865325114875, (2, 2): -0.13241018652343753,
-         (2, 3): -0.12294960156250001, (3, ('opt', 1)): -0.06948641682124697,
-         (3, 0): -0.12597015625, (3, 1): -0.129382734375, (3, 2): -0.07410174811637961,
-         (3, 3): -0.13027732070312503, (4, 0): -0.049218750000000006,
-         (4, 1): -0.05500000000000001, (4, 2): -0.07078125000000002,
-         (4, 3): -0.043750000000000004, (5, 0): -0.025, (5, 1): -0.04875,
-         (5, 2): 0.18125, (5, 3): -0.043750000000000004,
-         (6, ('opt', 1)): -0.14335036173822596, (6, 0): -0.1361828063964844,
-         (6, 1): -0.11869210052490235, (6, 2): -0.057580084228515634,
-         (6, 3): -0.116662939453125, (7, ('opt', 1)): -0.1565560966904719,
-         (7, 0): -0.12439738842010499, (7, 1): -0.1538250580720975,
-         (7, 2): -0.0751328125, (7, 3): -0.10172229003906251,
-         (8, ('opt', 1)): -0.1276908314642581, (8, 0): -0.13408520179748537,
-         (8, 1): -0.12840714306832895, (8, 2): -0.13438148437500003,
-         (8, 3): -0.12369677734375001, (9, ('opt', 1)): 0.017302244859516813,
-         (9, 0): -0.10371814650757685, (9, 1): -0.008817301007050748,
-         (9, 2): -0.11050219259033206, (9, 3): -0.14942074831954638,
-         (10, ('opt', 0)): -0.1105372018310547, (10, 0): -0.11111353680419923,
-         (10, 1): 0.26819270144894247, (10, 2): -0.1579153187866211,
-         (10, 3): -0.11453808775086403, (11, ('opt', 0)): -0.07498661560122372,
-         (11, 0): -0.10839155273437501, (11, 1): 0.5203426802635192,
-         (11, 2): -0.1353783720703125, (11, 3): -0.09020514358811453,
-         (12, 0): -0.049843750000000006, (12, 1): 0.5573497314453124,
-         (12, 2): -0.043750000000000004, (12, 3): -0.08811901855468751,
-         (13, 0): -0.037500000000000006, (13, 1): 0.18125, (13, 2): 0.90039306640625,
-         (13, 3): 0.4728125, (14, ('opt', 1)): -0.10500193542176196,
-         (14, 0): -0.10873264434814454, (14, 1): -0.07834375000000002,
-         (14, 2): -0.0713125, (14, 3): -0.07635937500000001,
-         (15, ('opt', 1)): -0.08428113474712688, (15, 0): -0.12579720153808596,
-         (15, 1): -0.10835156250000003, (15, 2): -0.103078125, (15, 3): -0.08021875,
-         (16, ('opt', 1)): -0.025, (16, 0): -0.1675940562216282,
-         (16, 1): -0.10528229626464844, (16, 2): -0.16892150394897465,
-         (16, 3): -0.16927020056762698, (17, ('opt', 1)): 0.016174328056476076,
-         (17, 0): -0.05345567499528174, (17, 1): -0.1546877772216797,
-         (17, 2): -0.14772155664062503, (17, 3): -0.17747534691324238,
-         (18, 0): -0.07218750000000002, (18, 1): 0.75, (18, 3): -0.037500000000000006}),
+         (-2.000000000000001, 40, 40), (-0.25000000000000044, 26, 26),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40), (0.35, 7, 14),
+         (-0.35000000000000053, 17, 28), (-0.6000000000000008, 26, 33),
+         (-0.25000000000000044, 18, 26), (-0.7000000000000008, 26, 35),
+         (-2.000000000000001, 34, 40), (0.19999999999999984, 6, 17),
+         (0.29999999999999993, 8, 15), (-0.6500000000000008, 21, 34),
+         (-0.25000000000000044, 23, 26), (0.2499999999999999, 3, 16),
+         (0.45000000000000007, 11, 12), (-2.000000000000001, 24, 40),
+         (0.29999999999999993, 13, 15), (-0.10000000000000031, 15, 23),
+         (0.45000000000000007, 9, 12), (0.04999999999999971, 17, 20),
+         (0.45000000000000007, 9, 12)],
+        {(0, ('opt', 1)): -0.051286303979432166,
+         (0, 0): -0.07590098148074455,
+         (0, 1): -0.04935205506988666,
+         (0, 2): -0.08473690670608522,
+         (0, 3): -0.109704296875,
+         (1, ('opt', 1)): 0.006287519718216495,
+         (1, 0): -0.08509218750000001,
+         (1, 1): -0.092746875,
+         (1, 2): 0.00663065758533898,
+         (1, 3): -0.10654086914062501,
+         (2, ('opt', 2)): -0.08468711857878872,
+         (2, ('opt', 3)): -0.04885630377306188,
+         (2, 0): -0.07511718750000002,
+         (2, 1): -0.025092496172046903,
+         (2, 2): 0.09406414111255618,
+         (2, 3): -0.07500000000000001,
+         (3, ('opt', 3)): -0.03849480586963459,
+         (3, 0): -0.0034945682118970034,
+         (3, 1): -0.0713125,
+         (3, 2): 0.2554922018040381,
+         (3, 3): 0.013693794728447596,
+         (4, ('opt', 0)): -0.033965669293809106,
+         (4, 0): -0.037500000000000006,
+         (4, 1): 0.6744242797851562,
+         (4, 3): 0.012398437499999991,
+         (5, ('opt', 0)): 0.0013124310908238703,
+         (5, 0): 0.24620654296874997,
+         (5, 1): -0.025,
+         (5, 2): 0.8396669158935546,
+         (5, 3): -0.037500000000000006,
+         (6, 0): -0.12169233398437501,
+         (6, 1): -0.04991003492948905,
+         (6, 2): -0.103887890625,
+         (6, 3): -0.092746875,
+         (7, ('opt', 1)): 0.13730659692531197,
+         (7, 0): -0.09807890625000001,
+         (7, 1): 0.1374445703356052,
+         (7, 2): -0.07711175781250001,
+         (7, 3): -0.08980468750000001,
+         (8, ('opt', 2)): 0.025602722733268156,
+         (8, ('opt', 3)): 0.0922040058800934,
+         (8, 0): 0.11062354421024914,
+         (8, 1): 0.24313424472184786,
+         (8, 2): 0.09477584682071388,
+         (8, 3): 0.037616304662694514,
+         (9, ('opt', 2)): 0.19235411322825963,
+         (9, ('opt', 3)): 0.08108159554967134,
+         (9, 0): -0.06686965660858156,
+         (9, 1): 0.30258796163856533,
+         (9, 2): 0.031841819209460796,
+         (9, 3): 0.13817126706452734,
+         (10, ('opt', 2)): 0.32735888319431317,
+         (10, ('opt', 3)): 0.023431049670970813,
+         (10, 0): 0.0024937130381029876,
+         (10, 1): 0.36243904889604617,
+         (10, 2): -0.07620647705078126,
+         (10, 3): 0.2324528488940522,
+         (11, ('opt', 2)): 0.42667073035342573,
+         (11, 0): 0.437972180256203,
+         (11, 1): 0.4317540712374042,
+         (11, 2): 0.4238820807325055,
+         (11, 3): 0.1943191675147396,
+         (12, ('opt', 0)): 0.3404614564133813,
+         (12, 0): 0.5313399728393554,
+         (12, 1): 0.42794180512262525,
+         (12, 2): 0.08460546874999998,
+         (12, 3): 0.3878804790257424,
+         (13, 0): 0.5012255859374999,
+         (13, 1): 0.3125,
+         (13, 2): 0.9999847412109375,
+         (13, 3): 0.5524228027343749,
+         (14, 0): -0.1288653356933594,
+         (14, 1): -0.06519676876642252,
+         (14, 2): -0.10058906250000002,
+         (14, 3): -0.09782343750000001,
+         (15, ('opt', 1)): 0.026044394194586415,
+         (15, 0): -0.013894231646756683,
+         (15, 1): -0.105748515625,
+         (15, 2): -0.09674765625000001,
+         (15, 3): -0.10434155864020264,
+         (16, ('opt', 2)): -0.07894496250984505,
+         (16, ('opt', 3)): -0.04354759691346248,
+         (16, 0): 0.1200014918648222,
+         (16, 1): 0.16660970989582838,
+         (16, 2): -0.108540625,
+         (16, 3): -0.10346406250000001,
+         (17, ('opt', 2)): 0.08444339536414312,
+         (17, ('opt', 3)): -0.05110689874131531,
+         (17, 0): 0.27795566311989994,
+         (17, 1): -0.092746875,
+         (17, 2): -0.02483731694208001,
+         (17, 3): -0.06841691894531252,
+         (18, ('opt', 0)): 0.0641893538745845,
+         (18, 0): 0.4479456532538985,
+         (18, 1): 0.5}),
     "smdp": (
         [(-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40),
-         (-2.000000000000001, 30, 40), (-2.000000000000001, 22, 40),
-         (-2.000000000000001, 25, 40), (-2.000000000000001, 27, 40),
-         (-0.6000000000000008, 26, 33), (0.19999999999999984, 9, 17), (0.4, 6, 13),
-         (-0.050000000000000266, 10, 22), (0.29999999999999993, 7, 15),
-         (-2.220446049250313e-16, 14, 21), (0.1499999999999998, 9, 18),
-         (-2.220446049250313e-16, 9, 21), (-2.000000000000001, 35, 40),
-         (-0.6500000000000008, 27, 34), (-2.000000000000001, 34, 40),
-         (-2.000000000000001, 35, 40), (-2.000000000000001, 34, 40),
-         (0.2499999999999999, 9, 16)],
-        {(0, ('opt', 3)): -0.179310077182474, (0, 0): -0.13663612994384766,
-         (0, 1): -0.12358259225845339, (0, 2): -0.11729250896453858,
-         (0, 3): -0.11664256151199341, (1, 0): -0.10454641113281252,
-         (1, 1): -0.11128857421874999, (1, 2): -0.06912687505371093,
-         (1, 3): -0.11742572021484377, (2, ('opt', 3)): -0.05642259833203124,
-         (2, 0): -0.07349854980823851, (2, 1): -0.07824138396352905,
-         (2, 2): -0.07429687500000001, (2, 3): -0.06765249713430176,
-         (3, ('opt', 3)): -0.08338644635401386, (3, 0): -0.060062500000000005,
-         (3, 1): -0.0713125, (3, 2): -0.07702723800156093, (3, 3): -0.06876921595535887,
-         (4, ('opt', 0)): 0.05410156250000001, (4, 0): -0.030888671874999996,
-         (4, 1): -0.05500000000000001, (4, 2): 0.041601562500000015,
-         (4, 3): -0.037500000000000006, (5, 0): -0.018779296874999993, (5, 1): -0.04875,
-         (5, 2): -0.037500000000000006, (5, 3): -0.043750000000000004,
-         (6, ('opt', 3)): -0.11591875000000001, (6, 0): -0.1425689288444519,
-         (6, 1): -0.09283593750000001, (6, 2): -0.0664638671875,
-         (6, 3): -0.09875009765625001, (7, ('opt', 3)): -0.05629037907519532,
-         (7, 0): -0.1004892626953125, (7, 1): -0.07600000000000001,
-         (7, 2): -0.090210234375, (7, 3): -0.06929687500000001,
-         (8, ('opt', 3)): -0.09071131727316895, (8, 0): -0.10767218785633263,
-         (8, 1): -0.08910156250000001, (8, 2): -0.088734375,
-         (8, 3): -0.08979150390625001, (9, ('opt', 3)): -0.10299881818168945,
-         (9, 0): -0.08597465356962805, (9, 1): -0.1199403251953125,
-         (9, 2): -0.10386674804687501, (9, 3): -0.10519775390625,
-         (10, ('opt', 3)): -0.0890506717467294, (10, 0): -0.0755054133273293,
-         (10, 1): -0.09414291544845449, (10, 2): -0.08521875000000001,
-         (10, 3): -0.07775168308940979, (11, ('opt', 1)): -0.08597500000000001,
-         (11, ('opt', 2)): -0.08297476041296899, (11, 0): -0.09298041094562712,
-         (11, 1): 0.06587890625000001, (11, 2): -0.0899793159680175,
-         (11, 3): -0.0934991977998497, (12, ('opt', 1)): -0.0475, (12, 0): -0.04875,
-         (12, 1): 0.4564453125, (12, 2): -0.043750000000000004, (12, 3): -0.06990625,
-         (13, 0): -0.025, (13, 1): -0.037500000000000006, (13, 2): 0.875,
-         (13, 3): -0.04875, (14, ('opt', 3)): -0.15716467868131526,
-         (14, 0): -0.12138017578125002, (14, 1): -0.08415625, (14, 2): -0.025,
-         (14, 3): -0.043750000000000004, (15, ('opt', 3)): -0.10975862500000001,
-         (15, 0): -0.0765625, (15, 1): -0.08259375000000001,
-         (15, 2): -0.08259375000000001, (15, 3): -0.06656250000000001,
-         (16, ('opt', 3)): -0.11282718750000001, (16, 0): -0.11873303385071962,
-         (16, 1): -0.12454045392548639, (16, 2): -0.12374299072265625,
-         (16, 3): -0.1283815234375, (17, ('opt', 3)): -0.12090066672796021,
-         (17, 0): -0.10236819076526056, (17, 1): -0.11107890625,
-         (17, 2): -0.11107890625, (17, 3): -0.11723662975069886, (18, 0): -0.04875,
-         (18, 1): 0.9375, (18, 3): -0.037500000000000006}),
+         (-2.000000000000001, 40, 40), (-0.25000000000000044, 26, 26),
+         (-2.000000000000001, 40, 40), (-2.000000000000001, 40, 40), (0.35, 7, 14),
+         (-0.35000000000000053, 17, 28), (-0.35000000000000053, 18, 28),
+         (-0.35000000000000053, 22, 28), (0.35, 8, 14), (-0.2000000000000004, 18, 25),
+         (0.5, 6, 11), (0.09999999999999976, 13, 19), (0.6000000000000001, 5, 9),
+         (0.4, 7, 13), (0.5, 6, 11), (0.35, 5, 14), (-0.35000000000000053, 19, 28),
+         (0.2499999999999999, 10, 16), (0.2499999999999999, 10, 16),
+         (0.45000000000000007, 10, 12), (0.6000000000000001, 7, 9),
+         (0.29999999999999993, 13, 15)],
+        {(0, ('opt', 3)): -0.14966329448906251,
+         (0, 0): -0.0961389959716797,
+         (0, 1): -0.09864733886718752,
+         (0, 2): -0.09302280578613281,
+         (0, 3): -0.10669833984375,
+         (1, ('opt', 3)): -0.0475,
+         (1, 0): -0.07384218750000002,
+         (1, 1): -0.06065625,
+         (1, 2): -0.08075830078125001,
+         (1, 3): -0.0792578125,
+         (2, 0): -0.056933593750000004,
+         (2, 1): -0.046875,
+         (2, 2): -0.06062500000000001,
+         (2, 3): -0.07500000000000001,
+         (3, ('opt', 3)): 0.10507285406188968,
+         (3, 0): -0.054843750000000004,
+         (3, 1): -0.04875,
+         (3, 2): -0.052187500000000005,
+         (3, 3): -0.056171875,
+         (4, ('opt', 0)): 0.4169922032165527,
+         (4, 0): 0.15792940867614744,
+         (4, 1): -0.025,
+         (4, 3): -0.025,
+         (5, 0): -0.025,
+         (5, 1): -0.025,
+         (5, 2): 0.6854787826538086,
+         (5, 3): -0.025,
+         (6, ('opt', 3)): -0.10237750000000001,
+         (6, 0): -0.12169233398437501,
+         (6, 1): -0.03589096983044357,
+         (6, 2): -0.0938203125,
+         (6, 3): -0.092746875,
+         (7, ('opt', 3)): -0.02301467069549261,
+         (7, 0): -0.09807890625000001,
+         (7, 1): -0.07678125000000001,
+         (7, 2): -0.07516371625171876,
+         (7, 3): -0.06990234375000001,
+         (8, ('opt', 3)): -0.06775,
+         (8, 0): -0.03970160288059844,
+         (8, 1): -0.07632812500000001,
+         (8, 2): -0.06852643796874999,
+         (8, 3): -0.061828125000000005,
+         (9, ('opt', 3)): 0.12255760774226385,
+         (9, 0): -0.0559375,
+         (9, 1): -0.008211483398437476,
+         (9, 2): -0.05812500000000001,
+         (9, 3): -0.060937500000000006,
+         (10, 0): -0.07412500000000001,
+         (10, 1): 0.3576031472511292,
+         (10, 2): -0.05500000000000001,
+         (10, 3): -0.02853039755859374,
+         (11, 0): 0.31167968749999997,
+         (11, 1): 0.5638959888267516,
+         (11, 2): 0.19830154069519046,
+         (11, 3): -0.014103749999999995,
+         (12, ('opt', 1)): 0.20108063964843756,
+         (12, 0): 0.1293562438964844,
+         (12, 1): 0.35346176147460934,
+         (12, 2): -0.037500000000000006,
+         (12, 3): 0.36142929687500003,
+         (13, 0): 0.14109375000000002,
+         (13, 1): 0.6348046875,
+         (13, 2): 0.9574492835998535,
+         (13, 3): 0.23394042968750003,
+         (14, 0): -0.11008125000000002,
+         (14, 1): -0.08194843750000001,
+         (14, 2): -0.08218750000000001,
+         (14, 3): -0.07665625000000001,
+         (15, 0): -0.07159375000000001,
+         (15, 1): -0.056578125,
+         (15, 2): -0.07911684125171876,
+         (15, 3): -0.06625,
+         (16, ('opt', 3)): 0.04389999067382813,
+         (16, 0): -0.05500000000000001,
+         (16, 1): -0.05828125000000001,
+         (16, 2): -0.04875,
+         (16, 3): -0.025,
+         (17, 0): 0.1538324040351868,
+         (17, 1): -0.025,
+         (17, 2): -0.05824218750000001,
+         (17, 3): -0.04875,
+         (18, ('opt', 1)): 0.1171364678085327,
+         (18, 0): -0.025}),
 }
 
 
 @pytest.mark.parametrize("learner", sorted(PINNED_RUNS))
-def test_run_odstc_pinned(learner):
+def test_run_odstc_pinned(learner, clusterings):
     # Each re-clustering replaces the option set, so an option value that
     # outlives its option shows up in the later episodes and the final table.
     world = load_gridworld(RUN_MAP, step_reward=-0.05, slip_prob=0.1)
@@ -707,7 +837,7 @@ def test_run_odstc_pinned(learner):
                          alpha=0.5, gamma=0.9, seed=3, learner=learner)
     res = run_odstc(world, config)
     assert res.notes == []
-    assert len(res.chi_snapshots) == (0 if learner == "flat" else 3)
+    assert len(clusterings) == (0 if learner == "flat" else 3)
     want_logs, want_q = PINNED_RUNS[learner]
     assert [(l.cumulative_reward, l.decision_epochs, l.primitive_steps)
             for l in res.history] == want_logs
@@ -862,12 +992,13 @@ def test_squared_distances_match_numpy_sum(dim):
     np.random.default_rng(5).dirichlet(np.ones(404)),
 ])
 def test_choice_index_matches_rng_choice(probs):
+    # Draws.random() is numpy's random(), and rng.choice(n, p=p) draws one.
     for seed in range(200):
-        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want_rng, got_rng = np.random.default_rng(seed), Draws(seed)
         want = want_rng.choice(len(probs), p=probs)
         got = pipeline._choice_index(got_rng, probs)
         assert got == want and type(got) is int
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
 
 
 def test_choice_index_on_a_cdf_boundary_goes_right():
@@ -878,7 +1009,7 @@ def test_choice_index_on_a_cdf_boundary_goes_right():
         probs = np.array([u, 0.0, 1.0 - u])
         assert probs.cumsum()[-1] == 1.0
         want = np.random.default_rng(seed).choice(3, p=probs)
-        assert pipeline._choice_index(np.random.default_rng(seed), probs) == want == 2
+        assert pipeline._choice_index(Draws(seed), probs) == want == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -898,7 +1029,7 @@ def test_kmeans_rejects_overflowing_distances():
 # --- aggregate_model ---------------------------------------------------------
 
 def sample_covering_trajectories(world, n_episodes=60, max_steps=100, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     return [sample_trajectory(world, uniform_random_policy, max_steps, rng,
                               start=starts[e % len(starts)])
