@@ -112,21 +112,18 @@ class Draws:
     is Lemire's bounded draw ``(x · n) >> 64``, redrawn while the low 64 bits
     of x · n fall below 2⁶⁴ mod n, so ``integers(4)`` is ``x >> 62``;
     ``raws(n)`` is the next n raws.  Scalars come back as Python float and
-    int.  Raws are pulled ``block`` at a time; no value depends on ``block``.
+    int.  Raws are pulled ``_BLOCK`` at a time; no value depends on ``_BLOCK``.
     """
 
-    __slots__ = ("_bits", "_block", "_it")
+    __slots__ = ("_bits", "_it")
 
-    def __init__(self, seed: int, block: int = _BLOCK):
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
+    def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
-        self._block = block
         self._it = iter(())
 
     def _refill(self) -> int:
         """Pull the next block and return its first raw output."""
-        self._it = iter(self._bits.random_raw(self._block).tolist())
+        self._it = iter(self._bits.random_raw(_BLOCK).tolist())
         return next(self._it)
 
     def _raw(self) -> int:

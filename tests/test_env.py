@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_options import env
 from spectral_options.env import (
     _BLOCK,
     N_ACTIONS,
@@ -298,9 +299,10 @@ def test_draws_known_answer():
     assert draws.raws(2).tolist() == [6634314167898596036, 3128922889320554696]
 
 
-def test_draws_raws_are_the_pcg64_stream():
+def test_draws_raws_are_the_pcg64_stream(monkeypatch):
     assert Draws(9).raws(1000).tolist() == np.random.PCG64(9).random_raw(1000).tolist()
-    draws = Draws(9, block=7)
+    monkeypatch.setattr(env, "_BLOCK", 7)
+    draws = Draws(9)
     assert draws.raws(0).tolist() == []
     assert draws.raws(1).dtype == np.uint64
 
@@ -333,7 +335,7 @@ def test_reader_matches_numpy_draws(buffered, n_draws):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_reader_matches_numpy_over_random_interleavings(seed):
+def test_reader_matches_numpy_over_random_interleavings(seed, monkeypatch):
     # The same plan of random(), integers(n) and raws(k) gives the same
     # values under blocks of 1, 7 and the default size, and equals the
     # definition applied to PCG64(seed)'s raws one at a time.
@@ -372,7 +374,8 @@ def test_reader_matches_numpy_over_random_interleavings(seed):
         else:
             want.append([next(raws) for _ in range(arg)])
     for block in (1, 7, _BLOCK):
-        assert run(Draws(seed, block=block)) == want
+        monkeypatch.setattr(env, "_BLOCK", block)
+        assert run(Draws(seed)) == want
 
 
 def test_draws_integers_rejects_below_the_threshold():

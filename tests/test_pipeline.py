@@ -20,7 +20,7 @@ from spectral_options.model import (
 )
 from spectral_options.spectral import cluster
 from spectral_options.options import Option, compose_options
-from spectral_options import pipeline
+from spectral_options import env, pipeline
 from spectral_options.agents import QTable
 from spectral_options.pipeline import (
     LEARNERS,
@@ -504,7 +504,7 @@ class NumpyDraws:
 
 @pytest.mark.parametrize("slip_prob", [0.0, 0.1])
 @pytest.mark.parametrize("learner", LEARNERS)
-def test_run_episode_reader_matches_numpy_draws(learner, slip_prob):
+def test_run_episode_reader_matches_numpy_draws(learner, slip_prob, monkeypatch):
     # Oracle: the same loop drawing straight from numpy's PCG64.  Episodes
     # from pure exploration to greedy cross many ends of 7-raw blocks.
     world = load_gridworld(THREE_ROOMS, step_reward=-0.05, slip_prob=slip_prob)
@@ -521,7 +521,8 @@ def test_run_episode_reader_matches_numpy_draws(learner, slip_prob):
 
     want = episodes(NumpyDraws(3))
     assert episodes(Draws(3)) == want
-    assert episodes(Draws(3, block=7)) == want
+    monkeypatch.setattr(env, "_BLOCK", 7)
+    assert episodes(Draws(3)) == want
 
 
 def test_option_with_empty_policy_row_is_not_offered():
