@@ -142,7 +142,9 @@ def compose_policy(i: int, j: int, gain: np.ndarray, observed: np.ndarray,
         if count:
             start, end = end, end + count
             g = weights[start:end]
-            total = sum(g)      # not a numpy sum: sum() compensates from Python 3.12
+            total = 0.0
+            for x in g:         # left to right; sum() compensates from Python 3.12
+                total += x
             policy[s] = dict(zip(actions[start:end], [x / total for x in g]))
     return (policy, frozenset(rows[~modeled].tolist()), frozenset(rows[ascend].tolist()),
             frozenset(rows[modeled & ~target & ~ascend].tolist()))

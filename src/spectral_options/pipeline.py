@@ -17,6 +17,7 @@ spectral and option stages apply unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +89,10 @@ class OdstcConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.learner not in LEARNERS:
             raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
-        if self.v < 0 or self.tau_conn < 0:
-            raise ValueError("v and tau_conn must be non-negative")
+        if not (math.isfinite(self.tau_conn) and self.tau_conn >= 0):
+            raise ValueError(f"tau_conn must be finite and non-negative, got {self.tau_conn}")
         _check_alpha_gamma(self.alpha, self.gamma)
-        EstimatedModel(1, d_prior=self.d_prior, u_prior=self.u_prior)
+        EstimatedModel(1, v=self.v, d_prior=self.d_prior, u_prior=self.u_prior)
 
 
 @dataclass
@@ -251,11 +252,6 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
                        converged=converged)
 
 
-# numpy sums fewer than this many terms one after another and blocks longer
-# runs pairwise, so the column loops below reproduce its sums only up to here.
-_PAIRWISE_BLOCK = 8
-
-
 def _choice_index(rng: Draws, probs: np.ndarray) -> int:
     """An index drawn ∝ ``probs`` by one ``rng.random()`` u: the first index
     whose cumulative probability, divided by the total, exceeds u."""
@@ -265,15 +261,8 @@ def _choice_index(rng: Draws, probs: np.ndarray) -> int:
 
 
 def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, bit-equal to
-    ``((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)``.
-
-    numpy sums a short last axis left to right; up to ``_PAIRWISE_BLOCK``
-    columns the squares are added column by column in that order, on (n, k)
-    arrays, instead of reducing an (n, k, d) array.
-    """
-    if pts.shape[1] >= _PAIRWISE_BLOCK:
-        return ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+    """(n, k) squared distances: the squared column differences added
+    column by column, left to right."""
     dist2 = (pts[:, :1] - centroids[:, 0]) ** 2
     for c in range(1, pts.shape[1]):
         dist2 += (pts[:, c:c + 1] - centroids[:, c]) ** 2
@@ -291,14 +280,10 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
 
     Seeding draws come from ``Draws(seed)``: the first centroid is the point
     at ``integers(n)`` and each later one is drawn by ``_choice_index``.
-    Distances and centroids are bit-equal to the plain numpy forms
-    (``sum(axis=2)`` over an (n, k, d) array, one boolean-mask
-    ``mean(axis=0)`` per centroid), which relies on numpy internals: that
-    numpy sums fewer than 8 terms of a last axis left to right, and that an
-    axis-0 mean of a (m, d ≥ 2) array adds rows one after another from +0.0
-    as ``np.bincount`` with weights does.  Features of 8 columns or more
-    keep the (n, k, d) distances and 1-column features keep the
-    per-centroid mean, which numpy sums pairwise.
+    The arithmetic is the same for every feature width: a squared distance
+    adds the squared column differences left to right, and a centroid
+    coordinate adds its members' values from +0.0 in point order, then
+    divides by the member count.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -345,13 +330,9 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
         if (new_assign == assignments).all():
             break
         assignments = new_assign
-        if dim == 1:
-            for c in range(k_m):
-                centroids[c] = pts[assignments == c].mean(axis=0)
-        else:
-            for col in range(dim):
-                centroids[:, col] = np.bincount(assignments, weights=pts[:, col],
-                                                minlength=k_m) / counts
+        for col in range(dim):
+            centroids[:, col] = np.bincount(assignments, weights=pts[:, col],
+                                            minlength=k_m) / counts
     return MicrostateMap(assignments=assignments, centroids=centroids,
                          sse_history=sse_history)
 

@@ -7,7 +7,8 @@ option action drawn with ``rng.choice``, a bounded integer drawn by
 Lemire's method in Python integers, Q updates that scan with
 ``QTable.get``, a move computed from cell coordinates), the row-by-row
 argmax assignment of states to clusters, k-means with k-means++ seeding
-that measures each point against every chosen centroid in every round, and
+that measures each point against every chosen centroid in every round and
+adds each centroid's members one row at a time, and
 option composition over a dict of one dense kernel row per visited (s, a),
 with one dot product per state, action and option and one scalar log pair
 per termination entry, the per-state loop that builds an option's μ table
@@ -242,19 +243,30 @@ def loop_assign_states(chi):
     return assignment, clusters
 
 
+def column_sq_dists(pts, centroids):
+    """(n, c) squared distances, each the sum from +0.0 of the squared column
+    differences, taken one column after another from the first."""
+    dist2 = np.zeros((pts.shape[0], centroids.shape[0]))
+    for col in range(pts.shape[1]):
+        dist2 = dist2 + (pts[:, col][:, None] - centroids[:, col][None, :]) ** 2
+    return dist2
+
+
 def quadratic_kmeans(pts, k_m, seed, max_iters=100):
     """(assignments, centroids, sse_history) of k-means++ seeded Lloyd iterations.
 
     Each seeding round recomputes the distance from every point to every
-    centroid chosen so far, an (n, c, d) array, and takes the point at which
-    the normalised cumulative probabilities first exceed one ``random()``
-    draw of ``Draws(seed)``; ``pts`` is a 2-D float array.
+    centroid chosen so far and takes the point at which the normalised
+    cumulative probabilities first exceed one ``random()`` draw of
+    ``Draws(seed)``; ``pts`` is a 2-D float array.  Distances are
+    column_sq_dists, and each centroid is its members' rows added one after
+    another, in point order, to a zero row, then divided by their count.
     """
     n = pts.shape[0]
     rng = Draws(seed)
     centroids = pts[[rng.integers(n)]]
     while centroids.shape[0] < k_m:
-        d2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2).min(axis=1)
+        d2 = column_sq_dists(pts, centroids).min(axis=1)
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         cdf = probs.cumsum()
@@ -264,7 +276,7 @@ def quadratic_kmeans(pts, k_m, seed, max_iters=100):
     assignments = np.full(n, -1)
     sse_history = []
     for _ in range(max_iters):
-        dist2 = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        dist2 = column_sq_dists(pts, centroids)
         new_assign = dist2.argmin(axis=1)
         for c in range(k_m):
             if not (new_assign == c).any():
@@ -276,7 +288,11 @@ def quadratic_kmeans(pts, k_m, seed, max_iters=100):
             break
         assignments = new_assign
         for c in range(k_m):
-            centroids[c] = pts[assignments == c].mean(axis=0)
+            members = pts[assignments == c]
+            total = np.zeros(pts.shape[1])
+            for row in members:
+                total += row
+            centroids[c] = total / len(members)
     return assignments, centroids, sse_history
 
 
@@ -313,7 +329,9 @@ def dict_compose(i, j, chi, P, members):
             else:
                 positive = {a: 1.0 for a in obs}
                 fallback.add(s)
-        total = sum(positive.values())
+        total = 0.0
+        for g in positive.values():     # left to right
+            total += g
         policy[s] = {a: g / total for a, g in positive.items()}
     clamped = np.clip(chi, BETA_EPS, 1.0 - BETA_EPS)
     termination = {s: float(min(np.log(clamped[s, i]) / np.log(clamped[s, j]), 1.0))
@@ -338,7 +356,9 @@ def loop_compose_policy(i, j, gain, observed, index):
             else:
                 positive = {a: 1.0 for a in obs}
                 fallback.add(s)
-        total = sum(positive.values())
+        total = 0.0
+        for g in positive.values():     # left to right
+            total += g
         policy[s] = {a: g / total for a, g in positive.items()}
     return policy, frozenset(unmodeled), frozenset(ascent), frozenset(fallback)
 

@@ -124,6 +124,17 @@ def test_single_positive_gain_takes_all_mass():
     assert not unmodeled and not ascent and not fallback
 
 
+def test_policy_normaliser_adds_gains_left_to_right():
+    # sum() would compensate from Python 3.12 and give 0.6, not 0.6000000000000001.
+    gain = np.zeros((1, 4, 2))
+    gain[0, :3, 1] = [0.1, 0.2, 0.3]
+    observed = np.array([[True, True, True, False]])
+    idx = assign_states(np.array([[1.0, 0.0]]))
+    policy, _, _, _ = compose_policy(0, 1, gain, observed, idx)
+    total = (0.1 + 0.2) + 0.3
+    assert policy == {0: {0: 0.1 / total, 1: 0.2 / total, 2: 0.3 / total}}
+
+
 def test_negative_gains_clamped_to_zero():
     chi = np.array([[0.7, 0.3], [0.9, 0.1], [0.6, 0.4]])
     gain, observed = kernel_gains(

@@ -93,7 +93,11 @@ def test_default_config_is_valid():
     ("eps_end", -0.1),
     ("learner", "sarsa"),
     ("v", -1.0),
+    ("v", float("inf")),
+    ("v", float("nan")),
     ("tau_conn", -0.1),
+    ("tau_conn", float("inf")),
+    ("tau_conn", float("nan")),
     ("gamma", 1.5),
     ("alpha", 2.0),
     ("d_prior", -1.0),
@@ -973,15 +977,27 @@ def test_kmeans_matches_oracle_across_widths(pts, k_m, max_iters, seed):
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_squared_distances_match_numpy_sum(dim):
-    # Bit-equal to numpy's own reduction, below and above the width where
-    # numpy starts to sum pairwise; magnitudes spread so order matters.
+    # Bit-equal to the column-by-column sum at every width, and equal to
+    # numpy's own reduction up to round-off; magnitudes spread so order matters.
     rng = np.random.default_rng(dim)
     pts = rng.normal(size=(300, dim)) * 10.0 ** rng.uniform(-4, 4, size=(300, dim))
     centroids = rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-4, 4, size=(40, dim))
-    want = ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-    assert pipeline._sq_dists(pts, centroids).tobytes() == want.tobytes()
-    one = pipeline._sq_dists(pts, centroids[:1])[:, 0]
-    assert one.tobytes() == ((pts - centroids[0]) ** 2).sum(axis=1).tobytes()
+    got = pipeline._sq_dists(pts, centroids)
+    assert got.tobytes() == oracles.column_sq_dists(pts, centroids).tobytes()
+    assert np.allclose(got, ((pts[:, None, :] - centroids[None]) ** 2).sum(axis=2),
+                       rtol=1e-12, atol=0)
+
+
+def test_one_column_centroid_is_the_sequential_mean():
+    # 1.0 and then fifteen 2⁻⁵³: added one after another from 0.0, each small
+    # term rounds away, while numpy's pairwise mean keeps some of them.
+    pts = np.array([1.0] + [2.0 ** -53] * 15)
+    total = 0.0
+    for x in pts:
+        total += x
+    assert total / pts.size != pts.mean()
+    micro = kmeans_microstates(pts, k_m=1, seed=0)
+    assert micro.centroids.tolist() == [[total / pts.size]]
 
 
 @pytest.mark.parametrize("probs", [
