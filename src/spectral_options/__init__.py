@@ -5,6 +5,7 @@ from spectral_options.env import (
     GridWorld,
     MapError,
     Trajectory,
+    Transitions,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -31,7 +32,7 @@ from spectral_options.pipeline import aggregate_model, kmeans_microstates, run_o
 __version__ = "0.1.0"
 
 __all__ = [
-    "Draws", "GridWorld", "MapError", "Trajectory", "bundled_map_text",
+    "Draws", "GridWorld", "MapError", "Trajectory", "Transitions", "bundled_map_text",
     "load_gridworld", "sample_trajectory", "step",
     "EstimatedModel", "adjacency", "exhaustive_model",
     "MembershipMatrix", "build_laplacian", "cluster", "connectivity", "select_k",

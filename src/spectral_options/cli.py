@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+# Episodes are sampled and counted in blocks of at most this many steps
+# (max_steps each), which bounds the memory of a block for any budget.
+_BLOCK_STEPS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -229,14 +232,14 @@ def _write_membership_outputs(out_dir, world, result, options,
     if csv_on:
         _write_csv(os.path.join(out_dir, "chi.csv"),
                    ["state", "row", "col"] + [f"chi_{i}" for i in range(k)],
-                   [[s, world.cells[s][0], world.cells[s][1]]
-                    + [_fmt(x) for x in chi[s]] for s in range(world.n_states)])
+                   [[s, r, c, *map(repr, row)]
+                    for s, ((r, c), row) in enumerate(zip(world.cells, chi.tolist()))])
         _write_csv(os.path.join(out_dir, "connectivity.csv"),
                    ["cluster"] + [f"C_{j}" for j in range(k)],
-                   [[i] + [_fmt(x) for x in C[i]] for i in range(k)])
+                   [[i, *map(repr, row)] for i, row in enumerate(C.tolist())])
         _write_csv(os.path.join(out_dir, "eigenvalues.csv"),
                    ["index", "eigenvalue"],
-                   [[i, _fmt(e)] for i, e in enumerate(result.spectral.eigenvalues)])
+                   enumerate(map(repr, result.spectral.eigenvalues.tolist())))
         _write_csv(os.path.join(out_dir, "options.csv"),
                    ["option_id", "source", "target"],
                    [[i, o.source, o.target] for i, o in enumerate(options)])
@@ -258,17 +261,23 @@ def _write_membership_outputs(out_dir, world, result, options,
 
 
 def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
-    """Yield max_rounds × episodes_per_round uniform-random episodes, seeded by oc.seed.
+    """Yield max_rounds × episodes_per_round uniform-random episodes, seeded by
+    oc.seed, as Transitions blocks of at most max(1, _BLOCK_STEPS // max_steps)
+    episodes each.
 
     Start states cycle through every non-terminal cell so the counts cover the
     whole map evenly; episodes anchored to the map start alone leave distant
-    regions under-sampled, which skews the spectrum.
+    regions under-sampled, which skews the spectrum.  No output depends on the
+    block size.
     """
     rng = Draws(oc.seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    for episode in range(oc.max_rounds * oc.episodes_per_round):
+    total = oc.max_rounds * oc.episodes_per_round
+    size = max(1, _BLOCK_STEPS // oc.max_steps_per_episode)
+    for first in range(0, total, size):
+        block = [starts[e % len(starts)] for e in range(first, min(first + size, total))]
         yield sample_trajectory(world, uniform_random_policy, oc.max_steps_per_episode,
-                                rng, start=starts[episode % len(starts)])
+                                rng, start=block)
 
 
 def cmd_discover(cfg: ExperimentConfig) -> int:
@@ -279,8 +288,9 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
     model = EstimatedModel(world.n_states, v=oc.model_v, d_prior=oc.d_prior,
                            u_prior=oc.u_prior)
-    for traj in _sampled_episodes(world, oc):
-        update_counts(model, traj)
+    for block in _sampled_episodes(world, oc):
+        update_counts(model, block)
+    del block       # about 1 MB at the default budget, not needed past counting
     result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k or None)
     options = compose_options(model, result, tau_conn=oc.tau_conn)
     out_dir = cfg[("output", "directory")]
@@ -397,7 +407,7 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
                [[i, int(m)] for i, m in enumerate(micro.assignments)])
     _write_csv(os.path.join(out_dir, "centroids.csv"),
                ["microstate"] + [f"c_{d}" for d in range(micro.centroids.shape[1])],
-               [[i] + [_fmt(x) for x in row] for i, row in enumerate(micro.centroids)])
+               [[i, *map(repr, row)] for i, row in enumerate(micro.centroids.tolist())])
     save_triplets(model, os.path.join(out_dir, "aggregated_model.csv"))
     return EXIT_OK
 

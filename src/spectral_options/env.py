@@ -14,6 +14,7 @@ from raw PCG64 outputs.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -57,6 +58,33 @@ class Trajectory:
         self.rewards.append(r)
         self.states.append(s2)
         self.done = done
+
+
+@dataclass(slots=True, eq=False)
+class Transitions:
+    """A batch of episodes as flat step arrays, episode after episode: step i
+    is (s[i], a[i], r[i], s2[i]).  ``s``, ``a`` and ``s2`` are int64, ``r``
+    float; ``len`` is the number of steps."""
+
+    s: np.ndarray
+    a: np.ndarray
+    s2: np.ndarray
+    r: np.ndarray
+
+    def __len__(self):
+        return self.a.size
+
+    @classmethod
+    def of(cls, trajectories) -> Transitions:
+        """The steps of the given Trajectories as one batch, in their order."""
+        s, a, s2, r = [], [], [], []
+        for t in trajectories:
+            s += t.states[:-1]
+            a += t.actions
+            s2 += t.states[1:]
+            r += t.rewards
+        return cls(np.array(s, dtype=np.int64), np.array(a, dtype=np.int64),
+                   np.array(s2, dtype=np.int64), np.array(r, dtype=float))
 
 
 @dataclass
@@ -247,28 +275,50 @@ def step(world: GridWorld, s: int, a: int, rng: Draws | None = None):
 
 
 def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
-                      start: int | None = None) -> Trajectory:
-    """Roll out one episode from ``start`` (the map start state by default).
+                      start: int | Sequence[int] | None = None) -> Trajectory | Transitions:
+    """Roll out one episode from ``start`` (the map start state by default), or
+    one episode from each start in turn when ``start`` is a sequence of states.
 
     ``policy`` is called as policy(state, rng) and must return an action id.
-    The rollout stops on episode termination or after max_steps steps.
-    Raises ValueError for a start outside [0, n_states) or a terminal start.
+    An episode stops on termination or after max_steps steps.  One start gives
+    a Trajectory; a sequence gives a Transitions batch of its episodes.
+    Raises ValueError, before any draw, for a start outside [0, n_states) or
+    a terminal start.
 
     With ``policy is uniform_random_policy`` and ``slip_prob == 0`` the
-    actions are ``rng.raws(max_steps) >> 62``, so the episode takes exactly
-    max_steps raws however early it ends, and its steps are those of the
-    step loop, whose ``integers(4)`` is ``x >> 62`` of one raw x.  Any other
-    policy, and slip, take the step loop.
+    episodes walk in lockstep on ``rng.raws(episodes × max_steps) >> 62``,
+    max_steps actions per episode in episode order, so each episode takes
+    exactly max_steps raws however early it ends, and its steps are those of
+    the step loop, whose ``integers(4)`` is ``x >> 62`` of one raw x.  Any
+    other policy, and slip, run the step loop once per start.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    s = world.start if start is None else start
-    if not 0 <= s < world.n_states:
-        raise ValueError(f"start state {s} is outside [0, {world.n_states})")
-    if world.is_terminal(s):
-        raise ValueError(f"cannot start an episode at terminal state {s}")
+    single = np.ndim(start) == 0
+    if single:
+        starts = [world.start if start is None else operator.index(start)]
+    else:
+        starts = [operator.index(s) for s in start]
+    for s in starts:
+        if not 0 <= s < world.n_states:
+            raise ValueError(f"start state {s} is outside [0, {world.n_states})")
+        if world.is_terminal(s):
+            raise ValueError(f"cannot start an episode at terminal state {s}")
     if policy is uniform_random_policy and world.slip_prob == 0.0:
-        return _uniform_trajectory(world, s, max_steps, rng)
+        batch = _uniform_walk(world, starts, max_steps, rng)
+        if not single:
+            return batch
+        states = starts + batch.s2.tolist()
+        return Trajectory(states, batch.a.tolist(), batch.r.tolist(), states[-1] in world.goals)
+    episodes = [_step_loop(world, policy, s, max_steps, rng) for s in starts]
+    return episodes[0] if single else Transitions.of(episodes)
+
+
+def uniform_random_policy(state: int, rng: Draws) -> int:
+    return rng.integers(N_ACTIONS)
+
+
+def _step_loop(world: GridWorld, policy, s: int, max_steps: int, rng: Draws) -> Trajectory:
     traj = Trajectory([s])
     for _ in range(max_steps):
         a = policy(s, rng)
@@ -279,26 +329,28 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
     return traj
 
 
-def uniform_random_policy(state: int, rng: Draws) -> int:
-    return rng.integers(N_ACTIONS)
-
-
-def _uniform_trajectory(world: GridWorld, s: int, max_steps: int,
-                        rng: Draws) -> Trajectory:
-    """The step loop's episode under uniform_random_policy without slip,
-    from one block of max_steps raws."""
-    actions = (rng.raws(max_steps) >> 62).tolist()
-    successor, goals = world.successor, world.goals
-    states = [s]
-    for a in actions:
-        s = successor[s][a]
-        states.append(s)
-        if s in goals:
-            break
-    n = len(states) - 1
-    # Only the last step can reach a goal.
-    rewards = [world.step_reward] * n
-    done = s in goals
-    if done:
-        rewards[-1] = world.goal_reward
-    return Trajectory(states, actions[:n], rewards, done)
+def _uniform_walk(world: GridWorld, starts: list[int], max_steps: int,
+                  rng: Draws) -> Transitions:
+    """The step loop's episodes under uniform_random_policy without slip, one
+    from each start, walked in lockstep on one draw of the actions."""
+    n = len(starts)
+    actions = (rng.raws(n * max_steps) >> 62).astype(np.int64).reshape(n, max_steps)
+    moves = np.array(world.successor, dtype=np.int64).ravel() * N_ACTIONS   # s·A + a -> s'·A
+    # Row t holds every episode's state after t steps, as s·A while walking.
+    # An episode walks on past its goal here and is cut at its first goal below.
+    walk = np.empty((max_steps + 1, n), dtype=np.int64)
+    walk[0] = starts
+    walk[0] *= N_ACTIONS
+    by_step = actions.T
+    for t in range(max_steps):
+        walk[t + 1] = moves[walk[t] + by_step[t]]
+    walk //= N_ACTIONS
+    states = walk.T                               # (episode, step)
+    goal = np.zeros(world.n_states, dtype=bool)
+    goal[list(world.goals)] = True
+    hit = goal[states[:, 1:]]
+    length = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, max_steps)
+    taken = np.arange(max_steps) < length[:, None]
+    s2 = states[:, 1:][taken]
+    r = np.where(goal[s2], float(world.goal_reward), float(world.step_reward))
+    return Transitions(states[:, :-1][taken], actions[taken], s2, r)

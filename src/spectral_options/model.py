@@ -1,8 +1,10 @@
 """Empirical transition-model estimation from sampled trajectories.
 
-Stores only what was observed: one sorted int64 key (s·A + a)·N + s' per
-counted transition, with its visit count and reward sum.  A write appends
-its batch; the next read folds the batches in.  The dense (N, A, N) views
+Episodes are counted a batch at a time: a ``Transitions`` block of episodes,
+or one ``Trajectory`` as its batch of one.  The model stores only what was
+observed: one sorted int64 key (s·A + a)·N + s' per counted transition, with
+its visit count and reward sum.  A write appends its batch; the next read
+folds the batches in.  The dense (N, A, N) views
 R_count and R_sum, the smoothed counts U(s,a,s') = counts + U_prior and the
 reward-weighted adjacency, with R̂ the mean observed reward,
 
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS, GridWorld, Trajectory
+from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, Transitions
 
 # Pending entries are folded in once they outnumber both the stored keys and
 # this, so unread writes hold at most about as much memory as the store.
@@ -133,14 +135,29 @@ def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
         model._folded()
 
 
-def update_counts(model: EstimatedModel, traj: Trajectory) -> EstimatedModel:
-    """Fold one trajectory into the model's counts; returns the same model.
+def _as_batch(episodes: Trajectory | Transitions) -> Transitions:
+    """A Transitions batch as it is, a Trajectory as its batch of one.
+
+    One episode needs no join, so its s and s2 are views of one state array:
+    the learner counts each of its episodes this way.
+    """
+    if isinstance(episodes, Transitions):
+        return episodes
+    states = np.asarray(episodes.states, dtype=np.int64)
+    return Transitions(states[:-1], np.asarray(episodes.actions, dtype=np.int64), states[1:],
+                       np.asarray(episodes.rewards, dtype=float))
+
+
+def update_counts(model: EstimatedModel,
+                  episodes: Trajectory | Transitions) -> EstimatedModel:
+    """Fold one trajectory, or a Transitions batch of episodes, into the model's
+    counts with one write; returns the same model.
 
     Each observed (s, a, s') adds one visit and its reward; U and D follow when
     read.  An out-of-range index raises IndexError before any count is written.
     """
-    states = np.asarray(traj.states, dtype=np.int64)
-    _add_counts(model, states[:-1], traj.actions, states[1:], 1.0, traj.rewards)
+    batch = _as_batch(episodes)
+    _add_counts(model, batch.s, batch.a, batch.s2, 1.0, batch.r)
     return model
 
 

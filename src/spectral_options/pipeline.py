@@ -11,8 +11,8 @@ options and the failure is recorded.
 ``kmeans_microstates`` + ``aggregate_model`` implement the state-aggregation
 stage for externally supplied feature vectors: k-means++ seeded Lloyd
 iterations group feature points into microstates, and sampled episodes are
-streamed, one at a time, into counts on the microstate space, after which the
-spectral and option stages apply unchanged.
+streamed, one block at a time, into counts on the microstate space, after
+which the spectral and option stages apply unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spectral_options.env import Draws, GridWorld, Trajectory, step
-from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
+from spectral_options.model import (
+    EstimatedModel,
+    _add_counts,
+    _as_batch,
+    adjacency,
+    update_counts,
+)
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options
 from spectral_options.agents import (
@@ -337,21 +343,26 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
                          sse_history=sse_history)
 
 
-def aggregate_model(trajectories, assignments, n_microstates: int | None = None,
+def aggregate_model(episodes, assignments, n_microstates: int | None = None,
                     v: float = 0.0) -> EstimatedModel:
-    """Count trajectories on the microstate space, one trajectory at a time.
+    """Count episodes on the microstate space, one write per item of ``episodes``.
 
-    ``assignments`` is an integer array, state id -> microstate id; the
-    trajectories may be any iterable and are not kept.  A state past the end
-    of ``assignments`` or a microstate id outside [0, n_microstates) raises
-    IndexError.  The resulting model feeds the spectral and option stages
-    unchanged.
+    ``assignments`` is an integer array, state id -> microstate id.  The
+    items of ``episodes``, Transitions blocks or single Trajectories, may come
+    from any iterable and are not kept.  A state outside
+    [0, len(assignments)) raises IndexError before its item is counted, and
+    so does a microstate id outside [0, n_microstates).  The resulting model
+    feeds the spectral and option stages unchanged.
     """
     assignments = np.asarray(assignments, dtype=np.intp)
     if n_microstates is None:
         n_microstates = int(assignments.max()) + 1
     micro = EstimatedModel(n_microstates, v=v)
-    for traj in trajectories:
-        m = assignments[traj.states]
-        _add_counts(micro, m[:-1], traj.actions, m[1:], 1.0, traj.rewards)
+    for item in episodes:
+        batch = _as_batch(item)
+        for idx in (batch.s, batch.s2):
+            if idx.size and not 0 <= idx.min() <= idx.max() < assignments.size:
+                raise IndexError(f"state out of range [0, {assignments.size}): "
+                                 f"{idx.min()}..{idx.max()}")
+        _add_counts(micro, assignments[batch.s], batch.a, assignments[batch.s2], 1.0, batch.r)
     return micro

@@ -102,13 +102,14 @@ def build_laplacian(W: np.ndarray) -> StochasticLaplacian:
         raise SpectralError("adjacency has non-finite entries")
     if (W < 0).any():
         raise SpectralError("adjacency has negative entries")
-    if not np.allclose(W, W.T, atol=1e-9):
+    # The exact test is a fraction of allclose's cost and settles the usual case.
+    if not (np.array_equal(W, W.T) or np.allclose(W, W.T, atol=1e-9)):
         raise SpectralError("adjacency must be symmetric")
     degree = W.sum(axis=1)
     kept = np.flatnonzero(degree > 0)
     if kept.size == 0:
         raise SpectralError("adjacency is all-zero")
-    Wk = W[np.ix_(kept, kept)]
+    Wk = W.copy() if kept.size == W.shape[0] else W[np.ix_(kept, kept)]
     deg = Wk.sum(axis=1)
     d_max = deg.max()
     # Off the diagonal I + (Wk − Deg)/d_max is Wk/d_max; Wk is a fresh copy.

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spectral_options import cli
 from spectral_options.env import bundled_map_text, load_gridworld
 from spectral_options.cli import (
     EXIT_CONFIG,
@@ -345,6 +346,28 @@ def test_discover_deterministic(tmp_path):
     assert main(["discover", DISCOVER_INI, "--out-dir", str(a)]) == EXIT_OK
     assert main(["discover", DISCOVER_INI, "--out-dir", str(b)]) == EXIT_OK
     assert dir_digest(a) == dir_digest(b)
+
+
+@pytest.mark.parametrize("max_steps", [3, 200])
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, max_steps):
+    # 38 episodes: blocks of 1 episode, of 7 // max_steps (1 or 2, the last
+    # block short at 2) and all 38 in one block.
+    features = tmp_path / "features.txt"
+    write_features(features, np.arange(77.0).reshape(-1, 1) % 9)
+    sets = ["--set", "pipeline.max_rounds=2", "--set", f"pipeline.max_steps_per_episode={max_steps}",
+            "--set", "pipeline.k_m=9", "--set", "output.model=true"]
+    digests, blocks = [], []
+    for size in (1, 7, cli._BLOCK_STEPS):
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", size)
+        out = tmp_path / str(size)
+        assert main(["discover", DISCOVER_INI, "--out-dir", str(out / "d")] + sets) == EXIT_OK
+        assert main(["aggregate", DISCOVER_INI, "--features", str(features),
+                     "--out-dir", str(out / "a")] + sets) == EXIT_OK
+        digests.append((dir_digest(out / "d"), dir_digest(out / "a")))
+        cfg = load_config(DISCOVER_INI, overrides=sets[1::2])
+        blocks.append(len(list(cli._sampled_episodes(cfg.world(), cfg.odstc()))))
+    assert digests[0] == digests[1] == digests[2]
+    assert blocks == [38, 19 if max_steps == 3 else 38, 1]
 
 
 def test_discover_without_fallback_is_silent(tmp_path, capsys):

@@ -10,6 +10,7 @@ from spectral_options.env import (
     Draws,
     GridWorld,
     MapError,
+    Transitions,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -279,6 +280,81 @@ def test_slip_keeps_step_loop():
         want = sample_trajectory(world, looped_uniform_policy, 200, loop, start=start)
         assert got == want
         assert block.random() == loop.random()
+
+
+# --- batches of episodes ----------------------------------------------------
+
+EARLY_GOAL = "#####\n#S.G#\n#G..#\n#####"
+
+
+def toward_east_policy(s, rng):
+    """A non-uniform policy: east half the time, else a uniform action."""
+    return 1 if rng.random() < 0.5 else rng.integers(N_ACTIONS)
+
+
+def batch_fields(batch):
+    return [x.tolist() for x in (batch.s, batch.a, batch.s2, batch.r)]
+
+
+@pytest.mark.parametrize("text, slip, policy", [
+    (EARLY_GOAL, 0.0, uniform_random_policy),
+    (THREE_ROOMS, 0.0, uniform_random_policy),
+    (THREE_ROOMS, 0.3, uniform_random_policy),
+    (THREE_ROOMS, 0.0, toward_east_policy),
+], ids=["uniform_early_goal", "uniform", "slip", "non_uniform"])
+@pytest.mark.parametrize("max_steps", [1, 7, 200])
+def test_batch_equals_concatenated_episodes(text, slip, policy, max_steps):
+    world = load_gridworld(text, step_reward=-0.5, goal_reward=2.0, slip_prob=slip)
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)] * 2
+    batched, single = Draws(17), Draws(17)
+    batch = sample_trajectory(world, policy, max_steps, batched, start=starts)
+    episodes = [sample_trajectory(world, policy, max_steps, single, start=s) for s in starts]
+    assert isinstance(batch, Transitions)
+    assert batch_fields(batch) == batch_fields(Transitions.of(episodes))
+    assert len(batch) == sum(map(len, episodes))
+    assert [x.dtype for x in (batch.s, batch.a, batch.s2, batch.r)] == [np.int64] * 3 + [float]
+    assert batched.raws(2).tolist() == single.raws(2).tolist()
+
+
+@pytest.mark.parametrize("text", [EARLY_GOAL, THREE_ROOMS], ids=["early_goal", "three_rooms"])
+@pytest.mark.parametrize("n_episodes, max_steps", [(1, 1), (3, 5), (40, 200), (200, 333)])
+def test_uniform_batch_takes_episodes_times_max_steps_raws(text, n_episodes, max_steps):
+    world = load_gridworld(text)
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
+    draws = Draws(4)
+    batch = sample_trajectory(world, uniform_random_policy, max_steps, draws,
+                              start=[starts[e % len(starts)] for e in range(n_episodes)])
+    n_raws = n_episodes * max_steps
+    assert draws.raws(3).tolist() == np.random.PCG64(4).random_raw(n_raws + 3)[-3:].tolist()
+    assert len(batch) <= n_raws
+
+
+def test_empty_batch():
+    world = load_gridworld(THREE_ROOMS)
+    draws = Draws(2)
+    batch = sample_trajectory(world, uniform_random_policy, 50, draws, start=[])
+    assert len(batch) == 0 and batch_fields(batch) == [[], [], [], []]
+    assert draws.random() == Draws(2).random()
+
+
+@pytest.mark.parametrize("bad, message", [(77, "outside"), (-1, "outside"), (76, "terminal")])
+def test_bad_start_in_a_batch_is_error_before_any_draw(bad, message):
+    world = load_gridworld(THREE_ROOMS)
+    draws = Draws(6)
+    with pytest.raises(ValueError, match=message):
+        sample_trajectory(world, uniform_random_policy, 5, draws, start=[0, 1, bad, 2])
+    assert draws.random() == Draws(6).random()
+
+
+def test_transitions_of_trajectories():
+    world = load_gridworld(EARLY_GOAL, step_reward=-0.5)
+    episodes = [sample_trajectory(world, looped_uniform_policy, 4, Draws(s), start=start)
+                for s, start in enumerate([0, 1, 4])]
+    batch = Transitions.of(episodes)
+    assert batch.s.tolist() == [x for e in episodes for x in e.states[:-1]]
+    assert batch.s2.tolist() == [x for e in episodes for x in e.states[1:]]
+    assert batch.a.tolist() == [x for e in episodes for x in e.actions]
+    assert batch.r.tolist() == [x for e in episodes for x in e.rewards]
 
 
 # --- the package's random stream ------------------------------------------

@@ -10,6 +10,7 @@ from spectral_options import pipeline
 from spectral_options.env import (
     Draws,
     Trajectory,
+    Transitions,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -363,6 +364,52 @@ def batches(monkeypatch):
     monkeypatch.setattr(model_module, "_add_counts", spy)
     monkeypatch.setattr(pipeline, "_add_counts", spy)
     return seen
+
+
+def block_and_episodes(world, n_episodes=40, max_steps=60, seed=3):
+    """One sampled block and the same episodes sampled one at a time."""
+    starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
+    starts = [starts[e * 7 % len(starts)] for e in range(n_episodes)]
+    block = sample_trajectory(world, uniform_random_policy, max_steps, Draws(seed),
+                              start=starts)
+    rng = Draws(seed)
+    episodes = [sample_trajectory(world, uniform_random_policy, max_steps, rng, start=s)
+                for s in starts]
+    return block, episodes
+
+
+def assert_same_store(a, b):
+    for x, y in zip(a._folded(), b._folded()):
+        assert np.array_equal(x, y) and x.dtype == y.dtype
+    assert np.array_equal(a.D, b.D)
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.2])
+def test_block_write_equals_episode_writes(batches, slip):
+    world = load_gridworld(THREE_ROOMS, step_reward=-0.04, slip_prob=slip)
+    block, episodes = block_and_episodes(world)
+    by_block = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    by_episode = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    assert update_counts(by_block, block) is by_block
+    for traj in episodes:
+        update_counts(by_episode, traj)
+    assert len(batches[id(by_block)]) == 1 and len(batches[id(by_episode)]) == 40
+    assert_same_store(by_block, by_episode)
+    assert by_block.R_count.sum() == len(block) == sum(map(len, episodes))
+
+
+def test_aggregated_blocks_equal_aggregated_trajectories(batches):
+    world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
+    block, episodes = block_and_episodes(world)
+    assignment = np.arange(world.n_states) // 4
+    halves = [Transitions.of(episodes[:15]), Transitions.of(episodes[15:])]
+    over_blocks = aggregate_model([block], assignment, v=V)
+    over_halves = aggregate_model(halves, assignment, v=V)
+    over_trajectories = aggregate_model(episodes, assignment, v=V)
+    assert [len(batches[id(m)]) for m in (over_blocks, over_halves, over_trajectories)] == \
+        [1, 2, 40]
+    assert_same_store(over_blocks, over_trajectories)
+    assert_same_store(over_halves, over_trajectories)
 
 
 def assert_matches_dense(m, batches, tmp_path):

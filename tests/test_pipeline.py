@@ -1105,6 +1105,20 @@ def test_unassigned_state_rejected():
         aggregate_model([traj], np.zeros(1, dtype=int))
 
 
+@pytest.mark.parametrize("states, actions", [([0, -1, 1], [1, 2]), ([3, 1, 2], [0, 0])],
+                         ids=["negative", "past_the_end"])
+def test_state_outside_assignments_rejected_before_counting(monkeypatch, states, actions):
+    # A negative state once wrapped round to assignments[-1] and was counted.
+    writes = []
+    monkeypatch.setattr(pipeline, "_add_counts", lambda *args: writes.append(args))
+    traj = Trajectory(states, actions, [0.0, 0.0])
+    with pytest.raises(IndexError, match="state out of range"):
+        aggregate_model([traj], np.arange(3))
+    assert writes == []
+    with pytest.raises(IndexError):
+        update_counts(EstimatedModel(3), traj)
+
+
 def test_negative_microstate_id_rejected(world):
     trajs = sample_covering_trajectories(world, n_episodes=5)
     assignment = np.zeros(world.n_states, dtype=int)

@@ -61,6 +61,17 @@ def test_asymmetric_adjacency_is_error():
         build_laplacian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_adjacency_symmetric_within_tolerance_is_accepted():
+    W = block_adjacency([3, 3], coupling=0.1)
+    W[0, 1] += 1e-12
+    assert W[0, 1] != W[1, 0]
+    lap = build_laplacian(W)
+    assert np.isfinite(lap.L).all() and lap.kept.tolist() == list(range(6))
+    W[0, 1] += 1e-3
+    with pytest.raises(SpectralError, match="symmetric"):
+        build_laplacian(W)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_adjacency_is_error(value):
     W = block_adjacency([3, 3], coupling=0.1)
