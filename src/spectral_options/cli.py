@@ -83,7 +83,7 @@ class CommandConfig:
 # give the key's type and default (a field without a default is required).
 LAYOUT = {
     "environment": ("map", "goal_reward", "step_reward", "slip_prob"),
-    "model": ("v", "reward_weighting", "d_prior", "u_prior"),
+    "model": ("v", "d_prior", "u_prior"),
     "spectral": ("t_c", "tau_conn", "k"),
     "agent": ("learner", "alpha", "gamma", "eps_start", "eps_end", "eps_anneal_episodes"),
     "pipeline": ("episodes_per_round", "max_rounds", "pcca_refresh_interval",
@@ -286,7 +286,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     oc = cfg.odstc()
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
-    model = EstimatedModel(world.n_states, v=oc.model_v, d_prior=oc.d_prior,
+    model = EstimatedModel(world.n_states, v=oc.v, d_prior=oc.d_prior,
                            u_prior=oc.u_prior)
     for block in _sampled_episodes(world, oc):
         update_counts(model, block)
@@ -401,7 +401,7 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     out_dir = cfg[("output", "directory")]
     os.makedirs(out_dir, exist_ok=True)
     model = aggregate_model(_sampled_episodes(world, oc), micro.assignments,
-                            n_microstates=k_m, v=oc.model_v)
+                            n_microstates=k_m, v=oc.v)
     _write_csv(os.path.join(out_dir, "microstates.csv"),
                ["point", "microstate"],
                [[i, int(m)] for i, m in enumerate(micro.assignments)])

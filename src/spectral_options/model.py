@@ -3,10 +3,10 @@
 Episodes are counted a batch at a time: a ``Transitions`` block of episodes,
 or one ``Trajectory`` as its batch of one.  The model stores only what was
 observed: one sorted int64 key (s·A + a)·N + s' per counted transition, with
-its visit count and reward sum.  A write appends its batch; the next read
-folds the batches in.  The dense (N, A, N) views
-R_count and R_sum, the smoothed counts U(s,a,s') = counts + U_prior and the
-reward-weighted adjacency, with R̂ the mean observed reward,
+its visit count and reward sum.  A write merges its batch into the store, so
+reads never change the model.  The dense (N, A, N) views R_count and R_sum,
+the smoothed counts U(s,a,s') = counts + U_prior and the reward-weighted
+adjacency, with R̂ the mean observed reward,
 
     D(s,s') = D_prior + Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
@@ -23,10 +23,6 @@ import math
 import numpy as np
 
 from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, Transitions
-
-# Pending entries are folded in once they outnumber both the stored keys and
-# this, so unread writes hold at most about as much memory as the store.
-_FOLD_AT = 1 << 16
 
 
 class EstimatedModel:
@@ -45,26 +41,9 @@ class EstimatedModel:
         self.u_prior = float(u_prior)
         self._keys = np.zeros(0, dtype=np.int64)   # sorted, unique
         self._values = np.zeros((2, 0))             # rows: count, reward_sum per key
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []   # (keys, values) batches
-        self._pending_size = 0
-
-    def _folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, count, reward_sum) with every pending batch folded in.
-
-        bincount adds the stored value first, then each pending value in
-        batch order, so every sum is what sequential np.add.at gives.
-        """
-        if self._pending:
-            keys = np.concatenate([self._keys, *(k for k, _ in self._pending)])
-            values = np.concatenate([self._values, *(v for _, v in self._pending)], axis=1)
-            self._keys, inverse = np.unique(keys, return_inverse=True)
-            self._values = np.array([np.bincount(inverse, row) for row in values])
-            self._pending, self._pending_size = [], 0
-        return self._keys, self._values[0], self._values[1]
 
     def _dense(self, row: int) -> np.ndarray:
         """Row 0 (count) or 1 (reward_sum) of the store as a zero-filled (N, A, N) array."""
-        self._folded()
         out = np.zeros((self.n_states, N_ACTIONS, self.n_states))
         out.put(self._keys, self._values[row])
         return out
@@ -93,11 +72,11 @@ class EstimatedModel:
         exp is taken on counted entries only: elsewhere R̂ = 0, so an action
         adds u_prior there.
         """
-        keys, count, reward_sum = self._folded()
+        count, reward_sum = self._values
         seen = count > 0
         count = count[seen]
         weight = (count + self.u_prior) * np.exp(-self.v * np.abs(reward_sum[seen] / count))
-        s, a, s2 = _split(keys[seen], self.n_states)
+        s, a, s2 = _split(self._keys[seen], self.n_states)
         cell = s * self.n_states + s2
         total = np.zeros((self.n_states, self.n_states))
         for b in range(N_ACTIONS):
@@ -119,8 +98,9 @@ def _split(keys: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray, np.
 def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
     """Add count and reward_sum at each (s, a, s') of a batch.
 
-    All indices are checked first; the batch is then appended to the model's
-    pending writes, which its next read folds in, in batch order.
+    All indices are checked first; the batch is then merged into the model's
+    store.  bincount adds each stored value first, then the batch's values in
+    order, so every sum is what sequential np.add.at gives.
     """
     s, a, s2 = (np.asarray(x, dtype=np.int64) for x in (s, a, s2))
     for idx, bound in ((s, model.n_states), (a, N_ACTIONS), (s2, model.n_states)):
@@ -129,23 +109,14 @@ def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
     keys = ((s * N_ACTIONS + a) * model.n_states + s2).ravel()
     values = np.empty((2, keys.size))
     values[0], values[1] = count, reward_sum    # a scalar is broadcast
-    model._pending.append((keys, values))
-    model._pending_size += keys.size
-    if model._pending_size > max(model._keys.size, _FOLD_AT):
-        model._folded()
+    values = np.concatenate([model._values, values], axis=1)
+    model._keys, inverse = np.unique(np.concatenate([model._keys, keys]), return_inverse=True)
+    model._values = np.array([np.bincount(inverse, row) for row in values])
 
 
 def _as_batch(episodes: Trajectory | Transitions) -> Transitions:
-    """A Transitions batch as it is, a Trajectory as its batch of one.
-
-    One episode needs no join, so its s and s2 are views of one state array:
-    the learner counts each of its episodes this way.
-    """
-    if isinstance(episodes, Transitions):
-        return episodes
-    states = np.asarray(episodes.states, dtype=np.int64)
-    return Transitions(states[:-1], np.asarray(episodes.actions, dtype=np.int64), states[1:],
-                       np.asarray(episodes.rewards, dtype=float))
+    """A Transitions batch as it is, a Trajectory as its batch of one."""
+    return episodes if isinstance(episodes, Transitions) else Transitions.of([episodes])
 
 
 def update_counts(model: EstimatedModel,
@@ -164,7 +135,8 @@ def update_counts(model: EstimatedModel,
 def transition_probabilities(model: EstimatedModel) -> np.ndarray:
     """The (N, A, N) kernel P(s,a,·) = U(s,a,·) / Σ U(s,a,·), a new array on every read.
 
-    The row of an unvisited (s, a) is all zero: "no estimate", not a uniform guess.
+    With u_prior = 0 the row of an unvisited (s, a) is all zero: "no estimate",
+    not a uniform guess.  With u_prior > 0 that row is uniform, 1/N.
     """
     P = model.U
     totals = P.sum(axis=2, keepdims=True)
@@ -202,11 +174,11 @@ def save_triplets(model: EstimatedModel, path) -> None:
     observed visits only, without u_prior, so load_triplets with the same
     priors rebuilds the model exactly.
     """
-    keys, count, reward_sum = model._folded()
+    count, reward_sum = model._values
     seen = count != 0
     count = count[seen]
     mean_r = reward_sum[seen] / count
-    s, a, s2 = _split(keys[seen], model.n_states)
+    s, a, s2 = _split(model._keys[seen], model.n_states)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "next_s", "count", "reward_mean"])

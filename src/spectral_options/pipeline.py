@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spectral_options.env import Draws, GridWorld, Trajectory, step
+from spectral_options.env import Draws, GridWorld, Trajectory, Transitions, step
 from spectral_options.model import (
     EstimatedModel,
     _add_counts,
@@ -54,8 +54,7 @@ class OdstcConfig:
     pcca_refresh_interval: int = 10
     t_c: float = 0.5
     k: int = 0                        # force the cluster count; 0 = spectral gap
-    v: float = 0.0
-    reward_weighting: bool = False
+    v: float = 0.0                    # reward weighting e^{-v|R|}; 0 = off
     tau_conn: float = 0.1
     d_prior: float = 0.0
     u_prior: float = 0.0
@@ -68,11 +67,6 @@ class OdstcConfig:
     max_steps_per_episode: int = 400
     convergence_window: int = 20
     seed: int = 0
-
-    @property
-    def model_v(self) -> float:
-        """The reward-weighting strength the model applies: v, or 0 with weighting off."""
-        return self.v if self.reward_weighting else 0.0
 
     def validate(self):
         counts = {"episodes_per_round": self.episodes_per_round,
@@ -222,11 +216,12 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     Re-clustering happens at the top of every pcca_refresh_interval-th round
     (skipping round 0, which has no data), and its options are offered to the
     Q table, which rebuilds its tables once for the new set.  The flat learner
-    never clusters.
+    never clusters.  Each round's episodes are counted into the model as one
+    batch after the round; the model is read only at the top of a round.
     """
     config.validate()
     rng = Draws(config.seed)
-    model = EstimatedModel(world.n_states, v=config.model_v,
+    model = EstimatedModel(world.n_states, v=config.v,
                            d_prior=config.d_prior, u_prior=config.u_prior)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
@@ -244,13 +239,15 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
                 notes.append(f"round {rnd}: clustering failed ({exc}); "
                              "continuing without options")
             Q.set_options(options)
+        trajs = []
         for _ in range(config.episodes_per_round):
             eps = epsilon_at(len(history), anneal, config.eps_start, config.eps_end)
             log, traj = run_episode(world, Q, eps, rng, config.learner,
                                     config.max_steps_per_episode)
             log.episode = len(history)
-            update_counts(model, traj)
+            trajs.append(traj)
             history.append(log)
+        update_counts(model, Transitions.of(trajs))
         if _plateaued([l.cumulative_reward for l in history], config.convergence_window):
             converged = True
             break

@@ -79,7 +79,7 @@ def discover_out(tmp_path_factory):
 @pytest.fixture(scope="module")
 def weighted_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("weighted")
-    rc = main(["discover", DISCOVER_INI, "--set", "model.reward_weighting=true",
+    rc = main(["discover", DISCOVER_INI, "--set", "model.v=4.0",
                "--out-dir", str(out)])
     assert rc == EXIT_OK
     return out
@@ -106,7 +106,6 @@ DEFAULTS = {
     ("environment", "step_reward"): 0.0,
     ("environment", "slip_prob"): 0.0,
     ("model", "v"): 0.0,
-    ("model", "reward_weighting"): False,
     ("model", "d_prior"): 0.0,
     ("model", "u_prior"): 0.0,
     ("spectral", "t_c"): 0.5,
@@ -163,6 +162,13 @@ def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, "[environment]\nmap = three_rooms\nwind = 3\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_removed_reward_weighting_key_rejected(tmp_path):
+    # v = 0 turns reward weighting off, so no separate switch exists.
+    rc = main(["discover", DISCOVER_INI, "--set", "model.reward_weighting=true",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG and not (tmp_path / "out").exists()
 
 
 def test_bad_value_type_rejected(tmp_path):

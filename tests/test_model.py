@@ -379,7 +379,7 @@ def block_and_episodes(world, n_episodes=40, max_steps=60, seed=3):
 
 
 def assert_same_store(a, b):
-    for x, y in zip(a._folded(), b._folded()):
+    for x, y in ((a._keys, b._keys), (a._values, b._values)):
         assert np.array_equal(x, y) and x.dtype == y.dtype
     assert np.array_equal(a.D, b.D)
 
@@ -424,12 +424,7 @@ def assert_matches_dense(m, batches, tmp_path):
     assert path.read_bytes() == dense_triplet_csv(ref)
 
 
-@pytest.mark.parametrize("fold_at", [model_module._FOLD_AT, 50])
-def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path,
-                                                               monkeypatch, fold_at):
-    # fold_at 50 also folds pending writes in between reads, as a long unread
-    # run of writes does.
-    monkeypatch.setattr(model_module, "_FOLD_AT", fold_at)
+def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path):
     world = slippery_world()
     m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
     assert_matches_dense(m, batches, tmp_path)
@@ -438,6 +433,20 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
         if e % 9 == 4:
             assert_matches_dense(m, batches, tmp_path)
     assert_matches_dense(m, batches, tmp_path)
+
+
+def test_write_merges_into_store_and_reads_leave_it_unchanged(tmp_path):
+    world = slippery_world()
+    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    batch = Transitions.of(sampled_trajectories(world))
+    update_counts(m, batch)
+    expected = np.unique((batch.s * 4 + batch.a) * world.n_states + batch.s2)
+    assert np.array_equal(m._keys, expected) and m._values.shape == (2, expected.size)
+    keys, values = m._keys, m._values
+    m.D
+    transition_probabilities(m)
+    save_triplets(m, tmp_path / "model.csv")
+    assert m._keys is keys and m._values is values
 
 
 def test_aggregated_store_matches_dense_writer(batches, tmp_path):

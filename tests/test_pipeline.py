@@ -284,6 +284,21 @@ def test_clustering_failure_noted_and_loop_continues(world):
     assert len(res.history) == 2
 
 
+def test_learner_counts_each_round_as_one_write(world, monkeypatch):
+    written = []
+
+    def spy(model, episodes):
+        written.append(len(episodes))
+        return update_counts(model, episodes)
+
+    monkeypatch.setattr(pipeline, "update_counts", spy)
+    cfg = OdstcConfig(episodes_per_round=4, max_rounds=3, pcca_refresh_interval=2,
+                      max_steps_per_episode=50, seed=1)
+    res = run_odstc(world, cfg)
+    assert len(res.history) == 12 and len(written) == 3
+    assert sum(written) == sum(l.primitive_steps for l in res.history)
+
+
 def test_flat_learner_never_clusters(penalized_world, clusterings):
     res = run_odstc(penalized_world, train_config(learner="flat", max_rounds=10))
     assert res.options == [] and clusterings == []
