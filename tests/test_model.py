@@ -424,12 +424,20 @@ def assert_matches_dense(m, batches, tmp_path):
     assert path.read_bytes() == dense_triplet_csv(ref)
 
 
-def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path):
+@pytest.mark.parametrize("max_steps", [65536, 50])
+def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path,
+                                                               max_steps):
+    # Each episode is written in blocks of at most max_steps steps: 65536
+    # writes it whole, 50 splits the longer episodes, so keys already merged
+    # by one write come in again with the next.
     world = slippery_world()
     m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
     assert_matches_dense(m, batches, tmp_path)
     for e, traj in enumerate(sampled_trajectories(world)):
-        update_counts(m, traj)
+        steps = Transitions.of([traj])
+        for i in range(0, len(steps), max_steps):
+            update_counts(m, Transitions(*(x[i:i + max_steps]
+                                           for x in (steps.s, steps.a, steps.s2, steps.r))))
         if e % 9 == 4:
             assert_matches_dense(m, batches, tmp_path)
     assert_matches_dense(m, batches, tmp_path)
