@@ -83,7 +83,7 @@ class CommandConfig:
 # give the key's type and default (a field without a default is required).
 LAYOUT = {
     "environment": ("map", "goal_reward", "step_reward", "slip_prob"),
-    "model": ("v", "d_prior", "u_prior"),
+    "model": ("v", "u_prior"),
     "spectral": ("t_c", "tau_conn", "k"),
     "agent": ("learner", "alpha", "gamma", "eps_start", "eps_end", "eps_anneal_episodes"),
     "pipeline": ("episodes_per_round", "max_rounds", "pcca_refresh_interval",
@@ -286,8 +286,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     oc = cfg.odstc()
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
-    model = EstimatedModel(world.n_states, v=oc.v, d_prior=oc.d_prior,
-                           u_prior=oc.u_prior)
+    model = EstimatedModel(world.n_states, v=oc.v, u_prior=oc.u_prior)
     for block in _sampled_episodes(world, oc):
         update_counts(model, block)
     del block       # about 1 MB at the default budget, not needed past counting

@@ -8,7 +8,7 @@ reads never change the model.  The dense (N, A, N) views R_count and R_sum,
 the smoothed counts U(s,a,s') = counts + U_prior and the reward-weighted
 adjacency, with R̂ the mean observed reward,
 
-    D(s,s') = D_prior + Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
+    D(s,s') = Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
 are derived from the keys when read; rewarded transitions fade from D as v
 grows.  So is the dense (N, A, N) transition kernel P = U / Σ_{s'} U that
@@ -28,16 +28,14 @@ from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, Transitions
 class EstimatedModel:
     """Counts, mean rewards, and reward-weighted adjacency for a tabular MDP."""
 
-    def __init__(self, n_states: int, *, v: float = 0.0, d_prior: float = 0.0,
-                 u_prior: float = 0.0):
+    def __init__(self, n_states: int, *, v: float = 0.0, u_prior: float = 0.0):
         if n_states < 1:
             raise ValueError("n_states must be positive")
-        for name, x in (("v", v), ("d_prior", d_prior), ("u_prior", u_prior)):
+        for name, x in (("v", v), ("u_prior", u_prior)):
             if not (math.isfinite(x) and x >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {x}")
         self.n_states = n_states
         self.v = float(v)
-        self.d_prior = float(d_prior)
         self.u_prior = float(u_prior)
         self._keys = np.zeros(0, dtype=np.int64)   # sorted, unique
         self._values = np.zeros((2, 0))             # rows: count, reward_sum per key
@@ -73,10 +71,8 @@ class EstimatedModel:
         adds u_prior there.
         """
         count, reward_sum = self._values
-        seen = count > 0
-        count = count[seen]
-        weight = (count + self.u_prior) * np.exp(-self.v * np.abs(reward_sum[seen] / count))
-        s, a, s2 = _split(self._keys[seen], self.n_states)
+        weight = (count + self.u_prior) * np.exp(-self.v * np.abs(reward_sum / count))
+        s, a, s2 = _split(self._keys, self.n_states)
         cell = s * self.n_states + s2
         total = np.zeros((self.n_states, self.n_states))
         for b in range(N_ACTIONS):
@@ -84,7 +80,6 @@ class EstimatedModel:
             before = total.take(cell[mine])
             total += self.u_prior
             total.put(cell[mine], before + weight[mine])
-        total += self.d_prior
         return total
 
 
@@ -95,8 +90,8 @@ def _split(keys: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray, np.
     return s, a, s2
 
 
-def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
-    """Add count and reward_sum at each (s, a, s') of a batch.
+def _add_counts(model: EstimatedModel, s, a, s2, reward_sum) -> None:
+    """Add one visit and its reward_sum at each (s, a, s') of a batch.
 
     All indices are checked first; the batch is then merged into the model's
     store.  bincount adds each stored value first, then the batch's values in
@@ -108,7 +103,7 @@ def _add_counts(model: EstimatedModel, s, a, s2, count, reward_sum) -> None:
             raise IndexError(f"index out of range [0, {bound}): {idx.min()}..{idx.max()}")
     keys = ((s * N_ACTIONS + a) * model.n_states + s2).ravel()
     values = np.empty((2, keys.size))
-    values[0], values[1] = count, reward_sum    # a scalar is broadcast
+    values[0], values[1] = 1.0, reward_sum
     values = np.concatenate([model._values, values], axis=1)
     model._keys, inverse = np.unique(np.concatenate([model._keys, keys]), return_inverse=True)
     model._values = np.array([np.bincount(inverse, row) for row in values])
@@ -128,7 +123,7 @@ def update_counts(model: EstimatedModel,
     read.  An out-of-range index raises IndexError before any count is written.
     """
     batch = _as_batch(episodes)
-    _add_counts(model, batch.s, batch.a, batch.s2, 1.0, batch.r)
+    _add_counts(model, batch.s, batch.a, batch.s2, batch.r)
     return model
 
 
@@ -149,8 +144,7 @@ def adjacency(model: EstimatedModel) -> np.ndarray:
     return (D + D.T) / 2.0
 
 
-def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
-                     u_prior: float = 0.0) -> EstimatedModel:
+def exhaustive_model(world: GridWorld, v: float = 0.0, u_prior: float = 0.0) -> EstimatedModel:
     """Model built by enumerating every (s, a) of a deterministic world once.
 
     Terminal goal states contribute no outgoing transitions, matching what any
@@ -158,12 +152,12 @@ def exhaustive_model(world: GridWorld, v: float = 0.0, d_prior: float = 0.0,
     """
     if world.slip_prob != 0.0:
         raise ValueError("exhaustive enumeration requires deterministic dynamics")
-    model = EstimatedModel(world.n_states, v=v, d_prior=d_prior, u_prior=u_prior)
+    model = EstimatedModel(world.n_states, v=v, u_prior=u_prior)
     moves = [(s, a, world.move(s, a)) for s in range(world.n_states)
              if not world.is_terminal(s) for a in range(N_ACTIONS)]
     s, a, s2 = zip(*moves)
     rewards = [world.goal_reward if t in world.goals else world.step_reward for t in s2]
-    _add_counts(model, s, a, s2, 1.0, rewards)
+    _add_counts(model, s, a, s2, rewards)
     return model
 
 
@@ -171,41 +165,14 @@ def save_triplets(model: EstimatedModel, path) -> None:
     """Write visited transitions as CSV rows (s, a, next_s, count, reward_mean).
 
     Rows follow the key order, (s, a, next_s) ascending.  ``count`` holds
-    observed visits only, without u_prior, so load_triplets with the same
-    priors rebuilds the model exactly.
+    observed visits only, without u_prior.
     """
     count, reward_sum = model._values
-    seen = count != 0
-    count = count[seen]
-    mean_r = reward_sum[seen] / count
-    s, a, s2 = _split(model._keys[seen], model.n_states)
+    mean_r = reward_sum / count
+    s, a, s2 = _split(model._keys, model.n_states)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "a", "next_s", "count", "reward_mean"])
         writer.writerows(zip(s.tolist(), a.tolist(), s2.tolist(),
                              map(repr, count.tolist()), map(repr, mean_r.tolist())))
 
-
-def load_triplets(path, n_states: int, *, v: float = 0.0, d_prior: float = 0.0,
-                  u_prior: float = 0.0) -> EstimatedModel:
-    """Rebuild a model from a triplet CSV written by save_triplets, rejecting bad values."""
-    model = EstimatedModel(n_states, v=v, d_prior=d_prior, u_prior=u_prior)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["s", "a", "next_s", "count", "reward_mean"]:
-            raise ValueError(f"unrecognized triplet header: {header}")
-        rows = []
-        for r in reader:
-            try:
-                if len(r) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(r)}")
-                rows.append((int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4])))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            if not (0 <= rows[-1][3] < np.inf and np.isfinite(rows[-1][4])):
-                raise ValueError(f"line {reader.line_num}: count must be finite and >= 0 "
-                                 f"and reward_mean finite, got {r[3]}, {r[4]}")
-    s, a, s2, count, mean_r = np.array(rows, dtype=float).reshape(-1, 5).T
-    _add_counts(model, s, a, s2, count, mean_r * count)
-    return model

@@ -56,7 +56,6 @@ class OdstcConfig:
     k: int = 0                        # force the cluster count; 0 = spectral gap
     v: float = 0.0                    # reward weighting e^{-v|R|}; 0 = off
     tau_conn: float = 0.1
-    d_prior: float = 0.0
     u_prior: float = 0.0
     alpha: float = 0.1
     gamma: float = 0.99
@@ -92,7 +91,7 @@ class OdstcConfig:
         if not (math.isfinite(self.tau_conn) and self.tau_conn >= 0):
             raise ValueError(f"tau_conn must be finite and non-negative, got {self.tau_conn}")
         _check_alpha_gamma(self.alpha, self.gamma)
-        EstimatedModel(1, v=self.v, d_prior=self.d_prior, u_prior=self.u_prior)
+        EstimatedModel(1, v=self.v, u_prior=self.u_prior)
 
 
 @dataclass
@@ -221,8 +220,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     """
     config.validate()
     rng = Draws(config.seed)
-    model = EstimatedModel(world.n_states, v=config.v,
-                           d_prior=config.d_prior, u_prior=config.u_prior)
+    model = EstimatedModel(world.n_states, v=config.v, u_prior=config.u_prior)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
     notes: list[str] = []
@@ -361,5 +359,5 @@ def aggregate_model(episodes, assignments, n_microstates: int | None = None,
             if idx.size and not 0 <= idx.min() <= idx.max() < assignments.size:
                 raise IndexError(f"state out of range [0, {assignments.size}): "
                                  f"{idx.min()}..{idx.max()}")
-        _add_counts(micro, assignments[batch.s], batch.a, assignments[batch.s2], 1.0, batch.r)
+        _add_counts(micro, assignments[batch.s], batch.a, assignments[batch.s2], batch.r)
     return micro

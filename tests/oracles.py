@@ -35,19 +35,20 @@ from spectral_options.env import DELTAS, N_ACTIONS, Draws
 from spectral_options.options import BETA_EPS
 
 
-def dense_counts(n_states, batches, *, v=0.0, d_prior=0.0, u_prior=0.0):
+def dense_counts(n_states, batches, *, v=0.0, u_prior=0.0):
     """A model-like record of dense (N, A, N) R_count and R_sum, and U = R_count + u_prior.
 
-    Each (s, a, s', count, reward_sum) batch is added with np.add.at, in
-    order, so repeated transitions sum in the order they were written.
+    Each (s, a, s', reward_sum) batch adds one visit and its reward_sum per
+    step with np.add.at, in order, so repeated transitions sum in the order
+    they were written.
     """
     R_sum = np.zeros((n_states, N_ACTIONS, n_states))
     R_count = np.zeros((n_states, N_ACTIONS, n_states))
-    for s, a, s2, count, reward_sum in batches:
+    for s, a, s2, reward_sum in batches:
         idx = tuple(np.asarray(x, dtype=np.intp) for x in (s, a, s2))
         np.add.at(R_sum, idx, reward_sum)
-        np.add.at(R_count, idx, count)
-    return SimpleNamespace(n_states=n_states, v=v, d_prior=d_prior, u_prior=u_prior,
+        np.add.at(R_count, idx, 1.0)
+    return SimpleNamespace(n_states=n_states, v=v, u_prior=u_prior,
                            R_count=R_count, R_sum=R_sum, U=R_count + u_prior)
 
 
@@ -71,12 +72,12 @@ def dense_triplet_csv(counts):
 
 
 def rebuilt_adjacency(model):
-    """D = d_prior + Σ_a U·e^{−v|R̂|} over all of U, with R̂ = 0 where unvisited."""
+    """D = Σ_a U·e^{−v|R̂|} over all of U, with R̂ = 0 where unvisited."""
     R_hat = np.zeros_like(model.R_sum)
     seen = model.R_count > 0
     R_hat[seen] = model.R_sum[seen] / model.R_count[seen]
     weighted = model.U * np.exp(-model.v * np.abs(R_hat))
-    return model.d_prior + weighted.sum(axis=1)
+    return weighted.sum(axis=1)
 
 
 def flat_q_star(world, gamma, tol=1e-12, max_iters=100_000):

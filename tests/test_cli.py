@@ -106,7 +106,6 @@ DEFAULTS = {
     ("environment", "step_reward"): 0.0,
     ("environment", "slip_prob"): 0.0,
     ("model", "v"): 0.0,
-    ("model", "d_prior"): 0.0,
     ("model", "u_prior"): 0.0,
     ("spectral", "t_c"): 0.5,
     ("spectral", "tau_conn"): 0.1,
@@ -164,11 +163,22 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_removed_reward_weighting_key_rejected(tmp_path):
-    # v = 0 turns reward weighting off, so no separate switch exists.
-    rc = main(["discover", DISCOVER_INI, "--set", "model.reward_weighting=true",
-               "--out-dir", str(tmp_path / "out")])
+@pytest.mark.parametrize("given_by", ["set", "ini"])
+@pytest.mark.parametrize("setting", ["model.reward_weighting=true", "model.d_prior=0.0"])
+def test_removed_model_key_rejected(tmp_path, capsys, setting, given_by):
+    # v = 0 turns reward weighting off, so no separate switch exists, and D
+    # has no uniform prior.  A config that still sets either key fails loudly.
+    target, value = setting.split("=")
+    key = target.split(".")[1]
+    if given_by == "set":
+        argv = ["discover", DISCOVER_INI, "--set", setting]
+    else:
+        text = Path(DISCOVER_INI).read_text().replace("[model]\n", f"[model]\n{key} = {value}\n")
+        argv = ["discover", write_config(tmp_path, text)]
+    rc = main(argv + ["--out-dir", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG and not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "unknown" in err and key in err
 
 
 def test_bad_value_type_rejected(tmp_path):
@@ -233,7 +243,7 @@ def test_non_finite_float_override_is_config_error(tmp_path, capsys, block, key,
 
 
 @pytest.mark.parametrize("setting", ["environment.step_reward=nan", "model.u_prior=inf",
-                                     "model.d_prior=1e999"])
+                                     "model.v=1e999"])
 def test_non_finite_float_rejected_before_training(tmp_path, setting):
     out = tmp_path / "o"
     rc = main(["train", TRAIN_INI, "--out-dir", str(out), "--set", setting])
@@ -745,7 +755,7 @@ def test_membership_heatmap_rejects_values_outside_unit_interval(bad):
 @pytest.mark.parametrize("command,setting", [
     ("discover", "agent.gamma=1.5"),
     ("discover", "agent.alpha=2"),
-    ("discover", "model.d_prior=-1"),
+    ("discover", "model.v=-1"),
     ("discover", "model.u_prior=-1"),
     ("discover", "spectral.k=1"),
     ("discover", "spectral.k=-2"),

@@ -20,7 +20,6 @@ from spectral_options.model import (
     EstimatedModel,
     adjacency,
     exhaustive_model,
-    load_triplets,
     save_triplets,
     transition_probabilities,
     update_counts,
@@ -31,9 +30,9 @@ from helpers import room_grid_text
 from oracles import dense_counts, dense_kernel, dense_triplet_csv, rebuilt_adjacency
 
 THREE_ROOMS = bundled_map_text("three_rooms")
-# Nonzero step reward, v and both priors: every term of D differs from its
+# Nonzero step reward, v and prior: every term of D differs from its
 # default, so an entry summed in the wrong order or missed shows up.
-V, D_PRIOR, U_PRIOR = 1.3, 0.2, 0.07
+V, U_PRIOR = 1.3, 0.07
 
 
 def traj_of(*steps):
@@ -46,9 +45,9 @@ def traj_of(*steps):
 
 
 def test_single_unrewarded_transition_adds_one():
-    m = EstimatedModel(3, v=0.0, d_prior=0.25)
+    m = EstimatedModel(3, v=0.0)
     update_counts(m, traj_of((0, 1, 0.0, 1, False)))
-    assert m.D[0, 1] == pytest.approx(0.25 + 1.0)
+    assert m.D[0, 1] == 1.0
     assert m.U[0, 1, 1] == 1.0
 
 
@@ -59,7 +58,7 @@ def test_reward_weighting_shrinks_contribution():
 
 
 def test_empty_trajectory_is_identity():
-    m = EstimatedModel(4, v=2.0, d_prior=0.5)
+    m = EstimatedModel(4, v=2.0)
     before = m.D.copy()
     update_counts(m, Trajectory([0]))
     np.testing.assert_array_equal(m.D, before)
@@ -75,7 +74,7 @@ def test_out_of_range_state_is_error():
                                       (1, 0, 0.5, -1, False),   # negative next state
                                       (1, 0, 0.5, 3, False)])   # next state too large
 def test_failed_update_leaves_model_unchanged(bad_step):
-    m = EstimatedModel(3, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    m = EstimatedModel(3, v=V, u_prior=U_PRIOR)
     update_counts(m, traj_of((0, 1, 0.5, 1, False), (1, 2, -0.1, 2, False)))
     before = [x.copy() for x in (m.U, m.R_sum, m.R_count, m.D)]
     with pytest.raises(IndexError):
@@ -206,82 +205,19 @@ def test_reward_magnitude_strictly_decreases_weight():
     assert weights[0] > weights[1] > weights[2]
 
 
-def test_triplet_round_trip(tmp_path):
-    world = load_gridworld(THREE_ROOMS)
-    m = exhaustive_model(world, v=2.0)
-    path = tmp_path / "model.csv"
-    save_triplets(m, path)
-    m2 = load_triplets(path, world.n_states, v=2.0)
-    np.testing.assert_allclose(m2.U, m.U, atol=1e-12)
-    np.testing.assert_allclose(m2.D, m.D, atol=1e-12)
-
-
-def test_triplet_round_trip_with_count_prior(tmp_path):
-    # Dyadic rewards keep mean·count exact, so the round trip is bit for bit.
-    m = EstimatedModel(3, v=V, d_prior=D_PRIOR, u_prior=0.5)
-    update_counts(m, traj_of((0, 1, 0.5, 1, False), (1, 2, -0.25, 0, False),
-                             (0, 1, 2.0, 1, False), (1, 0, 0.0, 2, True)))
-    path = tmp_path / "model.csv"
-    save_triplets(m, path)
-    loaded = load_triplets(path, 3, v=V, d_prior=D_PRIOR, u_prior=0.5)
-    assert loaded.U[0, 1, 1] == 2.5 and loaded.U.sum() == m.U.sum()
-    for name in ("U", "R_sum", "R_count", "D"):
-        assert np.array_equal(getattr(loaded, name), getattr(m, name)), name
-
-
-def test_negative_prior_is_error():
-    with pytest.raises(ValueError):
-        EstimatedModel(2, d_prior=-1.0)
-
-
 @pytest.mark.parametrize("name, value", [
     ("v", np.nan), ("v", np.inf), ("v", -1.0),
-    ("d_prior", np.nan), ("d_prior", np.inf), ("u_prior", np.nan), ("u_prior", np.inf),
+    ("u_prior", np.nan), ("u_prior", np.inf), ("u_prior", -1.0),
 ])
 def test_non_finite_or_negative_weight_is_error(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
         EstimatedModel(2, **{name: value})
 
 
-def test_weights_and_priors_are_keyword_only(tmp_path):
+def test_weights_and_priors_are_keyword_only():
     # A stale positional action count must not bind to v.
     with pytest.raises(TypeError):
         EstimatedModel(2, 4)
-    path = tmp_path / "model.csv"
-    save_triplets(EstimatedModel(2), path)
-    with pytest.raises(TypeError):
-        load_triplets(path, 2, 4)
-
-
-def test_load_triplets_rejects_negative_index(tmp_path):
-    path = tmp_path / "model.csv"
-    path.write_text("s,a,next_s,count,reward_mean\n0,0,1,1.0,0.0\n-1,0,1,2.0,0.0\n")
-    with pytest.raises(IndexError):
-        load_triplets(path, 3)
-
-
-@pytest.mark.parametrize("count, reward_mean", [
-    ("-1.0", "0.0"), ("nan", "0.0"), ("inf", "0.0"),
-    ("1.0", "nan"), ("1.0", "inf"), ("1.0", "-inf"),
-])
-def test_load_triplets_rejects_bad_value(tmp_path, count, reward_mean):
-    path = tmp_path / "model.csv"
-    path.write_text("s,a,next_s,count,reward_mean\n0,0,1,1.0,0.0\n"
-                    f"1,0,2,{count},{reward_mean}\n")
-    with pytest.raises(ValueError, match=f"line 3: .*got {count}, {reward_mean}"):
-        load_triplets(path, 3, v=1.0)
-
-
-@pytest.mark.parametrize("row, message", [
-    ("", "expected 5 fields, got 0"),
-    ("1,0,2,1.0", "expected 5 fields, got 4"),
-    ("1.5,0,2,1.0,0.0", "invalid literal for int"),
-], ids=["blank", "four_fields", "float_index"])
-def test_load_triplets_names_line_of_malformed_row(tmp_path, row, message):
-    path = tmp_path / "model.csv"
-    path.write_text(f"s,a,next_s,count,reward_mean\n0,0,1,1.0,0.0\n{row}\n1,0,2,1.0,0.0\n")
-    with pytest.raises(ValueError, match=f"line 3: {message}"):
-        load_triplets(path, 3)
 
 
 def test_prior_is_added_to_counts_when_read():
@@ -315,7 +251,7 @@ def sampled_trajectories(world, n_episodes=40, seed=3):
 
 def test_incremental_adjacency_equals_rebuild_after_every_update():
     world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     assert np.array_equal(m.D, rebuilt_adjacency(m))
     for traj in sampled_trajectories(world):
         update_counts(m, traj)
@@ -325,20 +261,8 @@ def test_incremental_adjacency_equals_rebuild_after_every_update():
 
 def test_exhaustive_adjacency_equals_rebuild():
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
-    m = exhaustive_model(world, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    m = exhaustive_model(world, v=V, u_prior=U_PRIOR)
     assert np.array_equal(m.D, rebuilt_adjacency(m))
-
-
-def test_loaded_adjacency_equals_rebuild(tmp_path):
-    world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
-    for traj in sampled_trajectories(world):
-        update_counts(m, traj)
-    path = tmp_path / "model.csv"
-    save_triplets(m, path)
-    loaded = load_triplets(path, world.n_states, v=V, d_prior=D_PRIOR,
-                           u_prior=U_PRIOR)
-    assert np.array_equal(loaded.D, rebuilt_adjacency(loaded))
 
 
 def test_aggregated_adjacency_equals_rebuild():
@@ -356,10 +280,10 @@ def batches(monkeypatch):
     seen = {}
     write = model_module._add_counts
 
-    def spy(model, s, a, s2, count, reward_sum):
-        write(model, s, a, s2, count, reward_sum)
+    def spy(model, s, a, s2, reward_sum):
+        write(model, s, a, s2, reward_sum)
         seen.setdefault(id(model), []).append(
-            tuple(np.array(x, dtype=float) for x in (s, a, s2, count, reward_sum)))
+            tuple(np.array(x, dtype=float) for x in (s, a, s2, reward_sum)))
 
     monkeypatch.setattr(model_module, "_add_counts", spy)
     monkeypatch.setattr(pipeline, "_add_counts", spy)
@@ -388,8 +312,8 @@ def assert_same_store(a, b):
 def test_block_write_equals_episode_writes(batches, slip):
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04, slip_prob=slip)
     block, episodes = block_and_episodes(world)
-    by_block = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
-    by_episode = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    by_block = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
+    by_episode = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     assert update_counts(by_block, block) is by_block
     for traj in episodes:
         update_counts(by_episode, traj)
@@ -413,8 +337,7 @@ def test_aggregated_blocks_equal_aggregated_trajectories(batches):
 
 
 def assert_matches_dense(m, batches, tmp_path):
-    ref = dense_counts(m.n_states, batches.get(id(m), []), v=m.v, d_prior=m.d_prior,
-                       u_prior=m.u_prior)
+    ref = dense_counts(m.n_states, batches.get(id(m), []), v=m.v, u_prior=m.u_prior)
     for name in ("R_count", "R_sum", "U"):
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
     assert np.array_equal(m.D, rebuilt_adjacency(ref))
@@ -431,7 +354,7 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
     # writes it whole, 50 splits the longer episodes, so keys already merged
     # by one write come in again with the next.
     world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     assert_matches_dense(m, batches, tmp_path)
     for e, traj in enumerate(sampled_trajectories(world)):
         steps = Transitions.of([traj])
@@ -445,7 +368,7 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
 
 def test_write_merges_into_store_and_reads_leave_it_unchanged(tmp_path):
     world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+    m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     batch = Transitions.of(sampled_trajectories(world))
     update_counts(m, batch)
     expected = np.unique((batch.s * 4 + batch.a) * world.n_states + batch.s2)
@@ -466,22 +389,7 @@ def test_aggregated_store_matches_dense_writer(batches, tmp_path):
 
 def test_exhaustive_store_matches_dense_writer(batches, tmp_path):
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
-    m = exhaustive_model(world, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
-    assert_matches_dense(m, batches, tmp_path)
-
-
-def test_loaded_store_matches_dense_writer(batches, tmp_path):
-    # A fractional count, a zero count (with a negative mean, so its reward
-    # sum is -0.0), a key written twice and rows out of key order.
-    path = tmp_path / "in.csv"
-    path.write_text("s,a,next_s,count,reward_mean\n"
-                    "2,1,0,2.5,-0.04\n0,3,1,1.0,0.3\n1,0,1,0.0,-0.7\n"
-                    "2,1,0,1.0,0.1\n0,0,2,0.0,0.0\n")
-    m = load_triplets(path, 3, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
-    assert_matches_dense(m, batches, tmp_path)
-    assert (tmp_path / "model.csv").read_text().count("\n") - 1 == 2   # zero counts unseen
-    update_counts(m, traj_of((1, 0, -0.04, 1, False), (1, 0, -0.04, 1, False),
-                             (1, 2, 0.3, 2, True)))
+    m = exhaustive_model(world, v=V, u_prior=U_PRIOR)
     assert_matches_dense(m, batches, tmp_path)
 
 
@@ -492,7 +400,7 @@ def test_store_memory_grows_with_transitions_not_states(tmp_path):
     assert world.n_states == 6404 and len(traj) == 200
     tracemalloc.start()
     try:
-        m = EstimatedModel(world.n_states, v=V, d_prior=D_PRIOR, u_prior=U_PRIOR)
+        m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
         update_counts(m, traj)
         save_triplets(m, tmp_path / "model.csv")
         peak = tracemalloc.get_traced_memory()[1]

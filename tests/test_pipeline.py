@@ -100,7 +100,6 @@ def test_default_config_is_valid():
     ("tau_conn", float("nan")),
     ("gamma", 1.5),
     ("alpha", 2.0),
-    ("d_prior", -1.0),
     ("u_prior", -1.0),
     ("k", 1),
     ("k", -2),
