@@ -83,7 +83,7 @@ class CommandConfig:
 # give the key's type and default (a field without a default is required).
 LAYOUT = {
     "environment": ("map", "goal_reward", "step_reward", "slip_prob"),
-    "model": ("v", "u_prior"),
+    "model": ("v",),
     "spectral": ("t_c", "tau_conn", "k"),
     "agent": ("learner", "alpha", "gamma", "eps_start", "eps_end", "eps_anneal_episodes"),
     "pipeline": ("episodes_per_round", "max_rounds", "pcca_refresh_interval",
@@ -277,7 +277,7 @@ def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
     for first in range(0, total, size):
         block = [starts[e % len(starts)] for e in range(first, min(first + size, total))]
         yield sample_trajectory(world, uniform_random_policy, oc.max_steps_per_episode,
-                                rng, start=block)
+                                rng, block)
 
 
 def cmd_discover(cfg: ExperimentConfig) -> int:
@@ -286,7 +286,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     oc = cfg.odstc()
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
-    model = EstimatedModel(world.n_states, v=oc.v, u_prior=oc.u_prior)
+    model = EstimatedModel(world.n_states, v=oc.v)
     for block in _sampled_episodes(world, oc):
         update_counts(model, block)
     del block       # about 1 MB at the default budget, not needed past counting

@@ -5,10 +5,10 @@ A map is a rectangular block of characters: ``#`` wall, ``.`` open floor,
 ``S`` and ``G``) becomes one tabular state; state ids are assigned in
 row-major order.  The four actions move one cell north/east/south/west;
 moving into a wall or off the grid leaves the state unchanged.  Entering a
-goal cell yields ``goal_reward`` and ends the episode.  A sampled episode is a
-``Trajectory``: its visited states, actions and rewards as index lists.
-Every random draw comes from a ``Draws``, the package's stream of values read
-from raw PCG64 outputs.
+goal cell yields ``goal_reward`` and ends the episode.  Sampled episodes come
+as one ``Transitions`` batch of flat step arrays; the learner records each of
+its episodes as a ``Trajectory`` of index lists.  Every random draw comes
+from a ``Draws``, the package's stream of values read from raw PCG64 outputs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from itertools import islice
 import numpy as np
 
 N_ACTIONS = 4
-ACTION_NAMES = ("N", "E", "S", "W")
-# Row/column deltas per action, index-aligned with ACTION_NAMES.
+# Row/column deltas of the actions N, E, S, W.
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 # Perpendicular action pairs used when slip_prob > 0.
 _PERPENDICULAR = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
@@ -275,13 +274,12 @@ def step(world: GridWorld, s: int, a: int, rng: Draws | None = None):
 
 
 def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
-                      start: int | Sequence[int] | None = None) -> Trajectory | Transitions:
-    """Roll out one episode from ``start`` (the map start state by default), or
-    one episode from each start in turn when ``start`` is a sequence of states.
+                      starts: Sequence[int]) -> Transitions:
+    """Roll out one episode from each state of ``starts`` in turn; return their
+    steps as one Transitions batch, episode after episode.
 
     ``policy`` is called as policy(state, rng) and must return an action id.
-    An episode stops on termination or after max_steps steps.  One start gives
-    a Trajectory; a sequence gives a Transitions batch of its episodes.
+    An episode stops on termination or after max_steps steps.
     Raises ValueError, before any draw, for a start outside [0, n_states) or
     a terminal start.
 
@@ -294,24 +292,15 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    single = np.ndim(start) == 0
-    if single:
-        starts = [world.start if start is None else operator.index(start)]
-    else:
-        starts = [operator.index(s) for s in start]
+    starts = [operator.index(s) for s in starts]
     for s in starts:
         if not 0 <= s < world.n_states:
             raise ValueError(f"start state {s} is outside [0, {world.n_states})")
         if world.is_terminal(s):
             raise ValueError(f"cannot start an episode at terminal state {s}")
     if policy is uniform_random_policy and world.slip_prob == 0.0:
-        batch = _uniform_walk(world, starts, max_steps, rng)
-        if not single:
-            return batch
-        states = starts + batch.s2.tolist()
-        return Trajectory(states, batch.a.tolist(), batch.r.tolist(), states[-1] in world.goals)
-    episodes = [_step_loop(world, policy, s, max_steps, rng) for s in starts]
-    return episodes[0] if single else Transitions.of(episodes)
+        return _uniform_walk(world, starts, max_steps, rng)
+    return Transitions.of([_step_loop(world, policy, s, max_steps, rng) for s in starts])
 
 
 def uniform_random_policy(state: int, rng: Draws) -> int:

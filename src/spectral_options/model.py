@@ -1,12 +1,11 @@
 """Empirical transition-model estimation from sampled trajectories.
 
-Episodes are counted a batch at a time: a ``Transitions`` block of episodes,
-or one ``Trajectory`` as its batch of one.  The model stores only what was
-observed: one sorted int64 key (s·A + a)·N + s' per counted transition, with
-its visit count and reward sum.  A write merges its batch into the store, so
-reads never change the model.  The dense (N, A, N) views R_count and R_sum,
-the smoothed counts U(s,a,s') = counts + U_prior and the reward-weighted
-adjacency, with R̂ the mean observed reward,
+Episodes are counted a ``Transitions`` batch at a time.  The model stores
+only what was observed: one sorted int64 key (s·A + a)·N + s' per counted
+transition, with its visit count and reward sum.  A write merges its batch
+into the store, so reads never change the model.  The dense (N, A, N) views
+R_count and R_sum, the smoothed counts U(s,a,s') = counts + U_prior and the
+reward-weighted adjacency, with R̂ the mean observed reward,
 
     D(s,s') = Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
@@ -22,7 +21,7 @@ import math
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS, GridWorld, Trajectory, Transitions
+from spectral_options.env import N_ACTIONS, GridWorld, Transitions
 
 
 class EstimatedModel:
@@ -109,20 +108,13 @@ def _add_counts(model: EstimatedModel, s, a, s2, reward_sum) -> None:
     model._values = np.array([np.bincount(inverse, row) for row in values])
 
 
-def _as_batch(episodes: Trajectory | Transitions) -> Transitions:
-    """A Transitions batch as it is, a Trajectory as its batch of one."""
-    return episodes if isinstance(episodes, Transitions) else Transitions.of([episodes])
-
-
-def update_counts(model: EstimatedModel,
-                  episodes: Trajectory | Transitions) -> EstimatedModel:
-    """Fold one trajectory, or a Transitions batch of episodes, into the model's
-    counts with one write; returns the same model.
+def update_counts(model: EstimatedModel, batch: Transitions) -> EstimatedModel:
+    """Fold a Transitions batch of episodes into the model's counts with one
+    write; returns the same model.
 
     Each observed (s, a, s') adds one visit and its reward; U and D follow when
     read.  An out-of-range index raises IndexError before any count is written.
     """
-    batch = _as_batch(episodes)
     _add_counts(model, batch.s, batch.a, batch.s2, batch.r)
     return model
 
@@ -144,7 +136,7 @@ def adjacency(model: EstimatedModel) -> np.ndarray:
     return (D + D.T) / 2.0
 
 
-def exhaustive_model(world: GridWorld, v: float = 0.0, u_prior: float = 0.0) -> EstimatedModel:
+def exhaustive_model(world: GridWorld, v: float = 0.0) -> EstimatedModel:
     """Model built by enumerating every (s, a) of a deterministic world once.
 
     Terminal goal states contribute no outgoing transitions, matching what any
@@ -152,7 +144,7 @@ def exhaustive_model(world: GridWorld, v: float = 0.0, u_prior: float = 0.0) -> 
     """
     if world.slip_prob != 0.0:
         raise ValueError("exhaustive enumeration requires deterministic dynamics")
-    model = EstimatedModel(world.n_states, v=v, u_prior=u_prior)
+    model = EstimatedModel(world.n_states, v=v)
     moves = [(s, a, world.move(s, a)) for s in range(world.n_states)
              if not world.is_terminal(s) for a in range(N_ACTIONS)]
     s, a, s2 = zip(*moves)

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spectral_options.env import Draws, GridWorld, Trajectory, Transitions, step
-from spectral_options.model import (
-    EstimatedModel,
-    _add_counts,
-    _as_batch,
-    adjacency,
-    update_counts,
-)
+from spectral_options.model import EstimatedModel, _add_counts, adjacency, update_counts
 from spectral_options.spectral import SpectralError, cluster
 from spectral_options.options import compose_options
 from spectral_options.agents import (
@@ -56,7 +50,6 @@ class OdstcConfig:
     k: int = 0                        # force the cluster count; 0 = spectral gap
     v: float = 0.0                    # reward weighting e^{-v|R|}; 0 = off
     tau_conn: float = 0.1
-    u_prior: float = 0.0
     alpha: float = 0.1
     gamma: float = 0.99
     eps_start: float = 1.0
@@ -91,7 +84,7 @@ class OdstcConfig:
         if not (math.isfinite(self.tau_conn) and self.tau_conn >= 0):
             raise ValueError(f"tau_conn must be finite and non-negative, got {self.tau_conn}")
         _check_alpha_gamma(self.alpha, self.gamma)
-        EstimatedModel(1, v=self.v, u_prior=self.u_prior)
+        EstimatedModel(1, v=self.v)
 
 
 @dataclass
@@ -220,7 +213,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     """
     config.validate()
     rng = Draws(config.seed)
-    model = EstimatedModel(world.n_states, v=config.v, u_prior=config.u_prior)
+    model = EstimatedModel(world.n_states, v=config.v)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
     notes: list[str] = []
@@ -340,12 +333,12 @@ def kmeans_microstates(features, k_m: int, seed: int = 0,
 
 def aggregate_model(episodes, assignments, n_microstates: int | None = None,
                     v: float = 0.0) -> EstimatedModel:
-    """Count episodes on the microstate space, one write per item of ``episodes``.
+    """Count episodes on the microstate space, one write per Transitions batch
+    of ``episodes``.
 
     ``assignments`` is an integer array, state id -> microstate id.  The
-    items of ``episodes``, Transitions blocks or single Trajectories, may come
-    from any iterable and are not kept.  A state outside
-    [0, len(assignments)) raises IndexError before its item is counted, and
+    batches may come from any iterable and are not kept.  A state outside
+    [0, len(assignments)) raises IndexError before its batch is counted, and
     so does a microstate id outside [0, n_microstates).  The resulting model
     feeds the spectral and option stages unchanged.
     """
@@ -353,8 +346,7 @@ def aggregate_model(episodes, assignments, n_microstates: int | None = None,
     if n_microstates is None:
         n_microstates = int(assignments.max()) + 1
     micro = EstimatedModel(n_microstates, v=v)
-    for item in episodes:
-        batch = _as_batch(item)
+    for batch in episodes:
         for idx in (batch.s, batch.s2):
             if idx.size and not 0 <= idx.min() <= idx.max() < assignments.size:
                 raise IndexError(f"state out of range [0, {assignments.size}): "

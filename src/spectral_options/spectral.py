@@ -227,7 +227,7 @@ def connected_pairs(C: np.ndarray, tau_conn: float = 0.1) -> list[tuple[int, int
     """
     C = np.asarray(C)
     k = C.shape[0]
-    off = np.abs(C.copy())
+    off = np.abs(C)
     np.fill_diagonal(off, 0.0)
     ceiling = off.max()
     if ceiling <= 0:

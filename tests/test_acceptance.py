@@ -342,10 +342,9 @@ def test_09_aggregation_recovery(capsys, world):
                                for s in range(world.n_states)])
         rng = Draws(0)
         starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-        trajectories = [sample_trajectory(world, uniform_random_policy, 100,
-                                          rng, start=starts[e % len(starts)])
-                        for e in range(60)]
-        agg = aggregate_model(trajectories, assignment, n_microstates=3)
+        episodes = sample_trajectory(world, uniform_random_policy, 100, rng,
+                                     [starts[e % len(starts)] for e in range(60)])
+        agg = aggregate_model([episodes], assignment, n_microstates=3)
         A = adjacency(agg)
         c.expect(A[0, 1] > 0 and A[1, 2] > 0 and A[0, 2] == 0,
                  "room-level adjacency is not a 3-node chain")

@@ -106,7 +106,6 @@ DEFAULTS = {
     ("environment", "step_reward"): 0.0,
     ("environment", "slip_prob"): 0.0,
     ("model", "v"): 0.0,
-    ("model", "u_prior"): 0.0,
     ("spectral", "t_c"): 0.5,
     ("spectral", "tau_conn"): 0.1,
     ("spectral", "k"): 0,
@@ -164,10 +163,12 @@ def test_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("given_by", ["set", "ini"])
-@pytest.mark.parametrize("setting", ["model.reward_weighting=true", "model.d_prior=0.0"])
+@pytest.mark.parametrize("setting", ["model.reward_weighting=true", "model.d_prior=0.0",
+                                     "model.u_prior=0.0"])
 def test_removed_model_key_rejected(tmp_path, capsys, setting, given_by):
-    # v = 0 turns reward weighting off, so no separate switch exists, and D
-    # has no uniform prior.  A config that still sets either key fails loudly.
+    # v = 0 turns reward weighting off, so no separate switch exists, and the
+    # counts take no uniform prior.  A config that still sets one of these keys
+    # fails loudly.
     target, value = setting.split("=")
     key = target.split(".")[1]
     if given_by == "set":
@@ -242,7 +243,7 @@ def test_non_finite_float_override_is_config_error(tmp_path, capsys, block, key,
     assert f"[{block}] {key}: must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["environment.step_reward=nan", "model.u_prior=inf",
+@pytest.mark.parametrize("setting", ["environment.step_reward=nan", "spectral.tau_conn=inf",
                                      "model.v=1e999"])
 def test_non_finite_float_rejected_before_training(tmp_path, setting):
     out = tmp_path / "o"
@@ -756,7 +757,7 @@ def test_membership_heatmap_rejects_values_outside_unit_interval(bad):
     ("discover", "agent.gamma=1.5"),
     ("discover", "agent.alpha=2"),
     ("discover", "model.v=-1"),
-    ("discover", "model.u_prior=-1"),
+    ("discover", "spectral.tau_conn=-1"),
     ("discover", "spectral.k=1"),
     ("discover", "spectral.k=-2"),
     ("train", "spectral.k=1"),

@@ -10,6 +10,7 @@ from spectral_options.env import (
     Draws,
     GridWorld,
     MapError,
+    Trajectory,
     Transitions,
     bundled_map_text,
     load_gridworld,
@@ -122,18 +123,23 @@ def test_slip_requires_rng():
         step(world, 0, 1)
 
 
+def batch_fields(batch):
+    return [x.tolist() for x in (batch.s, batch.a, batch.s2, batch.r)]
+
+
 def test_max_steps_caps_rollout():
     world = load_gridworld(THREE_ROOMS)
     rng = Draws(3)
-    traj = sample_trajectory(world, uniform_random_policy, max_steps=1, rng=rng)
-    assert len(traj) == 1
+    batch = sample_trajectory(world, uniform_random_policy, max_steps=1, rng=rng,
+                              starts=[world.start])
+    assert len(batch) == 1
 
 
 def test_replay_determinism():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.1)
-    t1 = sample_trajectory(world, uniform_random_policy, 500, Draws(42))
-    t2 = sample_trajectory(world, uniform_random_policy, 500, Draws(42))
-    assert t1 == t2
+    t1 = sample_trajectory(world, uniform_random_policy, 500, Draws(42), [world.start])
+    t2 = sample_trajectory(world, uniform_random_policy, 500, Draws(42), [world.start])
+    assert batch_fields(t1) == batch_fields(t2)
 
 
 def test_optimal_policy_reaches_goal():
@@ -155,36 +161,35 @@ def test_optimal_policy_reaches_goal():
     def optimal(s, rng):
         return min(range(4), key=lambda a: dist[world.move(s, a)])
 
-    traj = sample_trajectory(world, optimal, 500, Draws(0))
-    assert traj.done
-    assert traj.states[-1] == goal
-    assert len(traj) == dist[world.start]
-    assert traj.rewards[-1] == world.goal_reward
-    assert traj.rewards[:-1] == [world.step_reward] * (len(traj) - 1)
+    batch = sample_trajectory(world, optimal, 500, Draws(0), [world.start])
+    assert batch.s[0] == world.start
+    assert batch.s2[-1] == goal
+    assert not world.goals & set(batch.s2[:-1].tolist())
+    assert len(batch) == dist[world.start]
+    assert batch.r[-1] == world.goal_reward
+    assert batch.r[:-1].tolist() == [world.step_reward] * (len(batch) - 1)
 
 
 def test_trajectory_states_are_valid():
     world = load_gridworld(THREE_ROOMS)
     rng = Draws(7)
-    traj = sample_trajectory(world, uniform_random_policy, 300, rng)
-    assert len(traj.states) == len(traj) + 1
-    assert all(0 <= s < world.n_states for s in traj.states)
+    batch = sample_trajectory(world, uniform_random_policy, 300, rng, [world.start])
+    assert batch.s[1:].tolist() == batch.s2[:-1].tolist()     # one episode's steps chain
+    assert all(0 <= s < world.n_states for s in batch.s.tolist() + batch.s2.tolist())
 
 
 def test_start_override_begins_episode_there():
     world = load_gridworld(THREE_ROOMS)
     s0 = world.index[(3, 9)]
-    traj = sample_trajectory(world, uniform_random_policy, 5,
-                             Draws(0), start=s0)
-    assert traj.states[0] == s0
+    batch = sample_trajectory(world, uniform_random_policy, 5, Draws(0), [s0])
+    assert batch.s[0] == s0
 
 
 def test_terminal_start_is_error():
     world = load_gridworld(THREE_ROOMS)
     goal = world.index[(5, 17)]
     with pytest.raises(ValueError, match="terminal"):
-        sample_trajectory(world, uniform_random_policy, 5,
-                          Draws(0), start=goal)
+        sample_trajectory(world, uniform_random_policy, 5, Draws(0), [goal])
 
 
 @pytest.mark.parametrize("text", [THREE_ROOMS, "S.#.\n..#G\n....", ".S.\n...\n.G."],
@@ -228,8 +233,7 @@ def test_step_error_messages(s, a, message):
 def test_out_of_range_start_is_error(start):
     world = load_gridworld(THREE_ROOMS)
     with pytest.raises(ValueError, match="outside"):
-        sample_trajectory(world, uniform_random_policy, 5,
-                          Draws(0), start=start)
+        sample_trajectory(world, uniform_random_policy, 5, Draws(0), [start])
 
 
 @pytest.mark.parametrize("s, a", [(-1, 0), (-1, -1), (0, -1), (77, 0), (0, 4)])
@@ -260,10 +264,10 @@ def test_uniform_block_draw_matches_step_loop(text, ends_early, max_steps):
     lengths = []
     for episode in range(3 * len(starts)):
         start = starts[episode % len(starts)]
-        got = sample_trajectory(world, uniform_random_policy, max_steps, block, start=start)
-        want = sample_trajectory(world, looped_uniform_policy, max_steps, loop, start=start)
-        assert got == want
-        assert all(type(x) is int for x in got.states + got.actions)
+        got = sample_trajectory(world, uniform_random_policy, max_steps, block, [start])
+        want = sample_trajectory(world, looped_uniform_policy, max_steps, loop, [start])
+        assert batch_fields(got) == batch_fields(want)
+        assert [x.dtype for x in (got.s, got.a, got.s2)] == [np.int64] * 3
         loop.raws(max_steps - len(want))
         lengths.append(len(got))
     n_raws = 3 * len(starts) * max_steps
@@ -276,9 +280,9 @@ def test_slip_keeps_step_loop():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.3)
     block, loop = Draws(5), Draws(5)
     for start in range(10):
-        got = sample_trajectory(world, uniform_random_policy, 200, block, start=start)
-        want = sample_trajectory(world, looped_uniform_policy, 200, loop, start=start)
-        assert got == want
+        got = sample_trajectory(world, uniform_random_policy, 200, block, [start])
+        want = sample_trajectory(world, looped_uniform_policy, 200, loop, [start])
+        assert batch_fields(got) == batch_fields(want)
         assert block.random() == loop.random()
 
 
@@ -292,10 +296,6 @@ def toward_east_policy(s, rng):
     return 1 if rng.random() < 0.5 else rng.integers(N_ACTIONS)
 
 
-def batch_fields(batch):
-    return [x.tolist() for x in (batch.s, batch.a, batch.s2, batch.r)]
-
-
 @pytest.mark.parametrize("text, slip, policy", [
     (EARLY_GOAL, 0.0, uniform_random_policy),
     (THREE_ROOMS, 0.0, uniform_random_policy),
@@ -307,10 +307,11 @@ def test_batch_equals_concatenated_episodes(text, slip, policy, max_steps):
     world = load_gridworld(text, step_reward=-0.5, goal_reward=2.0, slip_prob=slip)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)] * 2
     batched, single = Draws(17), Draws(17)
-    batch = sample_trajectory(world, policy, max_steps, batched, start=starts)
-    episodes = [sample_trajectory(world, policy, max_steps, single, start=s) for s in starts]
+    batch = sample_trajectory(world, policy, max_steps, batched, starts)
+    episodes = [sample_trajectory(world, policy, max_steps, single, [s]) for s in starts]
     assert isinstance(batch, Transitions)
-    assert batch_fields(batch) == batch_fields(Transitions.of(episodes))
+    assert batch_fields(batch) == [sum(fields, []) for fields in
+                                   zip(*map(batch_fields, episodes))]
     assert len(batch) == sum(map(len, episodes))
     assert [x.dtype for x in (batch.s, batch.a, batch.s2, batch.r)] == [np.int64] * 3 + [float]
     assert batched.raws(2).tolist() == single.raws(2).tolist()
@@ -323,7 +324,7 @@ def test_uniform_batch_takes_episodes_times_max_steps_raws(text, n_episodes, max
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     draws = Draws(4)
     batch = sample_trajectory(world, uniform_random_policy, max_steps, draws,
-                              start=[starts[e % len(starts)] for e in range(n_episodes)])
+                              [starts[e % len(starts)] for e in range(n_episodes)])
     n_raws = n_episodes * max_steps
     assert draws.raws(3).tolist() == np.random.PCG64(4).random_raw(n_raws + 3)[-3:].tolist()
     assert len(batch) <= n_raws
@@ -332,7 +333,7 @@ def test_uniform_batch_takes_episodes_times_max_steps_raws(text, n_episodes, max
 def test_empty_batch():
     world = load_gridworld(THREE_ROOMS)
     draws = Draws(2)
-    batch = sample_trajectory(world, uniform_random_policy, 50, draws, start=[])
+    batch = sample_trajectory(world, uniform_random_policy, 50, draws, [])
     assert len(batch) == 0 and batch_fields(batch) == [[], [], [], []]
     assert draws.random() == Draws(2).random()
 
@@ -342,14 +343,20 @@ def test_bad_start_in_a_batch_is_error_before_any_draw(bad, message):
     world = load_gridworld(THREE_ROOMS)
     draws = Draws(6)
     with pytest.raises(ValueError, match=message):
-        sample_trajectory(world, uniform_random_policy, 5, draws, start=[0, 1, bad, 2])
+        sample_trajectory(world, uniform_random_policy, 5, draws, [0, 1, bad, 2])
     assert draws.random() == Draws(6).random()
 
 
 def test_transitions_of_trajectories():
     world = load_gridworld(EARLY_GOAL, step_reward=-0.5)
-    episodes = [sample_trajectory(world, looped_uniform_policy, 4, Draws(s), start=start)
-                for s, start in enumerate([0, 1, 4])]
+    episodes = []
+    for start, actions in [(0, [3, 0, 1]), (1, [2, 0]), (4, [2, 1, 0])]:
+        traj = Trajectory([start])
+        for a in actions:
+            s2, r, done = step(world, traj.states[-1], a)
+            traj.add(a, r, s2, done)
+        episodes.append(traj)
+    assert episodes[-1].done
     batch = Transitions.of(episodes)
     assert batch.s.tolist() == [x for e in episodes for x in e.states[:-1]]
     assert batch.s2.tolist() == [x for e in episodes for x in e.states[1:]]

@@ -35,39 +35,45 @@ THREE_ROOMS = bundled_map_text("three_rooms")
 V, U_PRIOR = 1.3, 0.07
 
 
-def traj_of(*steps):
-    """A trajectory from (s, a, r, s', done) tuples, which must chain."""
+def batch_of(*steps):
+    """A one-episode batch from (s, a, r, s', done) tuples, which must chain."""
     t = Trajectory([steps[0][0]])
     for s, a, r, s2, done in steps:
         assert s == t.states[-1], "steps must chain"
         t.add(a, r, s2, done)
-    return t
+    return Transitions.of([t])
+
+
+def joined(batches):
+    """One batch of the given batches' steps, in their order."""
+    return Transitions(*(np.concatenate(x) for x in
+                         zip(*((b.s, b.a, b.s2, b.r) for b in batches))))
 
 
 def test_single_unrewarded_transition_adds_one():
     m = EstimatedModel(3, v=0.0)
-    update_counts(m, traj_of((0, 1, 0.0, 1, False)))
+    update_counts(m, batch_of((0, 1, 0.0, 1, False)))
     assert m.D[0, 1] == 1.0
     assert m.U[0, 1, 1] == 1.0
 
 
 def test_reward_weighting_shrinks_contribution():
     m = EstimatedModel(3, v=1.0)
-    update_counts(m, traj_of((0, 1, 1.0, 1, True)))
+    update_counts(m, batch_of((0, 1, 1.0, 1, True)))
     assert m.D[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_empty_trajectory_is_identity():
     m = EstimatedModel(4, v=2.0)
     before = m.D.copy()
-    update_counts(m, Trajectory([0]))
+    update_counts(m, Transitions.of([Trajectory([0])]))
     np.testing.assert_array_equal(m.D, before)
 
 
 def test_out_of_range_state_is_error():
     m = EstimatedModel(2)
     with pytest.raises(IndexError):
-        update_counts(m, traj_of((0, 1, 0.0, 5, False)))
+        update_counts(m, batch_of((0, 1, 0.0, 5, False)))
 
 
 @pytest.mark.parametrize("bad_step", [(1, 9, 0.5, 2, False),    # action
@@ -75,10 +81,10 @@ def test_out_of_range_state_is_error():
                                       (1, 0, 0.5, 3, False)])   # next state too large
 def test_failed_update_leaves_model_unchanged(bad_step):
     m = EstimatedModel(3, v=V, u_prior=U_PRIOR)
-    update_counts(m, traj_of((0, 1, 0.5, 1, False), (1, 2, -0.1, 2, False)))
+    update_counts(m, batch_of((0, 1, 0.5, 1, False), (1, 2, -0.1, 2, False)))
     before = [x.copy() for x in (m.U, m.R_sum, m.R_count, m.D)]
     with pytest.raises(IndexError):
-        update_counts(m, traj_of((0, 1, 0.5, 1, False), bad_step))
+        update_counts(m, batch_of((0, 1, 0.5, 1, False), bad_step))
     for x, old in zip((m.U, m.R_sum, m.R_count, m.D), before):
         assert np.array_equal(x, old)
 
@@ -87,23 +93,23 @@ def test_mean_reward_used_before_exponentiating():
     # Two observations of the same transition with rewards 0 and 2: the
     # weight is 2·e^{−v·|1|}, not e^{0} + e^{−2v}.
     m = EstimatedModel(2, v=1.0)
-    update_counts(m, traj_of((0, 1, 0.0, 1, False)))
-    update_counts(m, traj_of((0, 1, 2.0, 1, False)))
+    update_counts(m, batch_of((0, 1, 0.0, 1, False)))
+    update_counts(m, batch_of((0, 1, 2.0, 1, False)))
     assert m.D[0, 1] == pytest.approx(2.0 * np.exp(-1.0))
 
 
 def test_probabilities_normalize_counts():
     m = EstimatedModel(3)
     for _ in range(3):
-        update_counts(m, traj_of((0, 0, 0.0, 1, False)))
-    update_counts(m, traj_of((0, 0, 0.0, 2, False)))
+        update_counts(m, batch_of((0, 0, 0.0, 1, False)))
+    update_counts(m, batch_of((0, 0, 0.0, 2, False)))
     P = transition_probabilities(m)
     np.testing.assert_allclose(P[(0, 0)], [0.0, 0.75, 0.25])
 
 
 def test_single_successor_probability_one():
     m = EstimatedModel(3)
-    update_counts(m, traj_of((1, 2, 0.0, 2, False)))
+    update_counts(m, batch_of((1, 2, 0.0, 2, False)))
     P = transition_probabilities(m)
     assert P[(1, 2)][2] == 1.0
 
@@ -111,7 +117,7 @@ def test_single_successor_probability_one():
 def test_unvisited_pairs_absent():
     # An unvisited (s, a) has no estimate: its row of the kernel is all zero.
     m = EstimatedModel(3)
-    update_counts(m, traj_of((0, 0, 0.0, 1, False)))
+    update_counts(m, batch_of((0, 0, 0.0, 1, False)))
     P = transition_probabilities(m)
     assert P.shape == (3, 4, 3)
     assert P[0, 0].any() and not P[0, 1].any() and not P[2, 3].any()
@@ -144,8 +150,8 @@ def test_exhaustive_probabilities_match_true_kernel():
 
 def test_adjacency_symmetrizes():
     m = EstimatedModel(2)
-    update_counts(m, traj_of((0, 0, 0.0, 1, False), (1, 0, 0.0, 1, False)))
-    update_counts(m, traj_of((0, 0, 0.0, 1, False)))
+    update_counts(m, batch_of((0, 0, 0.0, 1, False), (1, 0, 0.0, 1, False)))
+    update_counts(m, batch_of((0, 0, 0.0, 1, False)))
     W = adjacency(m)
     assert m.D[0, 1] == 2.0 and m.D[1, 0] == 0.0
     assert W[0, 1] == W[1, 0] == 1.0
@@ -153,8 +159,8 @@ def test_adjacency_symmetrizes():
 
 def test_adjacency_fixed_point_when_symmetric():
     m = EstimatedModel(2)
-    update_counts(m, traj_of((0, 0, 0.0, 1, False)))
-    update_counts(m, traj_of((1, 0, 0.0, 0, False)))
+    update_counts(m, batch_of((0, 0, 0.0, 1, False)))
+    update_counts(m, batch_of((1, 0, 0.0, 0, False)))
     np.testing.assert_array_equal(adjacency(m), m.D)
 
 
@@ -180,10 +186,10 @@ def test_count_monotonicity():
     world = load_gridworld(THREE_ROOMS)
     m = EstimatedModel(world.n_states)
     rng = Draws(0)
-    from spectral_options.env import sample_trajectory, uniform_random_policy
     prev = m.U.copy()
     for _ in range(5):
-        update_counts(m, sample_trajectory(world, uniform_random_policy, 100, rng))
+        update_counts(m, sample_trajectory(world, uniform_random_policy, 100, rng,
+                                           [world.start]))
         assert (m.U >= prev).all()
         prev = m.U.copy()
 
@@ -200,7 +206,7 @@ def test_reward_magnitude_strictly_decreases_weight():
     weights = []
     for r in (0.5, 1.0, 2.0):
         m = EstimatedModel(2, v=1.5)
-        update_counts(m, traj_of((0, 0, r, 1, False)))
+        update_counts(m, batch_of((0, 0, r, 1, False)))
         weights.append(m.D[0, 1])
     assert weights[0] > weights[1] > weights[2]
 
@@ -224,7 +230,7 @@ def test_prior_is_added_to_counts_when_read():
     # Adding 0.07 first and the counts one at a time gives (0.07 + 1) + 1,
     # which differs from 2 + 0.07 in float64; U must be the latter.
     m = EstimatedModel(3, u_prior=0.07)
-    update_counts(m, traj_of((0, 1, 0.0, 0, False), (0, 1, 0.0, 0, False),
+    update_counts(m, batch_of((0, 1, 0.0, 0, False), (0, 1, 0.0, 0, False),
                              (0, 2, 0.0, 0, False), (0, 2, 0.0, 0, False),
                              (0, 2, 0.0, 0, False)))
     assert m.R_count[0, 1, 0] == 2.0 and m.R_count[0, 2, 0] == 3.0
@@ -241,11 +247,12 @@ def slippery_world():
                           slip_prob=0.2)
 
 
-def sampled_trajectories(world, n_episodes=40, seed=3):
+def sampled_episodes(world, n_episodes=40, seed=3):
+    """Uniform-random episodes, one batch each, drawn in turn from one stream."""
     rng = Draws(seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     return [sample_trajectory(world, uniform_random_policy, 60, rng,
-                              start=starts[e * 7 % len(starts)])
+                              [starts[e * 7 % len(starts)]])
             for e in range(n_episodes)]
 
 
@@ -253,22 +260,22 @@ def test_incremental_adjacency_equals_rebuild_after_every_update():
     world = slippery_world()
     m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     assert np.array_equal(m.D, rebuilt_adjacency(m))
-    for traj in sampled_trajectories(world):
-        update_counts(m, traj)
+    for episode in sampled_episodes(world):
+        update_counts(m, episode)
         assert np.array_equal(m.D, rebuilt_adjacency(m))
     assert (m.R_count > 0).sum() > 200      # hundreds of distinct transitions counted
 
 
 def test_exhaustive_adjacency_equals_rebuild():
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
-    m = exhaustive_model(world, v=V, u_prior=U_PRIOR)
+    m = exhaustive_model(world, v=V)
     assert np.array_equal(m.D, rebuilt_adjacency(m))
 
 
 def test_aggregated_adjacency_equals_rebuild():
     world = slippery_world()
     assignment = np.arange(world.n_states) // 4
-    agg = aggregate_model(sampled_trajectories(world), assignment, v=V)
+    agg = aggregate_model(sampled_episodes(world), assignment, v=V)
     assert np.array_equal(agg.D, rebuilt_adjacency(agg))
 
 
@@ -294,10 +301,9 @@ def block_and_episodes(world, n_episodes=40, max_steps=60, seed=3):
     """One sampled block and the same episodes sampled one at a time."""
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     starts = [starts[e * 7 % len(starts)] for e in range(n_episodes)]
-    block = sample_trajectory(world, uniform_random_policy, max_steps, Draws(seed),
-                              start=starts)
+    block = sample_trajectory(world, uniform_random_policy, max_steps, Draws(seed), starts)
     rng = Draws(seed)
-    episodes = [sample_trajectory(world, uniform_random_policy, max_steps, rng, start=s)
+    episodes = [sample_trajectory(world, uniform_random_policy, max_steps, rng, [s])
                 for s in starts]
     return block, episodes
 
@@ -315,8 +321,8 @@ def test_block_write_equals_episode_writes(batches, slip):
     by_block = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     by_episode = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     assert update_counts(by_block, block) is by_block
-    for traj in episodes:
-        update_counts(by_episode, traj)
+    for episode in episodes:
+        update_counts(by_episode, episode)
     assert len(batches[id(by_block)]) == 1 and len(batches[id(by_episode)]) == 40
     assert_same_store(by_block, by_episode)
     assert by_block.R_count.sum() == len(block) == sum(map(len, episodes))
@@ -326,14 +332,14 @@ def test_aggregated_blocks_equal_aggregated_trajectories(batches):
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
     block, episodes = block_and_episodes(world)
     assignment = np.arange(world.n_states) // 4
-    halves = [Transitions.of(episodes[:15]), Transitions.of(episodes[15:])]
+    halves = [joined(episodes[:15]), joined(episodes[15:])]
     over_blocks = aggregate_model([block], assignment, v=V)
     over_halves = aggregate_model(halves, assignment, v=V)
-    over_trajectories = aggregate_model(episodes, assignment, v=V)
-    assert [len(batches[id(m)]) for m in (over_blocks, over_halves, over_trajectories)] == \
+    over_episodes = aggregate_model(episodes, assignment, v=V)
+    assert [len(batches[id(m)]) for m in (over_blocks, over_halves, over_episodes)] == \
         [1, 2, 40]
-    assert_same_store(over_blocks, over_trajectories)
-    assert_same_store(over_halves, over_trajectories)
+    assert_same_store(over_blocks, over_episodes)
+    assert_same_store(over_halves, over_episodes)
 
 
 def assert_matches_dense(m, batches, tmp_path):
@@ -356,8 +362,7 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
     world = slippery_world()
     m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
     assert_matches_dense(m, batches, tmp_path)
-    for e, traj in enumerate(sampled_trajectories(world)):
-        steps = Transitions.of([traj])
+    for e, steps in enumerate(sampled_episodes(world)):
         for i in range(0, len(steps), max_steps):
             update_counts(m, Transitions(*(x[i:i + max_steps]
                                            for x in (steps.s, steps.a, steps.s2, steps.r))))
@@ -369,7 +374,7 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
 def test_write_merges_into_store_and_reads_leave_it_unchanged(tmp_path):
     world = slippery_world()
     m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
-    batch = Transitions.of(sampled_trajectories(world))
+    batch = joined(sampled_episodes(world))
     update_counts(m, batch)
     expected = np.unique((batch.s * 4 + batch.a) * world.n_states + batch.s2)
     assert np.array_equal(m._keys, expected) and m._values.shape == (2, expected.size)
@@ -382,26 +387,26 @@ def test_write_merges_into_store_and_reads_leave_it_unchanged(tmp_path):
 
 def test_aggregated_store_matches_dense_writer(batches, tmp_path):
     world = slippery_world()
-    agg = aggregate_model(sampled_trajectories(world), np.arange(world.n_states) // 4, v=V)
+    agg = aggregate_model(sampled_episodes(world), np.arange(world.n_states) // 4, v=V)
     assert len(batches[id(agg)]) == 40
     assert_matches_dense(agg, batches, tmp_path)
 
 
 def test_exhaustive_store_matches_dense_writer(batches, tmp_path):
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
-    m = exhaustive_model(world, v=V, u_prior=U_PRIOR)
+    m = exhaustive_model(world, v=V)
     assert_matches_dense(m, batches, tmp_path)
 
 
 def test_store_memory_grows_with_transitions_not_states(tmp_path):
     # A dense (N, A, N) count array at N = 6,404 would take 1.3 GB.
     world = load_gridworld(room_grid_text(2, 2, 40))
-    traj = sample_trajectory(world, uniform_random_policy, 200, Draws(0))
-    assert world.n_states == 6404 and len(traj) == 200
+    batch = sample_trajectory(world, uniform_random_policy, 200, Draws(0), [world.start])
+    assert world.n_states == 6404 and len(batch) == 200
     tracemalloc.start()
     try:
         m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
-        update_counts(m, traj)
+        update_counts(m, batch)
         save_triplets(m, tmp_path / "model.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:

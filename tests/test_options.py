@@ -337,11 +337,9 @@ def sampled_model(text, slip_prob, u_prior, seed=0, episodes=40, max_steps=60):
     world = load_gridworld(text, slip_prob=slip_prob)
     model = EstimatedModel(world.n_states, u_prior=u_prior)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    rng = Draws(seed)
-    for e in range(episodes):
-        traj = sample_trajectory(world, uniform_random_policy, max_steps, rng,
-                                 start=starts[e % len(starts)])
-        update_counts(model, traj)
+    starts = [starts[e % len(starts)] for e in range(episodes)]
+    update_counts(model, sample_trajectory(world, uniform_random_policy, max_steps,
+                                           Draws(seed), starts))
     return model
 
 

@@ -6,6 +6,7 @@ import pytest
 from spectral_options.env import (
     Draws,
     Trajectory,
+    Transitions,
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
@@ -100,7 +101,6 @@ def test_default_config_is_valid():
     ("tau_conn", float("nan")),
     ("gamma", 1.5),
     ("alpha", 2.0),
-    ("u_prior", -1.0),
     ("k", 1),
     ("k", -2),
     ("eps_anneal_episodes", -1),
@@ -1059,29 +1059,30 @@ def test_kmeans_rejects_overflowing_distances():
 
 # --- aggregate_model ---------------------------------------------------------
 
-def sample_covering_trajectories(world, n_episodes=60, max_steps=100, seed=0):
+def sample_covering_episodes(world, n_episodes=60, max_steps=100, seed=0):
+    """Uniform-random episodes, one batch each, whose starts cycle over the open states."""
     rng = Draws(seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     return [sample_trajectory(world, uniform_random_policy, max_steps, rng,
-                              start=starts[e % len(starts)])
+                              [starts[e % len(starts)]])
             for e in range(n_episodes)]
 
 
 def test_identity_assignment_reproduces_model(world):
-    trajs = sample_covering_trajectories(world, n_episodes=10)
+    episodes = sample_covering_episodes(world, n_episodes=10)
     direct = EstimatedModel(world.n_states)
-    for t in trajs:
-        update_counts(direct, t)
-    agg = aggregate_model(trajs, np.arange(world.n_states),
+    for e in episodes:
+        update_counts(direct, e)
+    agg = aggregate_model(episodes, np.arange(world.n_states),
                           n_microstates=world.n_states)
     assert np.array_equal(agg.U, direct.U)
     assert np.array_equal(agg.R_sum, direct.R_sum)
 
 
 def test_all_states_to_one_microstate_self_loops(world):
-    trajs = sample_covering_trajectories(world, n_episodes=5)
-    agg = aggregate_model(trajs, np.zeros(world.n_states, dtype=int))
-    total = sum(len(t) for t in trajs)
+    episodes = sample_covering_episodes(world, n_episodes=5)
+    agg = aggregate_model(episodes, np.zeros(world.n_states, dtype=int))
+    total = sum(map(len, episodes))
     assert agg.U.shape == (1, 4, 1)
     assert agg.U.sum() == total
 
@@ -1090,8 +1091,8 @@ def test_room_assignment_yields_three_node_chain(world):
     room_ids = {"L": 0, "d1": 0, "M": 1, "d2": 1, "R": 2}
     assignment = np.array([room_ids[room_of(world.cells[s])]
                            for s in range(world.n_states)])
-    trajs = sample_covering_trajectories(world)
-    agg = aggregate_model(trajs, assignment, n_microstates=3)
+    episodes = sample_covering_episodes(world)
+    agg = aggregate_model(episodes, assignment, n_microstates=3)
     A = adjacency(agg)
     assert A[0, 1] > 0 and A[1, 2] > 0          # chain links exist
     assert A[0, 2] == 0 and A[2, 0] == 0        # no room skips a neighbor
@@ -1105,7 +1106,7 @@ def test_chain_memberships_are_exact_indicators(world):
     room_ids = {"L": 0, "d1": 0, "M": 1, "d2": 1, "R": 2}
     assignment = np.array([room_ids[room_of(world.cells[s])]
                            for s in range(world.n_states)])
-    agg = aggregate_model(sample_covering_trajectories(world), assignment,
+    agg = aggregate_model(sample_covering_episodes(world), assignment,
                           n_microstates=3)
     result = cluster(adjacency(agg), k=3)
     chi = result.membership.chi
@@ -1114,9 +1115,9 @@ def test_chain_memberships_are_exact_indicators(world):
 
 
 def test_unassigned_state_rejected():
-    traj = Trajectory([0, 5], [1], [0.0])
+    batch = Transitions.of([Trajectory([0, 5], [1], [0.0])])
     with pytest.raises(IndexError):
-        aggregate_model([traj], np.zeros(1, dtype=int))
+        aggregate_model([batch], np.zeros(1, dtype=int))
 
 
 @pytest.mark.parametrize("states, actions", [([0, -1, 1], [1, 2]), ([3, 1, 2], [0, 0])],
@@ -1125,17 +1126,17 @@ def test_state_outside_assignments_rejected_before_counting(monkeypatch, states,
     # A negative state once wrapped round to assignments[-1] and was counted.
     writes = []
     monkeypatch.setattr(pipeline, "_add_counts", lambda *args: writes.append(args))
-    traj = Trajectory(states, actions, [0.0, 0.0])
+    batch = Transitions.of([Trajectory(states, actions, [0.0, 0.0])])
     with pytest.raises(IndexError, match="state out of range"):
-        aggregate_model([traj], np.arange(3))
+        aggregate_model([batch], np.arange(3))
     assert writes == []
     with pytest.raises(IndexError):
-        update_counts(EstimatedModel(3), traj)
+        update_counts(EstimatedModel(3), batch)
 
 
 def test_negative_microstate_id_rejected(world):
-    trajs = sample_covering_trajectories(world, n_episodes=5)
+    episodes = sample_covering_episodes(world, n_episodes=5)
     assignment = np.zeros(world.n_states, dtype=int)
     assignment[world.start] = -1
     with pytest.raises(IndexError):
-        aggregate_model(trajs, assignment, n_microstates=2)
+        aggregate_model(episodes, assignment, n_microstates=2)
