@@ -4,14 +4,14 @@ Episodes are counted a ``Transitions`` batch at a time.  The model stores
 only what was observed: one sorted int64 key (s·A + a)·N + s' per counted
 transition, with its visit count and reward sum.  A write merges its batch
 into the store, so reads never change the model.  The dense (N, A, N) views
-R_count and R_sum, the smoothed counts U(s,a,s') = counts + U_prior and the
-reward-weighted adjacency, with R̂ the mean observed reward,
+R_count and R_sum and the reward-weighted adjacency, with R̂ the mean
+observed reward,
 
-    D(s,s') = Σ_a U(s,a,s') · e^{−v·|R̂(s,a,s')|},
+    D(s,s') = Σ_a R_count(s,a,s') · e^{−v·|R̂(s,a,s')|},
 
 are derived from the keys when read; rewarded transitions fade from D as v
-grows.  So is the dense (N, A, N) transition kernel P = U / Σ_{s'} U that
-options read.
+grows.  So is the dense (N, A, N) transition kernel
+P = R_count / Σ_{s'} R_count that options read.
 """
 
 from __future__ import annotations
@@ -25,17 +25,21 @@ from spectral_options.env import N_ACTIONS, GridWorld, Transitions
 
 
 class EstimatedModel:
-    """Counts, mean rewards, and reward-weighted adjacency for a tabular MDP."""
+    """Counts, mean rewards, and reward-weighted adjacency for a tabular MDP.
 
-    def __init__(self, n_states: int, *, v: float = 0.0, u_prior: float = 0.0):
+    ``u_prior`` (always 0.0) and ``U`` (the same view as ``R_count``) stay
+    only because the benchmark still reads them; the package reads neither.
+    """
+
+    u_prior = 0.0
+
+    def __init__(self, n_states: int, *, v: float = 0.0):
         if n_states < 1:
             raise ValueError("n_states must be positive")
-        for name, x in (("v", v), ("u_prior", u_prior)):
-            if not (math.isfinite(x) and x >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {x}")
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"v must be finite and non-negative, got {v}")
         self.n_states = n_states
         self.v = float(v)
-        self.u_prior = float(u_prior)
         self._keys = np.zeros(0, dtype=np.int64)   # sorted, unique
         self._values = np.zeros((2, 0))             # rows: count, reward_sum per key
 
@@ -55,31 +59,20 @@ class EstimatedModel:
         """Reward sums as a dense (N, A, N) array, a new array on every read."""
         return self._dense(1)
 
-    @property
-    def U(self) -> np.ndarray:
-        """Smoothed counts R_count + u_prior, a new array on every read."""
-        U = self._dense(0)
-        U += self.u_prior
-        return U
+    U = R_count
 
     @property
     def D(self) -> np.ndarray:
-        """Adjacency D, a new array on every read, summed one N×N action slice at a time.
+        """Adjacency D as an (N, N) array, a new array on every read.
 
-        exp is taken on counted entries only: elsewhere R̂ = 0, so an action
-        adds u_prior there.
+        Each key adds its weight to its (s, s') cell.  Keys are sorted by
+        (s, a, s'), so a cell sums its actions in order from 0.0.
         """
         count, reward_sum = self._values
-        weight = (count + self.u_prior) * np.exp(-self.v * np.abs(reward_sum / count))
-        s, a, s2 = _split(self._keys, self.n_states)
-        cell = s * self.n_states + s2
-        total = np.zeros((self.n_states, self.n_states))
-        for b in range(N_ACTIONS):
-            mine = a == b
-            before = total.take(cell[mine])
-            total += self.u_prior
-            total.put(cell[mine], before + weight[mine])
-        return total
+        weight = count * np.exp(-self.v * np.abs(reward_sum / count))
+        s, _, s2 = _split(self._keys, self.n_states)
+        n = self.n_states
+        return np.bincount(s * n + s2, weight, minlength=n * n).reshape(n, n)
 
 
 def _split(keys: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,20 +105,22 @@ def update_counts(model: EstimatedModel, batch: Transitions) -> EstimatedModel:
     """Fold a Transitions batch of episodes into the model's counts with one
     write; returns the same model.
 
-    Each observed (s, a, s') adds one visit and its reward; U and D follow when
-    read.  An out-of-range index raises IndexError before any count is written.
+    Each observed (s, a, s') adds one visit and its reward; the views follow
+    when read.  An out-of-range index raises IndexError before any count is
+    written.
     """
     _add_counts(model, batch.s, batch.a, batch.s2, batch.r)
     return model
 
 
 def transition_probabilities(model: EstimatedModel) -> np.ndarray:
-    """The (N, A, N) kernel P(s,a,·) = U(s,a,·) / Σ U(s,a,·), a new array on every read.
+    """The (N, A, N) kernel P(s,a,·) = R_count(s,a,·) / Σ R_count(s,a,·), a new
+    array on every read.
 
-    With u_prior = 0 the row of an unvisited (s, a) is all zero: "no estimate",
-    not a uniform guess.  With u_prior > 0 that row is uniform, 1/N.
+    The row of an unvisited (s, a) is all zero: "no estimate", not a uniform
+    guess.
     """
-    P = model.U
+    P = model.R_count
     totals = P.sum(axis=2, keepdims=True)
     return np.divide(P, totals, out=P, where=totals > 0)
 
@@ -156,8 +151,7 @@ def exhaustive_model(world: GridWorld, v: float = 0.0) -> EstimatedModel:
 def save_triplets(model: EstimatedModel, path) -> None:
     """Write visited transitions as CSV rows (s, a, next_s, count, reward_mean).
 
-    Rows follow the key order, (s, a, next_s) ascending.  ``count`` holds
-    observed visits only, without u_prior.
+    Rows follow the key order, (s, a, next_s) ascending.
     """
     count, reward_sum = model._values
     mean_r = reward_sum / count

@@ -31,6 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from spectral_options.model import transition_probabilities
 from spectral_options.spectral import ClusterResult, connected_pairs
 
 BETA_EPS = 1e-6   # log-domain clamp; exact 0/1 memberships occur in block cases
@@ -171,8 +172,6 @@ def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list
     tau_conn (see spectral.connected_pairs); every option's gains come from
     one product P·χ.  Returns an empty list when no pair clears it.
     """
-    from spectral_options.model import transition_probabilities
-
     P = transition_probabilities(model)
     chi = result.chi
     n, n_actions, _ = P.shape

@@ -81,10 +81,10 @@ class OdstcConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.learner not in LEARNERS:
             raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
-        if not (math.isfinite(self.tau_conn) and self.tau_conn >= 0):
-            raise ValueError(f"tau_conn must be finite and non-negative, got {self.tau_conn}")
+        for name, x in {"tau_conn": self.tau_conn, "v": self.v}.items():
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {x}")
         _check_alpha_gamma(self.alpha, self.gamma)
-        EstimatedModel(1, v=self.v)
 
 
 @dataclass
@@ -110,14 +110,12 @@ def epsilon_at(episode: int, anneal_episodes: int, eps_start: float,
     return eps_start + (eps_end - eps_start) * frac
 
 
-def convergence_test(returns, window: int | None = None) -> bool:
+def convergence_test(returns, window: int) -> bool:
     """Plateau check: trailing-window mean return moved < 1% between windows.
 
     Compares the mean of the last ``window`` episode returns against the
     mean of the ``window`` returns before them.
     """
-    if window is None:
-        window = len(returns) // 2
     if window < 1 or len(returns) < 2 * window:
         raise ValueError("need at least two full windows of episode returns")
     m_prev = float(np.mean(returns[-2 * window:-window]))

@@ -35,8 +35,8 @@ from spectral_options.env import DELTAS, N_ACTIONS, Draws
 from spectral_options.options import BETA_EPS
 
 
-def dense_counts(n_states, batches, *, v=0.0, u_prior=0.0):
-    """A model-like record of dense (N, A, N) R_count and R_sum, and U = R_count + u_prior.
+def dense_counts(n_states, batches, *, v=0.0):
+    """A model-like record of dense (N, A, N) R_count and R_sum.
 
     Each (s, a, s', reward_sum) batch adds one visit and its reward_sum per
     step with np.add.at, in order, so repeated transitions sum in the order
@@ -48,13 +48,12 @@ def dense_counts(n_states, batches, *, v=0.0, u_prior=0.0):
         idx = tuple(np.asarray(x, dtype=np.intp) for x in (s, a, s2))
         np.add.at(R_sum, idx, reward_sum)
         np.add.at(R_count, idx, 1.0)
-    return SimpleNamespace(n_states=n_states, v=v, u_prior=u_prior,
-                           R_count=R_count, R_sum=R_sum, U=R_count + u_prior)
+    return SimpleNamespace(n_states=n_states, v=v, R_count=R_count, R_sum=R_sum)
 
 
 def dense_kernel(counts):
-    """P = U / Σ_{s'} U over the dense U of dense_counts; unvisited rows stay zero."""
-    P = counts.U.copy()
+    """P = R_count / Σ_{s'} R_count over dense_counts; unvisited rows stay zero."""
+    P = counts.R_count.copy()
     totals = P.sum(axis=2, keepdims=True)
     return np.divide(P, totals, out=P, where=totals > 0)
 
@@ -72,11 +71,11 @@ def dense_triplet_csv(counts):
 
 
 def rebuilt_adjacency(model):
-    """D = Σ_a U·e^{−v|R̂|} over all of U, with R̂ = 0 where unvisited."""
+    """D = Σ_a R_count·e^{−v|R̂|}, with R̂ = 0 where unvisited."""
     R_hat = np.zeros_like(model.R_sum)
     seen = model.R_count > 0
     R_hat[seen] = model.R_sum[seen] / model.R_count[seen]
-    weighted = model.U * np.exp(-model.v * np.abs(R_hat))
+    weighted = model.R_count * np.exp(-model.v * np.abs(R_hat))
     return weighted.sum(axis=1)
 
 
@@ -298,10 +297,11 @@ def quadratic_kmeans(pts, k_m, seed, max_iters=100):
 
 
 def dict_kernel(model):
-    """{(s, a): U(s,a,·) / Σ U(s,a,·)} for every (s, a) with a positive total."""
-    U = model.U
-    totals = U.sum(axis=2)
-    return {(int(s), int(a)): U[s, a] / totals[s, a] for s, a in zip(*np.nonzero(totals))}
+    """{(s, a): R_count(s,a,·) / Σ R_count(s,a,·)} for every visited (s, a)."""
+    counts = model.R_count
+    totals = counts.sum(axis=2)
+    return {(int(s), int(a)): counts[s, a] / totals[s, a]
+            for s, a in zip(*np.nonzero(totals))}
 
 
 def dict_compose(i, j, chi, P, members):

@@ -30,9 +30,9 @@ from helpers import room_grid_text
 from oracles import dense_counts, dense_kernel, dense_triplet_csv, rebuilt_adjacency
 
 THREE_ROOMS = bundled_map_text("three_rooms")
-# Nonzero step reward, v and prior: every term of D differs from its
-# default, so an entry summed in the wrong order or missed shows up.
-V, U_PRIOR = 1.3, 0.07
+# Nonzero step reward and v: every term of D differs from its default, so an
+# entry summed in the wrong order or missed shows up.
+V = 1.3
 
 
 def batch_of(*steps):
@@ -54,7 +54,7 @@ def test_single_unrewarded_transition_adds_one():
     m = EstimatedModel(3, v=0.0)
     update_counts(m, batch_of((0, 1, 0.0, 1, False)))
     assert m.D[0, 1] == 1.0
-    assert m.U[0, 1, 1] == 1.0
+    assert m.R_count[0, 1, 1] == 1.0
 
 
 def test_reward_weighting_shrinks_contribution():
@@ -80,12 +80,12 @@ def test_out_of_range_state_is_error():
                                       (1, 0, 0.5, -1, False),   # negative next state
                                       (1, 0, 0.5, 3, False)])   # next state too large
 def test_failed_update_leaves_model_unchanged(bad_step):
-    m = EstimatedModel(3, v=V, u_prior=U_PRIOR)
+    m = EstimatedModel(3, v=V)
     update_counts(m, batch_of((0, 1, 0.5, 1, False), (1, 2, -0.1, 2, False)))
-    before = [x.copy() for x in (m.U, m.R_sum, m.R_count, m.D)]
+    before = [x.copy() for x in (m.R_sum, m.R_count, m.D)]
     with pytest.raises(IndexError):
         update_counts(m, batch_of((0, 1, 0.5, 1, False), bad_step))
-    for x, old in zip((m.U, m.R_sum, m.R_count, m.D), before):
+    for x, old in zip((m.R_sum, m.R_count, m.D), before):
         assert np.array_equal(x, old)
 
 
@@ -128,7 +128,7 @@ def test_probability_rows_sum_to_one():
     world = load_gridworld(THREE_ROOMS)
     m = exhaustive_model(world)
     P = transition_probabilities(m)
-    visited = m.U.sum(axis=2) > 0
+    visited = m.R_count.sum(axis=2) > 0
     assert visited.sum() == 4 * (world.n_states - len(world.goals))
     for dist in P[visited]:
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
@@ -186,12 +186,12 @@ def test_count_monotonicity():
     world = load_gridworld(THREE_ROOMS)
     m = EstimatedModel(world.n_states)
     rng = Draws(0)
-    prev = m.U.copy()
+    prev = m.R_count.copy()
     for _ in range(5):
         update_counts(m, sample_trajectory(world, uniform_random_policy, 100, rng,
                                            [world.start]))
-        assert (m.U >= prev).all()
-        prev = m.U.copy()
+        assert (m.R_count >= prev).all()
+        prev = m.R_count.copy()
 
 
 def test_v_zero_ignores_rewards():
@@ -213,7 +213,6 @@ def test_reward_magnitude_strictly_decreases_weight():
 
 @pytest.mark.parametrize("name, value", [
     ("v", np.nan), ("v", np.inf), ("v", -1.0),
-    ("u_prior", np.nan), ("u_prior", np.inf), ("u_prior", -1.0),
 ])
 def test_non_finite_or_negative_weight_is_error(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
@@ -221,20 +220,21 @@ def test_non_finite_or_negative_weight_is_error(name, value):
 
 
 def test_weights_and_priors_are_keyword_only():
-    # A stale positional action count must not bind to v.
+    # A stale positional action count must not bind to v, and the counts take
+    # no uniform prior.
     with pytest.raises(TypeError):
         EstimatedModel(2, 4)
+    with pytest.raises(TypeError):
+        EstimatedModel(3, u_prior=0.0)
 
 
-def test_prior_is_added_to_counts_when_read():
-    # Adding 0.07 first and the counts one at a time gives (0.07 + 1) + 1,
-    # which differs from 2 + 0.07 in float64; U must be the latter.
-    m = EstimatedModel(3, u_prior=0.07)
+def test_counts_are_read_without_prior():
+    m = EstimatedModel(3)
     update_counts(m, batch_of((0, 1, 0.0, 0, False), (0, 1, 0.0, 0, False),
                              (0, 2, 0.0, 0, False), (0, 2, 0.0, 0, False),
                              (0, 2, 0.0, 0, False)))
     assert m.R_count[0, 1, 0] == 2.0 and m.R_count[0, 2, 0] == 3.0
-    assert np.array_equal(m.U, m.R_count + m.u_prior)
+    assert np.array_equal(m.U, m.R_count) and m.u_prior == 0.0
     assert "U" not in vars(m) and "D" not in vars(m)
     with pytest.raises(AttributeError):
         m.D = np.zeros((3, 3))
@@ -258,7 +258,7 @@ def sampled_episodes(world, n_episodes=40, seed=3):
 
 def test_incremental_adjacency_equals_rebuild_after_every_update():
     world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
+    m = EstimatedModel(world.n_states, v=V)
     assert np.array_equal(m.D, rebuilt_adjacency(m))
     for episode in sampled_episodes(world):
         update_counts(m, episode)
@@ -318,8 +318,8 @@ def assert_same_store(a, b):
 def test_block_write_equals_episode_writes(batches, slip):
     world = load_gridworld(THREE_ROOMS, step_reward=-0.04, slip_prob=slip)
     block, episodes = block_and_episodes(world)
-    by_block = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
-    by_episode = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
+    by_block = EstimatedModel(world.n_states, v=V)
+    by_episode = EstimatedModel(world.n_states, v=V)
     assert update_counts(by_block, block) is by_block
     for episode in episodes:
         update_counts(by_episode, episode)
@@ -343,8 +343,8 @@ def test_aggregated_blocks_equal_aggregated_trajectories(batches):
 
 
 def assert_matches_dense(m, batches, tmp_path):
-    ref = dense_counts(m.n_states, batches.get(id(m), []), v=m.v, u_prior=m.u_prior)
-    for name in ("R_count", "R_sum", "U"):
+    ref = dense_counts(m.n_states, batches.get(id(m), []), v=m.v)
+    for name in ("R_count", "R_sum"):
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
     assert np.array_equal(m.D, rebuilt_adjacency(ref))
     assert np.array_equal(transition_probabilities(m), dense_kernel(ref))
@@ -360,7 +360,7 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
     # writes it whole, 50 splits the longer episodes, so keys already merged
     # by one write come in again with the next.
     world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
+    m = EstimatedModel(world.n_states, v=V)
     assert_matches_dense(m, batches, tmp_path)
     for e, steps in enumerate(sampled_episodes(world)):
         for i in range(0, len(steps), max_steps):
@@ -373,7 +373,7 @@ def test_store_matches_dense_writer_with_reads_between_updates(batches, tmp_path
 
 def test_write_merges_into_store_and_reads_leave_it_unchanged(tmp_path):
     world = slippery_world()
-    m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
+    m = EstimatedModel(world.n_states, v=V)
     batch = joined(sampled_episodes(world))
     update_counts(m, batch)
     expected = np.unique((batch.s * 4 + batch.a) * world.n_states + batch.s2)
@@ -405,7 +405,7 @@ def test_store_memory_grows_with_transitions_not_states(tmp_path):
     assert world.n_states == 6404 and len(batch) == 200
     tracemalloc.start()
     try:
-        m = EstimatedModel(world.n_states, v=V, u_prior=U_PRIOR)
+        m = EstimatedModel(world.n_states, v=V)
         update_counts(m, batch)
         save_triplets(m, tmp_path / "model.csv")
         peak = tracemalloc.get_traced_memory()[1]
