@@ -124,7 +124,7 @@ def convergence_test(returns, window: int) -> bool:
     return abs(m_last - m_prev) < 0.01 * scale
 
 
-def _plateaued(returns: list, window: int) -> bool:
+def _plateaued(returns, window: int) -> bool:
     """Plateau rule: two full windows, a positive trailing mean (an agent still
     scoring zero has not learned yet), and convergence_test passes."""
     return (len(returns) >= 2 * window and np.mean(returns[-window:]) > 0
@@ -136,6 +136,7 @@ def episodes_to_plateau(returns, window: int) -> int:
 
     Returns len(returns) if no plateau is reached.
     """
+    returns = np.asarray(returns, dtype=float)
     for e in range(2 * window, len(returns) + 1):
         if _plateaued(returns[:e], window):
             return e
@@ -214,6 +215,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     model = EstimatedModel(world.n_states, v=config.v)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
+    returns: list[float] = []
     notes: list[str] = []
     anneal = config.eps_anneal_episodes or config.max_rounds * config.episodes_per_round
     converged = False
@@ -236,8 +238,9 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
             log.episode = len(history)
             trajs.append(traj)
             history.append(log)
+            returns.append(log.cumulative_reward)
         update_counts(model, Transitions.of(trajs))
-        if _plateaued([l.cumulative_reward for l in history], config.convergence_window):
+        if _plateaued(returns, config.convergence_window):
             converged = True
             break
     return OdstcResult(q=Q, options=Q.options, history=history, notes=notes,

@@ -149,38 +149,34 @@ def select_k(eigenvalues, t_c: float = 0.5) -> KSelection:
     for k in range(2, e.size):
         denom = 1.0 - e[k]
         ratios[k] = 0.0 if denom < 1e-12 else (e[k - 1] - e[k]) / denom
-    for k in sorted(ratios):
-        if ratios[k] > t_c:
+    for k, ratio in ratios.items():
+        if ratio > t_c:
             exact = 1.0 - e[k - 1] < 1e-12
             return KSelection(k=k, fallback=2 * k > e.size and not exact, ratios=ratios)
-    best = max(sorted(ratios), key=lambda k: ratios[k])
+    best = max(ratios, key=ratios.get)
     return KSelection(k=best, fallback=True, ratios=ratios)
 
 
 def find_simplex_vertices(Y: np.ndarray) -> np.ndarray:
     """Greedy simplex vertex search over eigenvector rows (Algorithm 1 steps 6–7).
 
-    The first vertex maximizes the row 2-norm; each later vertex maximizes the
-    residual distance to the span of the rows already chosen,
-    ‖Y(i) − Y(i)γᵀ(γγᵀ)⁻¹γ‖ with γ the chosen rows stacked.
+    Each vertex is the row of largest residual norm; modified Gram–Schmidt then
+    projects its normalized residual out of every row, O(N·k²) in all.  Raises
+    SpectralError, as rank(Y) < k, if a chosen norm is ≤ 1e-10 of the largest.
     """
-    Y = np.asarray(Y, dtype=float)
-    n, k = Y.shape
-    if n < k:
-        raise SpectralError(f"need at least k={k} rows, got {n}")
-    vertices = [int(np.argmax(np.linalg.norm(Y, axis=1)))]
-    for _ in range(1, k):
-        gamma = Y[vertices]                      # (m, k)
-        gram = gamma @ gamma.T
-        try:
-            coeff = np.linalg.solve(gram, gamma @ Y.T)
-        except np.linalg.LinAlgError:
-            warnings.warn("singular vertex Gram matrix; using pseudo-inverse")
-            coeff = np.linalg.pinv(gram) @ (gamma @ Y.T)
-        residual = Y - (gamma.T @ coeff).T
+    residual = np.array(Y, dtype=float, order="C")   # a copy; every step reads rows
+    k = residual.shape[1]
+    dist = np.linalg.norm(residual, axis=1)
+    floor = 1e-10 * dist.max()
+    vertices = []
+    for _ in range(k):
+        vertices.append(int(np.argmax(dist)))
+        if not dist[vertices[-1]] > floor:
+            raise SpectralError(f"rows of Y span fewer than k={k} dimensions")
+        q = residual[vertices[-1]] / dist[vertices[-1]]
+        residual -= np.outer(residual @ q, q)
         dist = np.linalg.norm(residual, axis=1)
         dist[vertices] = -np.inf
-        vertices.append(int(np.argmax(dist)))
     return np.array(vertices)
 
 

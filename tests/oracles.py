@@ -12,7 +12,9 @@ adds each centroid's members one row at a time, and
 option composition over a dict of one dense kernel row per visited (s, a),
 with one dot product per state, action and option and one scalar log pair
 per termination entry, the per-state loop that builds an option's μ table
-from a gain array, and the walk operator built as I + (W − Deg)/d_max.
+from a gain array, the walk operator built as I + (W − Deg)/d_max, and the
+greedy simplex vertex search that solves the chosen rows' Gram system once
+per vertex.
 
 These deliberately avoid the package's model and learning code: the
 adjacency is recomputed from the full count arrays, and backups are written
@@ -371,3 +373,16 @@ def dense_laplacian(W):
     Wk = W[np.ix_(kept, kept)]
     deg = Wk.sum(axis=1)
     return np.eye(kept.size) + (Wk - np.diag(deg)) / deg.max(), kept
+
+
+def gram_simplex_vertices(Y):
+    """Greedy simplex vertices with each residual solved afresh: after m picks,
+    row i's distance is ‖Y(i) − Y(i)γᵀ(γγᵀ)⁻¹γ‖ with γ the m chosen rows."""
+    vertices = [int(np.argmax(np.linalg.norm(Y, axis=1)))]
+    for _ in range(1, Y.shape[1]):
+        gamma = Y[vertices]
+        coeff = np.linalg.solve(gamma @ gamma.T, gamma @ Y.T)
+        dist = np.linalg.norm(Y - (gamma.T @ coeff).T, axis=1)
+        dist[vertices] = -np.inf
+        vertices.append(int(np.argmax(dist)))
+    return np.array(vertices)

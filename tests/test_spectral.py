@@ -1,5 +1,7 @@
 """PCCA+ core: Laplacian, spectral-gap k selection, simplex search, memberships."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,34 @@ def test_vertex_indices_distinct():
     Y = rng.normal(size=(10, 4))
     vertices = find_simplex_vertices(Y)
     assert len(set(vertices.tolist())) == 4
+
+
+@pytest.mark.parametrize("k", [2, 4, 40, 403])
+def test_vertices_match_gram_solve_on_orthonormal_columns(k):
+    Y, _ = np.linalg.qr(np.random.default_rng(k).normal(size=(404, k)))
+    assert find_simplex_vertices(Y).tolist() == oracles.gram_simplex_vertices(Y).tolist()
+
+
+def test_vertices_match_gram_solve_on_three_rooms():
+    world = load_gridworld(THREE_ROOMS)
+    _, vectors = decompose(build_laplacian(adjacency(exhaustive_model(world))))
+    for k in (2, 3, 4, 8):
+        Y = vectors[:, :k]
+        assert find_simplex_vertices(Y).tolist() == oracles.gram_simplex_vertices(Y).tolist()
+
+
+@pytest.mark.parametrize("Y", [
+    np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+    np.random.default_rng(1).normal(size=(20, 2)) @ np.random.default_rng(2).normal(size=(2, 3)),
+    np.zeros((4, 2)),
+    np.eye(2, 3),
+], ids=["zero-column", "rank-2-of-3", "all-zero", "two-rows-of-3"])
+def test_rank_deficient_rows_raise_without_warning(Y):
+    # rank-2-of-3 leaves round-off residuals, not exact zeros, after two picks.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectralError, match="fewer than k"):
+            find_simplex_vertices(Y)
 
 
 # --- compute_memberships ---------------------------------------------------
