@@ -7,7 +7,8 @@ overridden on the command line with ``--set block.key=value``, and ``--seed``
 each key in its block; the key's type and default come from the field of the
 same name on ``pipeline.OdstcConfig`` or, for keys only the commands read, on
 ``CommandConfig``.  All outputs are CSV files with header rows plus one binary
-PGM (P5) heatmap per abstract state, so a fixed seed and config give
+PGM (P5) heatmap per abstract state; ``discover`` writes every one of them,
+and ``[output] model`` adds ``model.csv``.  A fixed seed and config give
 byte-identical runs with the same BLAS thread count.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
@@ -32,7 +33,6 @@ from spectral_options.env import (
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
-    uniform_random_policy,
 )
 from spectral_options.model import (
     EstimatedModel,
@@ -72,11 +72,8 @@ class CommandConfig:
     step_reward: float = 0.0
     slip_prob: float = 0.0
     k_m: int = 0                      # microstate count for the aggregate command
-    kmeans_max_iters: int = 100
     directory: str = "out"
-    heatmaps: bool = True
-    csv: bool = True
-    model: bool = False
+    model: bool = False               # discover also writes model.csv
 
 
 # INI block -> its keys, each a field of OdstcConfig or CommandConfig, which
@@ -87,9 +84,8 @@ LAYOUT = {
     "spectral": ("t_c", "tau_conn", "k"),
     "agent": ("learner", "alpha", "gamma", "eps_start", "eps_end", "eps_anneal_episodes"),
     "pipeline": ("episodes_per_round", "max_rounds", "pcca_refresh_interval",
-                 "max_steps_per_episode", "convergence_window", "seed", "k_m",
-                 "kmeans_max_iters"),
-    "output": ("directory", "heatmaps", "csv", "model"),
+                 "max_steps_per_episode", "convergence_window", "seed", "k_m"),
+    "output": ("directory", "model"),
 }
 _FIELDS = {f.name: f for cls in (OdstcConfig, CommandConfig) for f in fields(cls)}
 _ODSTC_KEYS = {f.name for f in fields(OdstcConfig)}
@@ -226,38 +222,35 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_membership_outputs(out_dir, world, result, options,
-                              heatmaps: bool, csv_on: bool):
+def _write_membership_outputs(out_dir, world, result, options):
     chi, C, k = result.chi, result.connectivity, result.spectral.k
-    if csv_on:
-        _write_csv(os.path.join(out_dir, "chi.csv"),
-                   ["state", "row", "col"] + [f"chi_{i}" for i in range(k)],
-                   [[s, r, c, *map(repr, row)]
-                    for s, ((r, c), row) in enumerate(zip(world.cells, chi.tolist()))])
-        _write_csv(os.path.join(out_dir, "connectivity.csv"),
-                   ["cluster"] + [f"C_{j}" for j in range(k)],
-                   [[i, *map(repr, row)] for i, row in enumerate(C.tolist())])
-        _write_csv(os.path.join(out_dir, "eigenvalues.csv"),
-                   ["index", "eigenvalue"],
-                   enumerate(map(repr, result.spectral.eigenvalues.tolist())))
-        _write_csv(os.path.join(out_dir, "options.csv"),
-                   ["option_id", "source", "target"],
-                   [[i, o.source, o.target] for i, o in enumerate(options)])
-        _write_csv(os.path.join(out_dir, "options_policy.csv"),
-                   ["option_id", "s", "a", "prob"],
-                   [[i, s, a, _fmt(p)]
-                    for i, o in enumerate(options)
-                    for s in sorted(o.policy)
-                    for a, p in sorted(o.policy[s].items())])
-        _write_csv(os.path.join(out_dir, "options_termination.csv"),
-                   ["option_id", "s", "beta"],
-                   [[i, s, _fmt(b)]
-                    for i, o in enumerate(options)
-                    for s, b in sorted(o.termination.items())])
-    if heatmaps:
-        for i in range(k):
-            write_pgm(os.path.join(out_dir, f"membership_S{i}.pgm"),
-                      membership_heatmap(world, chi[:, i]))
+    _write_csv(os.path.join(out_dir, "chi.csv"),
+               ["state", "row", "col"] + [f"chi_{i}" for i in range(k)],
+               [[s, r, c, *map(repr, row)]
+                for s, ((r, c), row) in enumerate(zip(world.cells, chi.tolist()))])
+    _write_csv(os.path.join(out_dir, "connectivity.csv"),
+               ["cluster"] + [f"C_{j}" for j in range(k)],
+               [[i, *map(repr, row)] for i, row in enumerate(C.tolist())])
+    _write_csv(os.path.join(out_dir, "eigenvalues.csv"),
+               ["index", "eigenvalue"],
+               enumerate(map(repr, result.spectral.eigenvalues.tolist())))
+    _write_csv(os.path.join(out_dir, "options.csv"),
+               ["option_id", "source", "target"],
+               [[i, o.source, o.target] for i, o in enumerate(options)])
+    _write_csv(os.path.join(out_dir, "options_policy.csv"),
+               ["option_id", "s", "a", "prob"],
+               [[i, s, a, _fmt(p)]
+                for i, o in enumerate(options)
+                for s in sorted(o.policy)
+                for a, p in sorted(o.policy[s].items())])
+    _write_csv(os.path.join(out_dir, "options_termination.csv"),
+               ["option_id", "s", "beta"],
+               [[i, s, _fmt(b)]
+                for i, o in enumerate(options)
+                for s, b in sorted(o.termination.items())])
+    for i in range(k):
+        write_pgm(os.path.join(out_dir, f"membership_S{i}.pgm"),
+                  membership_heatmap(world, chi[:, i]))
 
 
 def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
@@ -276,8 +269,7 @@ def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
     size = max(1, _BLOCK_STEPS // oc.max_steps_per_episode)
     for first in range(0, total, size):
         block = [starts[e % len(starts)] for e in range(first, min(first + size, total))]
-        yield sample_trajectory(world, uniform_random_policy, oc.max_steps_per_episode,
-                                rng, block)
+        yield sample_trajectory(world, oc.max_steps_per_episode, rng, block)
 
 
 def cmd_discover(cfg: ExperimentConfig) -> int:
@@ -294,8 +286,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     options = compose_options(model, result, tau_conn=oc.tau_conn)
     out_dir = cfg[("output", "directory")]
     os.makedirs(out_dir, exist_ok=True)
-    _write_membership_outputs(out_dir, world, result, options,
-                              cfg[("output", "heatmaps")], cfg[("output", "csv")])
+    _write_membership_outputs(out_dir, world, result, options)
     fallback = bool(result.selection and result.selection.fallback)
     if fallback:
         sel = result.selection
@@ -393,8 +384,7 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
         raise ConfigError(f"feature file has {features.shape[0]} rows but the "
                           f"map has {world.n_states} states")
     try:
-        micro = kmeans_microstates(features, k_m, seed=oc.seed,
-                                   max_iters=cfg[("pipeline", "kmeans_max_iters")])
+        micro = kmeans_microstates(features, k_m, seed=oc.seed)
     except ValueError as exc:
         raise ConfigError(f"[pipeline] {exc}")
     out_dir = cfg[("output", "directory")]

@@ -5,10 +5,11 @@ A map is a rectangular block of characters: ``#`` wall, ``.`` open floor,
 ``S`` and ``G``) becomes one tabular state; state ids are assigned in
 row-major order.  The four actions move one cell north/east/south/west;
 moving into a wall or off the grid leaves the state unchanged.  Entering a
-goal cell yields ``goal_reward`` and ends the episode.  Sampled episodes come
-as one ``Transitions`` batch of flat step arrays; the learner records each of
-its episodes as a ``Trajectory`` of index lists.  Every random draw comes
-from a ``Draws``, the package's stream of values read from raw PCG64 outputs.
+goal cell yields ``goal_reward`` and ends the episode.  Sampled episodes are
+uniform-random and come as one ``Transitions`` batch of flat step arrays; the
+learner records each of its episodes as a ``Trajectory`` of index lists.
+Every random draw comes from a ``Draws``, the package's stream of values read
+from raw PCG64 outputs.
 """
 
 from __future__ import annotations
@@ -273,22 +274,21 @@ def step(world: GridWorld, s: int, a: int, rng: Draws | None = None):
     return s2, reward, done
 
 
-def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
+def sample_trajectory(world: GridWorld, max_steps: int, rng: Draws,
                       starts: Sequence[int]) -> Transitions:
-    """Roll out one episode from each state of ``starts`` in turn; return their
-    steps as one Transitions batch, episode after episode.
+    """Roll out one uniform-random episode from each state of ``starts`` in
+    turn; return their steps as one Transitions batch, episode after episode.
 
-    ``policy`` is called as policy(state, rng) and must return an action id.
     An episode stops on termination or after max_steps steps.
     Raises ValueError, before any draw, for a start outside [0, n_states) or
     a terminal start.
 
-    With ``policy is uniform_random_policy`` and ``slip_prob == 0`` the
-    episodes walk in lockstep on ``rng.raws(episodes × max_steps) >> 62``,
-    max_steps actions per episode in episode order, so each episode takes
-    exactly max_steps raws however early it ends, and its steps are those of
-    the step loop, whose ``integers(4)`` is ``x >> 62`` of one raw x.  Any
-    other policy, and slip, run the step loop once per start.
+    Without slip the episodes walk in lockstep on
+    ``rng.raws(episodes × max_steps) >> 62``, max_steps actions per episode in
+    episode order, so each episode takes exactly max_steps raws however early
+    it ends, and its steps are those of the step loop, whose ``integers(4)``
+    is ``x >> 62`` of one raw x.  With slip the step loop runs once per start:
+    each step draws its action by ``rng.integers(4)``, then calls ``step``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -298,19 +298,15 @@ def sample_trajectory(world: GridWorld, policy, max_steps: int, rng: Draws,
             raise ValueError(f"start state {s} is outside [0, {world.n_states})")
         if world.is_terminal(s):
             raise ValueError(f"cannot start an episode at terminal state {s}")
-    if policy is uniform_random_policy and world.slip_prob == 0.0:
+    if world.slip_prob == 0.0:
         return _uniform_walk(world, starts, max_steps, rng)
-    return Transitions.of([_step_loop(world, policy, s, max_steps, rng) for s in starts])
+    return Transitions.of([_step_loop(world, s, max_steps, rng) for s in starts])
 
 
-def uniform_random_policy(state: int, rng: Draws) -> int:
-    return rng.integers(N_ACTIONS)
-
-
-def _step_loop(world: GridWorld, policy, s: int, max_steps: int, rng: Draws) -> Trajectory:
+def _step_loop(world: GridWorld, s: int, max_steps: int, rng: Draws) -> Trajectory:
     traj = Trajectory([s])
     for _ in range(max_steps):
-        a = policy(s, rng)
+        a = rng.integers(N_ACTIONS)
         s, r, done = step(world, s, a, rng)
         traj.add(a, r, s, done)
         if done:
@@ -320,8 +316,8 @@ def _step_loop(world: GridWorld, policy, s: int, max_steps: int, rng: Draws) -> 
 
 def _uniform_walk(world: GridWorld, starts: list[int], max_steps: int,
                   rng: Draws) -> Transitions:
-    """The step loop's episodes under uniform_random_policy without slip, one
-    from each start, walked in lockstep on one draw of the actions."""
+    """The step loop's episodes without slip, one from each start, walked in
+    lockstep on one draw of the actions."""
     n = len(starts)
     actions = (rng.raws(n * max_steps) >> 62).astype(np.int64).reshape(n, max_steps)
     moves = np.array(world.successor, dtype=np.int64).ravel() * N_ACTIONS   # s·A + a -> s'·A

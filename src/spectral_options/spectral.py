@@ -21,7 +21,6 @@ soft membership over them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,19 +184,13 @@ def compute_memberships(Y: np.ndarray, vertex_indices) -> MembershipMatrix:
 
     The linear transform sends vertex rows to unit vectors; first-order
     perturbation noise can push other rows slightly negative, so negatives are
-    clamped to 0 and rows renormalized to sum 1.
+    clamped to 0 and rows renormalized to sum 1.  A singular vertex matrix
+    raises np.linalg.LinAlgError; the vertices ``find_simplex_vertices``
+    returns are linearly independent, so ``cluster`` never meets it.
     """
     Y = np.asarray(Y, dtype=float)
     vertex_indices = np.asarray(vertex_indices, dtype=int)
-    V = Y[vertex_indices]
-    try:
-        A = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular vertex matrix; using pseudo-inverse")
-        A = np.linalg.pinv(V)
-        if not np.isfinite(A).all():
-            raise SpectralError("degenerate vertex matrix with no usable pseudo-inverse")
-    chi_raw = Y @ A
+    chi_raw = Y @ np.linalg.inv(Y[vertex_indices])
     chi = np.clip(chi_raw, 0.0, None)
     sums = chi.sum(axis=1, keepdims=True)
     if (sums <= 0).any():

@@ -5,7 +5,8 @@ dense value iteration for the flat MDP and for the determinized
 option-augmented SMDP, the plain forms of the learner's hot path (an
 option action drawn with ``rng.choice``, a bounded integer drawn by
 Lemire's method in Python integers, Q updates that scan with
-``QTable.get``, a move computed from cell coordinates), the row-by-row
+``QTable.get``, a move computed from cell coordinates), a uniform-random
+episode walked one ``env.step`` at a time, the row-by-row
 argmax assignment of states to clusters, k-means with k-means++ seeding
 that measures each point against every chosen centroid in every round and
 adds each centroid's members one row at a time, and
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spectral_options.env import DELTAS, N_ACTIONS, Draws
+from spectral_options.env import DELTAS, N_ACTIONS, Draws, Trajectory, step
 from spectral_options.options import BETA_EPS
 
 
@@ -178,6 +179,20 @@ def coordinate_move(world, s, a):
     if 0 <= nr < world.height and 0 <= nc < world.width and not world.walls[nr, nc]:
         return world.index[(nr, nc)]
     return s
+
+
+def step_loop_episode(world, s, max_steps, rng):
+    """A uniform-random episode from s: each step draws its action by
+    ``rng.integers(4)``, then calls ``env.step``; it stops at a goal or after
+    max_steps steps."""
+    traj = Trajectory([s])
+    for _ in range(max_steps):
+        a = rng.integers(N_ACTIONS)
+        s, r, done = step(world, s, a, rng)
+        traj.add(a, r, s, done)
+        if done:
+            break
+    return traj
 
 
 def choice_draw(mu, rng):

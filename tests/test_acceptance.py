@@ -29,7 +29,6 @@ from spectral_options.env import (
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
-    uniform_random_policy,
 )
 from spectral_options.model import adjacency, exhaustive_model
 from spectral_options.options import assign_states, compose_options
@@ -342,7 +341,7 @@ def test_09_aggregation_recovery(capsys, world):
                                for s in range(world.n_states)])
         rng = Draws(0)
         starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-        episodes = sample_trajectory(world, uniform_random_policy, 100, rng,
+        episodes = sample_trajectory(world, 100, rng,
                                      [starts[e % len(starts)] for e in range(60)])
         agg = aggregate_model([episodes], assignment, n_microstates=3)
         A = adjacency(agg)

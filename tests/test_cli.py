@@ -122,10 +122,7 @@ DEFAULTS = {
     ("pipeline", "convergence_window"): 20,
     ("pipeline", "seed"): 0,
     ("pipeline", "k_m"): 0,
-    ("pipeline", "kmeans_max_iters"): 100,
     ("output", "directory"): "out",
-    ("output", "heatmaps"): True,
-    ("output", "csv"): True,
     ("output", "model"): False,
 }
 
@@ -164,17 +161,20 @@ def test_unknown_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("given_by", ["set", "ini"])
 @pytest.mark.parametrize("setting", ["model.reward_weighting=true", "model.d_prior=0.0",
-                                     "model.u_prior=0.0"])
+                                     "model.u_prior=0.0", "output.csv=true",
+                                     "output.heatmaps=false", "pipeline.kmeans_max_iters=100"])
 def test_removed_model_key_rejected(tmp_path, capsys, setting, given_by):
     # v = 0 turns reward weighting off, so no separate switch exists, and the
-    # counts take no uniform prior.  A config that still sets one of these keys
-    # fails loudly.
+    # counts take no uniform prior.  discover always writes every CSV and
+    # heatmap, and aggregate runs k-means with its own iteration cap.  A config
+    # that still sets one of these keys fails loudly.
     target, value = setting.split("=")
-    key = target.split(".")[1]
+    block, key = target.split(".")
     if given_by == "set":
         argv = ["discover", DISCOVER_INI, "--set", setting]
     else:
-        text = Path(DISCOVER_INI).read_text().replace("[model]\n", f"[model]\n{key} = {value}\n")
+        text = Path(DISCOVER_INI).read_text()
+        text = text.replace(f"[{block}]\n", f"[{block}]\n{key} = {value}\n")
         argv = ["discover", write_config(tmp_path, text)]
     rc = main(argv + ["--out-dir", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG and not (tmp_path / "out").exists()
@@ -437,16 +437,17 @@ max_steps_per_episode = 200
     assert row["fallback"] == "True"
 
 
-def test_output_toggles(tmp_path):
-    out = tmp_path / "quiet"
+def test_output_toggles(tmp_path, discover_out):
+    # discover always writes every CSV and heatmap (test_discover_outputs_exist);
+    # output.model adds model.csv and changes no other file.
+    out = tmp_path / "with_model"
     rc = main(["discover", DISCOVER_INI, "--out-dir", str(out),
-               "--set", "output.heatmaps=false", "--set", "output.csv=false",
                "--set", "output.model=true"])
     assert rc == EXIT_OK
-    names = set(os.listdir(out))
-    assert not any(n.endswith(".pgm") for n in names)
-    assert "chi.csv" not in names
-    assert {"discover_summary.csv", "model.csv"} <= names
+    digest = dir_digest(out)
+    assert "model.csv" in digest
+    del digest["model.csv"]
+    assert digest == dir_digest(discover_out)
     with open(out / "model.csv") as fh:
         assert fh.readline().strip() == "s,a,next_s,count,reward_mean"
 
@@ -764,7 +765,7 @@ def test_membership_heatmap_rejects_values_outside_unit_interval(bad):
     ("train", "spectral.k=-2"),
     ("train", "agent.eps_anneal_episodes=-1"),
     ("train", "pipeline.seed=-1"),
-    ("aggregate", "pipeline.kmeans_max_iters=0"),
+    ("aggregate", "model.v=-1"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, setting):
     features = tmp_path / "onehot.txt"

@@ -16,7 +16,6 @@ from spectral_options.env import (
     load_gridworld,
     sample_trajectory,
     step,
-    uniform_random_policy,
 )
 
 import oracles
@@ -130,15 +129,14 @@ def batch_fields(batch):
 def test_max_steps_caps_rollout():
     world = load_gridworld(THREE_ROOMS)
     rng = Draws(3)
-    batch = sample_trajectory(world, uniform_random_policy, max_steps=1, rng=rng,
-                              starts=[world.start])
+    batch = sample_trajectory(world, max_steps=1, rng=rng, starts=[world.start])
     assert len(batch) == 1
 
 
 def test_replay_determinism():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.1)
-    t1 = sample_trajectory(world, uniform_random_policy, 500, Draws(42), [world.start])
-    t2 = sample_trajectory(world, uniform_random_policy, 500, Draws(42), [world.start])
+    t1 = sample_trajectory(world, 500, Draws(42), [world.start])
+    t2 = sample_trajectory(world, 500, Draws(42), [world.start])
     assert batch_fields(t1) == batch_fields(t2)
 
 
@@ -158,10 +156,12 @@ def test_optimal_policy_reaches_goal():
                 dist[p] = dist[s] + 1
                 queue.append(p)
 
-    def optimal(s, rng):
-        return min(range(4), key=lambda a: dist[world.move(s, a)])
-
-    batch = sample_trajectory(world, optimal, 500, Draws(0), [world.start])
+    s, traj = world.start, Trajectory([world.start])
+    while not traj.done and len(traj) < 500:
+        a = min(range(4), key=lambda a: dist[world.move(s, a)])
+        s, r, done = step(world, s, a)
+        traj.add(a, r, s, done)
+    batch = Transitions.of([traj])
     assert batch.s[0] == world.start
     assert batch.s2[-1] == goal
     assert not world.goals & set(batch.s2[:-1].tolist())
@@ -173,7 +173,7 @@ def test_optimal_policy_reaches_goal():
 def test_trajectory_states_are_valid():
     world = load_gridworld(THREE_ROOMS)
     rng = Draws(7)
-    batch = sample_trajectory(world, uniform_random_policy, 300, rng, [world.start])
+    batch = sample_trajectory(world, 300, rng, [world.start])
     assert batch.s[1:].tolist() == batch.s2[:-1].tolist()     # one episode's steps chain
     assert all(0 <= s < world.n_states for s in batch.s.tolist() + batch.s2.tolist())
 
@@ -181,7 +181,7 @@ def test_trajectory_states_are_valid():
 def test_start_override_begins_episode_there():
     world = load_gridworld(THREE_ROOMS)
     s0 = world.index[(3, 9)]
-    batch = sample_trajectory(world, uniform_random_policy, 5, Draws(0), [s0])
+    batch = sample_trajectory(world, 5, Draws(0), [s0])
     assert batch.s[0] == s0
 
 
@@ -189,7 +189,7 @@ def test_terminal_start_is_error():
     world = load_gridworld(THREE_ROOMS)
     goal = world.index[(5, 17)]
     with pytest.raises(ValueError, match="terminal"):
-        sample_trajectory(world, uniform_random_policy, 5, Draws(0), [goal])
+        sample_trajectory(world, 5, Draws(0), [goal])
 
 
 @pytest.mark.parametrize("text", [THREE_ROOMS, "S.#.\n..#G\n....", ".S.\n...\n.G."],
@@ -233,7 +233,7 @@ def test_step_error_messages(s, a, message):
 def test_out_of_range_start_is_error(start):
     world = load_gridworld(THREE_ROOMS)
     with pytest.raises(ValueError, match="outside"):
-        sample_trajectory(world, uniform_random_policy, 5, Draws(0), [start])
+        sample_trajectory(world, 5, Draws(0), [start])
 
 
 @pytest.mark.parametrize("s, a", [(-1, 0), (-1, -1), (0, -1), (77, 0), (0, 4)])
@@ -241,11 +241,6 @@ def test_move_out_of_range_is_error(s, a):
     world = load_gridworld(THREE_ROOMS)
     with pytest.raises(ValueError, match="outside"):
         world.move(s, a)
-
-
-def looped_uniform_policy(s, rng):
-    """uniform_random_policy under another identity, which takes the step loop."""
-    return uniform_random_policy(s, rng)
 
 
 # Every open cell of the early_goal map is next to a goal, so its episodes
@@ -264,8 +259,8 @@ def test_uniform_block_draw_matches_step_loop(text, ends_early, max_steps):
     lengths = []
     for episode in range(3 * len(starts)):
         start = starts[episode % len(starts)]
-        got = sample_trajectory(world, uniform_random_policy, max_steps, block, [start])
-        want = sample_trajectory(world, looped_uniform_policy, max_steps, loop, [start])
+        got = sample_trajectory(world, max_steps, block, [start])
+        want = Transitions.of([oracles.step_loop_episode(world, start, max_steps, loop)])
         assert batch_fields(got) == batch_fields(want)
         assert [x.dtype for x in (got.s, got.a, got.s2)] == [np.int64] * 3
         loop.raws(max_steps - len(want))
@@ -280,8 +275,8 @@ def test_slip_keeps_step_loop():
     world = load_gridworld(THREE_ROOMS, slip_prob=0.3)
     block, loop = Draws(5), Draws(5)
     for start in range(10):
-        got = sample_trajectory(world, uniform_random_policy, 200, block, [start])
-        want = sample_trajectory(world, looped_uniform_policy, 200, loop, [start])
+        got = sample_trajectory(world, 200, block, [start])
+        want = Transitions.of([oracles.step_loop_episode(world, start, 200, loop)])
         assert batch_fields(got) == batch_fields(want)
         assert block.random() == loop.random()
 
@@ -291,24 +286,15 @@ def test_slip_keeps_step_loop():
 EARLY_GOAL = "#####\n#S.G#\n#G..#\n#####"
 
 
-def toward_east_policy(s, rng):
-    """A non-uniform policy: east half the time, else a uniform action."""
-    return 1 if rng.random() < 0.5 else rng.integers(N_ACTIONS)
-
-
-@pytest.mark.parametrize("text, slip, policy", [
-    (EARLY_GOAL, 0.0, uniform_random_policy),
-    (THREE_ROOMS, 0.0, uniform_random_policy),
-    (THREE_ROOMS, 0.3, uniform_random_policy),
-    (THREE_ROOMS, 0.0, toward_east_policy),
-], ids=["uniform_early_goal", "uniform", "slip", "non_uniform"])
+@pytest.mark.parametrize("text, slip", [(EARLY_GOAL, 0.0), (THREE_ROOMS, 0.0), (THREE_ROOMS, 0.3)],
+                         ids=["uniform_early_goal", "uniform", "slip"])
 @pytest.mark.parametrize("max_steps", [1, 7, 200])
-def test_batch_equals_concatenated_episodes(text, slip, policy, max_steps):
+def test_batch_equals_concatenated_episodes(text, slip, max_steps):
     world = load_gridworld(text, step_reward=-0.5, goal_reward=2.0, slip_prob=slip)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)] * 2
     batched, single = Draws(17), Draws(17)
-    batch = sample_trajectory(world, policy, max_steps, batched, starts)
-    episodes = [sample_trajectory(world, policy, max_steps, single, [s]) for s in starts]
+    batch = sample_trajectory(world, max_steps, batched, starts)
+    episodes = [sample_trajectory(world, max_steps, single, [s]) for s in starts]
     assert isinstance(batch, Transitions)
     assert batch_fields(batch) == [sum(fields, []) for fields in
                                    zip(*map(batch_fields, episodes))]
@@ -323,7 +309,7 @@ def test_uniform_batch_takes_episodes_times_max_steps_raws(text, n_episodes, max
     world = load_gridworld(text)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     draws = Draws(4)
-    batch = sample_trajectory(world, uniform_random_policy, max_steps, draws,
+    batch = sample_trajectory(world, max_steps, draws,
                               [starts[e % len(starts)] for e in range(n_episodes)])
     n_raws = n_episodes * max_steps
     assert draws.raws(3).tolist() == np.random.PCG64(4).random_raw(n_raws + 3)[-3:].tolist()
@@ -333,7 +319,7 @@ def test_uniform_batch_takes_episodes_times_max_steps_raws(text, n_episodes, max
 def test_empty_batch():
     world = load_gridworld(THREE_ROOMS)
     draws = Draws(2)
-    batch = sample_trajectory(world, uniform_random_policy, 50, draws, [])
+    batch = sample_trajectory(world, 50, draws, [])
     assert len(batch) == 0 and batch_fields(batch) == [[], [], [], []]
     assert draws.random() == Draws(2).random()
 
@@ -343,7 +329,7 @@ def test_bad_start_in_a_batch_is_error_before_any_draw(bad, message):
     world = load_gridworld(THREE_ROOMS)
     draws = Draws(6)
     with pytest.raises(ValueError, match=message):
-        sample_trajectory(world, uniform_random_policy, 5, draws, [0, 1, bad, 2])
+        sample_trajectory(world, 5, draws, [0, 1, bad, 2])
     assert draws.random() == Draws(6).random()
 
 

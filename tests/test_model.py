@@ -14,7 +14,6 @@ from spectral_options.env import (
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
-    uniform_random_policy,
 )
 from spectral_options.model import (
     EstimatedModel,
@@ -188,8 +187,7 @@ def test_count_monotonicity():
     rng = Draws(0)
     prev = m.R_count.copy()
     for _ in range(5):
-        update_counts(m, sample_trajectory(world, uniform_random_policy, 100, rng,
-                                           [world.start]))
+        update_counts(m, sample_trajectory(world, 100, rng, [world.start]))
         assert (m.R_count >= prev).all()
         prev = m.R_count.copy()
 
@@ -251,8 +249,7 @@ def sampled_episodes(world, n_episodes=40, seed=3):
     """Uniform-random episodes, one batch each, drawn in turn from one stream."""
     rng = Draws(seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    return [sample_trajectory(world, uniform_random_policy, 60, rng,
-                              [starts[e * 7 % len(starts)]])
+    return [sample_trajectory(world, 60, rng, [starts[e * 7 % len(starts)]])
             for e in range(n_episodes)]
 
 
@@ -301,10 +298,9 @@ def block_and_episodes(world, n_episodes=40, max_steps=60, seed=3):
     """One sampled block and the same episodes sampled one at a time."""
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     starts = [starts[e * 7 % len(starts)] for e in range(n_episodes)]
-    block = sample_trajectory(world, uniform_random_policy, max_steps, Draws(seed), starts)
+    block = sample_trajectory(world, max_steps, Draws(seed), starts)
     rng = Draws(seed)
-    episodes = [sample_trajectory(world, uniform_random_policy, max_steps, rng, [s])
-                for s in starts]
+    episodes = [sample_trajectory(world, max_steps, rng, [s]) for s in starts]
     return block, episodes
 
 
@@ -401,7 +397,7 @@ def test_exhaustive_store_matches_dense_writer(batches, tmp_path):
 def test_store_memory_grows_with_transitions_not_states(tmp_path):
     # A dense (N, A, N) count array at N = 6,404 would take 1.3 GB.
     world = load_gridworld(room_grid_text(2, 2, 40))
-    batch = sample_trajectory(world, uniform_random_policy, 200, Draws(0), [world.start])
+    batch = sample_trajectory(world, 200, Draws(0), [world.start])
     assert world.n_states == 6404 and len(batch) == 200
     tracemalloc.start()
     try:

@@ -8,7 +8,6 @@ from spectral_options.env import (
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
-    uniform_random_policy,
 )
 from spectral_options.model import (
     EstimatedModel,
@@ -338,8 +337,7 @@ def sampled_model(text, slip_prob, seed=0, episodes=40, max_steps=60):
     model = EstimatedModel(world.n_states)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
     starts = [starts[e % len(starts)] for e in range(episodes)]
-    update_counts(model, sample_trajectory(world, uniform_random_policy, max_steps,
-                                           Draws(seed), starts))
+    update_counts(model, sample_trajectory(world, max_steps, Draws(seed), starts))
     return model
 
 

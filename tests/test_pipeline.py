@@ -10,7 +10,6 @@ from spectral_options.env import (
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
-    uniform_random_policy,
 )
 from spectral_options.model import (
     EstimatedModel,
@@ -1058,8 +1057,7 @@ def sample_covering_episodes(world, n_episodes=60, max_steps=100, seed=0):
     """Uniform-random episodes, one batch each, whose starts cycle over the open states."""
     rng = Draws(seed)
     starts = [s for s in range(world.n_states) if not world.is_terminal(s)]
-    return [sample_trajectory(world, uniform_random_policy, max_steps, rng,
-                              [starts[e % len(starts)]])
+    return [sample_trajectory(world, max_steps, rng, [starts[e % len(starts)]])
             for e in range(n_episodes)]
 
 

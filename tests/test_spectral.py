@@ -237,6 +237,14 @@ def test_unit_rows_give_identity():
     np.testing.assert_allclose(m.chi, np.eye(3), atol=1e-12)
 
 
+def test_singular_vertex_matrix_raises_without_warning():
+    Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            compute_memberships(Y, [0, 0])
+
+
 def test_disconnected_cliques_give_exact_indicators():
     W = block_adjacency([2, 2])
     result = cluster(W, k=2)
