@@ -3,15 +3,13 @@
 Episodes are counted a ``Transitions`` batch at a time.  The model stores
 only what was observed: one sorted int64 key (s·A + a)·N + s' per counted
 transition, with its visit count and reward sum.  A write merges its batch
-into the store, so reads never change the model.  The dense (N, A, N) views
-R_count and R_sum and the reward-weighted adjacency, with R̂ the mean
-observed reward,
+into the store, so reads never change the model.  Reads are derived from the
+keys: the kernel P(s,a,s') = count / Σ_{s'} count over the stored keys only,
+and the (N, N) reward-weighted adjacency, with R̂ the mean observed reward,
 
-    D(s,s') = Σ_a R_count(s,a,s') · e^{−v·|R̂(s,a,s')|},
+    D(s,s') = Σ_a count(s,a,s') · e^{−v·|R̂(s,a,s')|};
 
-are derived from the keys when read; rewarded transitions fade from D as v
-grows.  So is the dense (N, A, N) transition kernel
-P = R_count / Σ_{s'} R_count that options read.
+rewarded transitions fade from D as v grows.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from spectral_options.env import N_ACTIONS, GridWorld, Transitions
 class EstimatedModel:
     """Counts, mean rewards, and reward-weighted adjacency for a tabular MDP.
 
-    ``u_prior`` (always 0.0) and ``U`` (the same view as ``R_count``) stay
-    only because the benchmark still reads them; the package reads neither.
+    The dense (N, A, N) views ``_dense``, ``R_count``, ``R_sum`` and ``U``, and
+    ``u_prior`` (always 0.0), stay only for the benchmark; no package code reads them.
     """
 
     u_prior = 0.0
@@ -113,16 +111,15 @@ def update_counts(model: EstimatedModel, batch: Transitions) -> EstimatedModel:
     return model
 
 
-def transition_probabilities(model: EstimatedModel) -> np.ndarray:
-    """The (N, A, N) kernel P(s,a,·) = R_count(s,a,·) / Σ R_count(s,a,·), a new
-    array on every read.
+def transition_probabilities(model: EstimatedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel over the stored keys, in key order: arrays (sa, s2, p) with
+    sa = s·A + a and p = count / Σ_{s'} count, new arrays on every read.
 
-    The row of an unvisited (s, a) is all zero: "no estimate", not a uniform
-    guess.
+    An unvisited (s, a) has no entry: "no estimate", not a uniform guess.
     """
-    P = model.R_count
-    totals = P.sum(axis=2, keepdims=True)
-    return np.divide(P, totals, out=P, where=totals > 0)
+    sa, s2 = np.divmod(model._keys, model.n_states)
+    count = model._values[0]
+    return sa, s2, count / np.bincount(sa, count)[sa]
 
 
 def adjacency(model: EstimatedModel) -> np.ndarray:

@@ -11,12 +11,12 @@ Hill climbing uses a tiered gain rule.  The primary gains are
 
     g(s,a) = Σ_{s'} P(s,a,s')·χ_Sj(s') − χ_Sj(s),
 
-for every (s, a) and cluster at once, as the one product P·χ of the (N·A × N)
-kernel with the (N × k) memberships, and μ(s,·) is proportional to the
-positive part.  Clamped memberships are exactly zero far from cluster j, so
-the primary gains can vanish on a plateau; there the policy instead ascends
-the source membership χ_Si — which leads back toward the cluster core where
-the target gradient resumes — and only if that also offers no positive
+for every (s, a) and cluster at once: each stored kernel entry adds
+P(s,a,s')·χ(s') to its (s, a) row, in key order.  μ(s,·) is proportional to
+the positive part.  Clamped memberships are exactly zero far from cluster j,
+so the primary gains can vanish on a plateau; there the policy instead
+ascends the source membership χ_Si — which leads back toward the cluster core
+where the target gradient resumes — and only if that also offers no positive
 direction does it fall back to uniform over observed actions (flagged).  The
 plateau tier is what makes greedy execution reach the target cluster from
 every initiation state rather than stalling at cluster fringes.
@@ -31,6 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from spectral_options.env import N_ACTIONS
 from spectral_options.model import transition_probabilities
 from spectral_options.spectral import ClusterResult, connected_pairs
 
@@ -170,13 +171,14 @@ def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list
 
     Connectivity is the clustering's C = χᵀLχ with the relative threshold
     tau_conn (see spectral.connected_pairs); every option's gains come from
-    one product P·χ.  Returns an empty list when no pair clears it.
+    the kernel's stored entries.  Returns an empty list when no pair clears it.
     """
-    P = transition_probabilities(model)
+    sa, s2, p = transition_probabilities(model)
     chi = result.chi
-    n, n_actions, _ = P.shape
-    gain = (P.reshape(n * n_actions, n) @ chi).reshape(n, n_actions, -1) - chi[:, None, :]
-    observed = P.any(axis=2)
+    n, k = chi.shape
+    sums = [np.bincount(sa, col, minlength=n * N_ACTIONS) for col in chi[s2].T * p]
+    gain = np.stack(sums, axis=1).reshape(n, N_ACTIONS, k) - chi[:, None, :]
+    observed = np.bincount(sa, minlength=n * N_ACTIONS).reshape(n, N_ACTIONS) > 0
     index = assign_states(chi)
     options = []
     for (i, j) in connected_pairs(result.connectivity, tau_conn):

@@ -81,9 +81,10 @@ class OdstcConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.learner not in LEARNERS:
             raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
-        for name, x in {"tau_conn": self.tau_conn, "v": self.v}.items():
-            if not (math.isfinite(x) and x >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {x}")
+        if not 0 <= self.tau_conn < 1:      # at 1 no pair clears τ·max, so no options
+            raise ValueError(f"tau_conn must lie in [0, 1), got {self.tau_conn}")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"v must be finite and non-negative, got {self.v}")
         _check_alpha_gamma(self.alpha, self.gamma)
 
 
@@ -207,8 +208,10 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     Re-clustering happens at the top of every pcca_refresh_interval-th round
     (skipping round 0, which has no data), and its options are offered to the
     Q table, which rebuilds its tables once for the new set.  The flat learner
-    never clusters.  Each round's episodes are counted into the model as one
-    batch after the round; the model is read only at the top of a round.
+    never clusters; an option learner whose run ends before its first
+    re-clustering gets a note saying so.  Each round's episodes are counted
+    into the model as one batch after the round; the model is read only at the
+    top of a round.
     """
     config.validate()
     rng = Draws(config.seed)
@@ -243,6 +246,10 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
         if _plateaued(returns, config.convergence_window):
             converged = True
             break
+    rounds = len(history) // config.episodes_per_round
+    if config.learner != "flat" and 0 < rounds <= config.pcca_refresh_interval:
+        notes.append(f"no re-clustering in {rounds} rounds (pcca_refresh_interval="
+                     f"{config.pcca_refresh_interval}); learned without options")
     return OdstcResult(q=Q, options=Q.options, history=history, notes=notes,
                        converged=converged)
 

@@ -1,6 +1,6 @@
 """Independent oracles: the dense count arrays written by np.add.at, with the
-kernel and triplet CSV read from them, the reward-weighted adjacency rebuilt
-from scratch,
+kernel and triplet CSV read from them, the (N, A, N) array of a kernel given
+by its stored entries, the reward-weighted adjacency rebuilt from scratch,
 dense value iteration for the flat MDP and for the determinized
 option-augmented SMDP, the plain forms of the learner's hot path (an
 option action drawn with ``rng.choice``, a bounded integer drawn by
@@ -59,6 +59,15 @@ def dense_kernel(counts):
     P = counts.R_count.copy()
     totals = P.sum(axis=2, keepdims=True)
     return np.divide(P, totals, out=P, where=totals > 0)
+
+
+def densified_kernel(kernel, n_states):
+    """The (N, A, N) array of a kernel given as entries (sa, s2, p), sa = s·A + a;
+    zero where there is no entry."""
+    sa, s2, p = kernel
+    P = np.zeros((n_states * N_ACTIONS, n_states))
+    P[sa, s2] = p
+    return P.reshape(n_states, N_ACTIONS, n_states)
 
 
 def dense_triplet_csv(counts):

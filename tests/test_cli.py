@@ -538,6 +538,17 @@ def test_train_reports_clustering_failure(tmp_path, capsys):
     assert err.startswith("warning: smdp: round 1: clustering failed")
 
 
+def test_train_reports_a_run_without_reclustering(tmp_path, capsys):
+    # The run ends with round 2, before the first re-clustering at round 2;
+    # the flat learner never re-clusters and is not reported.
+    rc = main(["train", TRAIN_INI, "--out-dir", str(tmp_path),
+               "--set", "pipeline.max_rounds=2",
+               "--set", "pipeline.pcca_refresh_interval=2"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ("warning: smdp: no re-clustering in 2 rounds "
+                                       "(pcca_refresh_interval=2); learned without options\n")
+
+
 # --- aggregate ---------------------------------------------------------------
 
 def write_features(path, array):
@@ -759,6 +770,7 @@ def test_membership_heatmap_rejects_values_outside_unit_interval(bad):
     ("discover", "agent.alpha=2"),
     ("discover", "model.v=-1"),
     ("discover", "spectral.tau_conn=-1"),
+    ("discover", "spectral.tau_conn=1.0"),
     ("discover", "spectral.k=1"),
     ("discover", "spectral.k=-2"),
     ("train", "spectral.k=1"),

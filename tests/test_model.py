@@ -26,7 +26,13 @@ from spectral_options.model import (
 from spectral_options.pipeline import aggregate_model
 
 from helpers import room_grid_text
-from oracles import dense_counts, dense_kernel, dense_triplet_csv, rebuilt_adjacency
+from oracles import (
+    dense_counts,
+    dense_kernel,
+    dense_triplet_csv,
+    densified_kernel,
+    rebuilt_adjacency,
+)
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 # Nonzero step reward and v: every term of D differs from its default, so an
@@ -102,14 +108,14 @@ def test_probabilities_normalize_counts():
     for _ in range(3):
         update_counts(m, batch_of((0, 0, 0.0, 1, False)))
     update_counts(m, batch_of((0, 0, 0.0, 2, False)))
-    P = transition_probabilities(m)
+    P = densified_kernel(transition_probabilities(m), m.n_states)
     np.testing.assert_allclose(P[(0, 0)], [0.0, 0.75, 0.25])
 
 
 def test_single_successor_probability_one():
     m = EstimatedModel(3)
     update_counts(m, batch_of((1, 2, 0.0, 2, False)))
-    P = transition_probabilities(m)
+    P = densified_kernel(transition_probabilities(m), m.n_states)
     assert P[(1, 2)][2] == 1.0
 
 
@@ -117,7 +123,7 @@ def test_unvisited_pairs_absent():
     # An unvisited (s, a) has no estimate: its row of the kernel is all zero.
     m = EstimatedModel(3)
     update_counts(m, batch_of((0, 0, 0.0, 1, False)))
-    P = transition_probabilities(m)
+    P = densified_kernel(transition_probabilities(m), m.n_states)
     assert P.shape == (3, 4, 3)
     assert P[0, 0].any() and not P[0, 1].any() and not P[2, 3].any()
     assert np.flatnonzero(P.any(axis=2)).tolist() == [0]
@@ -126,7 +132,7 @@ def test_unvisited_pairs_absent():
 def test_probability_rows_sum_to_one():
     world = load_gridworld(THREE_ROOMS)
     m = exhaustive_model(world)
-    P = transition_probabilities(m)
+    P = densified_kernel(transition_probabilities(m), m.n_states)
     visited = m.R_count.sum(axis=2) > 0
     assert visited.sum() == 4 * (world.n_states - len(world.goals))
     for dist in P[visited]:
@@ -137,7 +143,7 @@ def test_probability_rows_sum_to_one():
 def test_exhaustive_probabilities_match_true_kernel():
     world = load_gridworld(THREE_ROOMS)
     m = exhaustive_model(world)
-    P = transition_probabilities(m)
+    P = densified_kernel(transition_probabilities(m), m.n_states)
     for s in range(world.n_states):
         if world.is_terminal(s):
             continue
@@ -343,7 +349,8 @@ def assert_matches_dense(m, batches, tmp_path):
     for name in ("R_count", "R_sum"):
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
     assert np.array_equal(m.D, rebuilt_adjacency(ref))
-    assert np.array_equal(transition_probabilities(m), dense_kernel(ref))
+    assert np.array_equal(densified_kernel(transition_probabilities(m), m.n_states),
+                          dense_kernel(ref))
     path = tmp_path / "model.csv"
     save_triplets(m, path)
     assert path.read_bytes() == dense_triplet_csv(ref)

@@ -1,5 +1,8 @@
 """Option composition: assignments, hill-climbing policies, termination."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,25 @@ def test_disconnected_blocks_yield_no_options():
     assert compose_options(EstimatedModel(6), result, tau_conn=0.1) == []
 
 
+def test_composition_allocates_no_dense_kernel():
+    # At 1,604 states one (N, A, N) float64 array takes 82 MB.  The stand-in
+    # result (one-hot room χ, every pair connected) runs no eigensolve.
+    world = load_gridworld(room_grid_text(2, 2, 20))
+    model = exhaustive_model(world)
+    n = world.n_states
+    assert n == 1604
+    rooms = [(r - 1) // 21 * 2 + (c - 1) // 21 for r, c in world.cells]
+    result = SimpleNamespace(chi=np.eye(4)[rooms], connectivity=1.0 - np.eye(4))
+    tracemalloc.start()
+    try:
+        options = compose_options(model, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(options) == 12
+    assert peak < n * 4 * n * 8 / 10
+
+
 def test_three_rooms_have_four_options(three_rooms_setup):
     world, _, _, chi, options = three_rooms_setup
     assert len(options) == 4
@@ -341,22 +363,16 @@ def sampled_model(text, slip_prob, seed=0, episodes=40, max_steps=60):
     return model
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
-@pytest.mark.parametrize("slip_prob", [0.0, 0.1])
-def test_composition_matches_dict_kernel_oracle(name, slip_prob):
-    # Rows with one successor make every gain exact; otherwise the product
-    # sums in another order than a dot product per row, so values agree to
-    # round-off and the tiers and supports agree exactly.
-    text, k = ORACLE_MAPS[name]
-    model = sampled_model(text, slip_prob)
-    result = cluster(adjacency(model), k=k)
+def assert_matches_dict_compose(model, result, exact):
+    """compose_options against oracles.dict_compose, option by option: equal
+    pairs, initiation sets, tiers and supports, and μ and β equal if ``exact``,
+    else within a relative 1e-9."""
     chi = result.chi
     options = compose_options(model, result, tau_conn=0.1)
     P = oracles.dict_kernel(model)
     _, clusters = oracles.loop_assign_states(chi)
     pairs = connected_pairs(result.connectivity, 0.1)
     assert [(o.source, o.target) for o in options] == pairs
-    exact = slip_prob == 0.0
     for o in options:
         policy, unmodeled, ascent, fallback, termination = oracles.dict_compose(
             o.source, o.target, chi, P, clusters[o.source])
@@ -374,9 +390,48 @@ def test_composition_matches_dict_kernel_oracle(name, slip_prob):
             assert o.termination == pytest.approx(termination, rel=1e-9, abs=0)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+@pytest.mark.parametrize("slip_prob", [0.0, 0.1])
+def test_composition_matches_dict_kernel_oracle(name, slip_prob):
+    # Rows with one successor make every gain exact; otherwise the gains add
+    # their entries in key order, not as a dot product per row, so values
+    # agree to round-off and the tiers and supports agree exactly.
+    text, k = ORACLE_MAPS[name]
+    model = sampled_model(text, slip_prob)
+    assert_matches_dict_compose(model, cluster(adjacency(model), k=k),
+                                exact=slip_prob == 0.0)
+
+
+def test_kernel_and_composition_match_oracles_on_drawn_models():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(2, 5)),
+                      slip_prob=st.sampled_from([0.0, 0.1, 0.3]),
+                      v=st.sampled_from([0.0, 1.3]),
+                      seed=st.integers(0, 2**16), episodes=st.integers(1, 40))
+    def check(shape, slip_prob, v, seed, episodes):
+        world = load_gridworld(room_grid_text(*shape), slip_prob=slip_prob)
+        n = world.n_states
+        starts = [s for s in range(n) if not world.is_terminal(s)]
+        batch = sample_trajectory(world, 60, Draws(seed),
+                                  [starts[e % len(starts)] for e in range(episodes)])
+        model = update_counts(EstimatedModel(n, v=v), batch)
+        kernel = transition_probabilities(model)
+        ref = oracles.dense_counts(n, [(batch.s, batch.a, batch.s2, batch.r)])
+        assert np.array_equal(oracles.densified_kernel(kernel, n), oracles.dense_kernel(ref))
+        rooms = shape[0] * shape[1]
+        result = cluster(adjacency(model), k=rooms if rooms > 1 else None)
+        # Exact when every visited (s, a) has one successor.
+        assert_matches_dict_compose(model, result, exact=bool((kernel[2] == 1.0).all()))
+
+    check()
+
+
 def test_kernel_rows_equal_dict_kernel_rows():
     model = sampled_model(THREE_ROOMS, 0.1)
-    P = transition_probabilities(model)
+    P = oracles.densified_kernel(transition_probabilities(model), model.n_states)
     rows = oracles.dict_kernel(model)
     assert set(rows) == {tuple(sa) for sa in np.argwhere(P.any(axis=2)).tolist()}
     for (s, a), dist in rows.items():

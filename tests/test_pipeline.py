@@ -1,5 +1,7 @@
 """The online discovery loop, convergence bookkeeping, k-means, aggregation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,8 @@ def test_default_config_is_valid():
     ("tau_conn", -0.1),
     ("tau_conn", float("inf")),
     ("tau_conn", float("nan")),
+    ("tau_conn", 1.0),
+    ("tau_conn", 2.0),
     ("gamma", 1.5),
     ("alpha", 2.0),
     ("k", 1),
@@ -264,6 +268,19 @@ def test_loop_safe_without_options(world):
     assert len(res.history) == 12
     assert all(l.decision_epochs >= 1 and l.primitive_steps >= 1
                for l in res.history)
+
+
+def test_run_ended_before_first_reclustering_is_noted(world):
+    # Re-clustering comes at the top of round pcca_refresh_interval, so a run
+    # of that many rounds or fewer never offers options.
+    cfg = OdstcConfig(episodes_per_round=4, max_rounds=3, pcca_refresh_interval=3,
+                      seed=1, max_steps_per_episode=50)
+    res = run_odstc(world, cfg)
+    assert res.options == []
+    assert res.notes == ["no re-clustering in 3 rounds (pcca_refresh_interval=3); "
+                         "learned without options"]
+    for change in ({"learner": "flat"}, {"max_rounds": 0}, {"max_rounds": 4}):
+        assert run_odstc(world, replace(cfg, **change)).notes == [], change
 
 
 def test_clustering_failure_noted_and_loop_continues(world):
@@ -1090,7 +1107,7 @@ def test_room_assignment_yields_three_node_chain(world):
     assert A[0, 1] > 0 and A[1, 2] > 0          # chain links exist
     assert A[0, 2] == 0 and A[2, 0] == 0        # no room skips a neighbor
     # downstream stages operate unchanged: probabilities remain normalized
-    P = transition_probabilities(agg)
+    P = oracles.densified_kernel(transition_probabilities(agg), agg.n_states)
     for vec in P[agg.R_count.sum(axis=2) > 0]:
         assert vec.sum() == pytest.approx(1.0)
 
