@@ -102,7 +102,8 @@ class QTable:
 
 @dataclass
 class EpisodeLog:
-    episode: int
+    """One episode's outcome; its number is its index in the run's history."""
+
     cumulative_reward: float
     decision_epochs: int
     primitive_steps: int

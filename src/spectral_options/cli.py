@@ -6,9 +6,11 @@ overridden on the command line with ``--set block.key=value``, and ``--seed``
 / ``--out-dir`` override the two most commonly varied keys.  ``LAYOUT`` places
 each key in its block; the key's type and default come from the field of the
 same name on ``pipeline.OdstcConfig`` or, for keys only the commands read, on
-``CommandConfig``.  All outputs are CSV files with header rows plus one binary
-PGM (P5) heatmap per abstract state; ``discover`` writes every one of them,
-and ``[output] model`` adds ``model.csv``.  A fixed seed and config give
+``CommandConfig``.  ``load_config`` returns an ``ExperimentConfig`` holding one
+of each, built once, and the map text; no command changes it.  All outputs
+are CSV files with header rows plus one binary PGM (P5) heatmap per abstract
+state; ``discover`` writes every one of them, and ``[output] model`` adds
+``model.csv``.  A fixed seed and config give
 byte-identical runs with the same BLAS thread count.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
@@ -22,7 +24,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -110,20 +112,14 @@ def _coerce(block: str, key: str, raw: str):
 
 @dataclass
 class ExperimentConfig:
-    values: dict              # (block, key) -> coerced value
+    odstc: OdstcConfig        # the discovery loop's keys
+    command: CommandConfig    # the keys only the commands read
     map_text: str
 
-    def __getitem__(self, block_key):
-        return self.values[block_key]
-
-    def odstc(self) -> OdstcConfig:
-        return OdstcConfig(**{k: v for (_, k), v in self.values.items() if k in _ODSTC_KEYS})
-
     def world(self) -> GridWorld:
-        return load_gridworld(self.map_text,
-                              step_reward=self.values[("environment", "step_reward")],
-                              goal_reward=self.values[("environment", "goal_reward")],
-                              slip_prob=self.values[("environment", "slip_prob")])
+        c = self.command
+        return load_gridworld(self.map_text, step_reward=c.step_reward,
+                              goal_reward=c.goal_reward, slip_prob=c.slip_prob)
 
 
 def _resolve_map(value: str) -> str:
@@ -152,15 +148,14 @@ def load_config(path: str, overrides=(), seed: int | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
-    values = {(block, key): _FIELDS[key].default
-              for block, keys in LAYOUT.items() for key in keys}
+    values = {}               # key -> coerced value; the fields give the rest
     for block in parser.sections():
         if block not in LAYOUT:
             raise ConfigError(f"unknown config block [{block}]")
         for key, raw in parser.items(block):
             if key not in LAYOUT[block]:
                 raise ConfigError(f"unknown key {key!r} in block [{block}]")
-            values[(block, key)] = _coerce(block, key, raw)
+            values[key] = _coerce(block, key, raw)
 
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -169,19 +164,22 @@ def load_config(path: str, overrides=(), seed: int | None = None,
         block, key = target.split(".", 1)
         if key not in LAYOUT.get(block, ()):
             raise ConfigError(f"unknown override target {target!r}")
-        values[(block, key)] = _coerce(block, key, raw)
+        values[key] = _coerce(block, key, raw)
     if seed is not None:
-        values[("pipeline", "seed")] = seed
+        values["seed"] = seed
     if out_dir is not None:
-        values[("output", "directory")] = out_dir
+        values["directory"] = out_dir
 
-    missing = [f"[{b}] {k}" for (b, k), v in values.items() if v is MISSING]
+    missing = [f"[{b}] {k}" for b, keys in LAYOUT.items() for k in keys
+               if k not in values and _FIELDS[k].default is MISSING]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    map_text = _resolve_map(values[("environment", "map")])
-    cfg = ExperimentConfig(values=values, map_text=map_text)
+    cfg = ExperimentConfig(
+        odstc=OdstcConfig(**{k: v for k, v in values.items() if k in _ODSTC_KEYS}),
+        command=CommandConfig(**{k: v for k, v in values.items() if k not in _ODSTC_KEYS}),
+        map_text=_resolve_map(values["map"]))
     try:
-        cfg.odstc().validate()
+        cfg.odstc.validate()
         cfg.world()
     except (ValueError, MapError) as exc:
         raise ConfigError(str(exc))
@@ -275,7 +273,7 @@ def _sampled_episodes(world: GridWorld, oc: OdstcConfig):
 def cmd_discover(cfg: ExperimentConfig) -> int:
     """Sample a model with a uniform-random policy, cluster once, export."""
     world = cfg.world()
-    oc = cfg.odstc()
+    oc = cfg.odstc
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the discover command")
     model = EstimatedModel(world.n_states, v=oc.v)
@@ -284,7 +282,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     del block       # about 1 MB at the default budget, not needed past counting
     result = cluster(adjacency(model), t_c=oc.t_c, k=oc.k or None)
     options = compose_options(model, result, tau_conn=oc.tau_conn)
-    out_dir = cfg[("output", "directory")]
+    out_dir = cfg.command.directory
     os.makedirs(out_dir, exist_ok=True)
     _write_membership_outputs(out_dir, world, result, options)
     fallback = bool(result.selection and result.selection.fallback)
@@ -299,35 +297,33 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
                ["k", "fallback", "n_options", "n_states", "episodes_sampled"],
                [[result.spectral.k, fallback, len(options), world.n_states,
                  oc.max_rounds * oc.episodes_per_round]])
-    if cfg[("output", "model")]:
+    if cfg.command.model:
         save_triplets(model, os.path.join(out_dir, "model.csv"))
     return EXIT_OK
 
 
 def _episode_rows(history):
-    return [[log.episode, _fmt(log.cumulative_reward), log.decision_epochs,
-             log.primitive_steps] for log in history]
+    return [[e, _fmt(log.cumulative_reward), log.decision_epochs, log.primitive_steps]
+            for e, log in enumerate(history)]
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     """Run the flat baseline and the configured option learner on one seed."""
     world = cfg.world()
-    out_dir = cfg[("output", "directory")]
+    out_dir = cfg.command.directory
     os.makedirs(out_dir, exist_ok=True)
-    oc = cfg.odstc()
+    oc = cfg.odstc
     learners = ["flat", oc.learner] if oc.learner != "flat" else ["flat"]
     summary = []
     for learner in learners:
-        run_cfg = cfg.odstc()
-        run_cfg.learner = learner
-        result = run_odstc(world, run_cfg)
+        result = run_odstc(world, replace(oc, learner=learner))
         for note in result.notes:
             print(f"warning: {learner}: {note}", file=sys.stderr)
         history = result.history
         _write_csv(os.path.join(out_dir, f"episodes_{learner}.csv"),
                    ["episode", "return", "decision_epochs", "primitive_steps"],
                    _episode_rows(history))
-        w = run_cfg.convergence_window
+        w = oc.convergence_window
         returns = [l.cumulative_reward for l in history]
         plateau = episodes_to_plateau(returns, w)
         start = max(plateau - w, 0)     # a run shorter than the window: all of it
@@ -373,11 +369,11 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
     them and streamed into counts on the microstate space, which are exported.
     """
     world = cfg.world()
-    oc = cfg.odstc()
+    oc = cfg.odstc
     if oc.max_rounds < 1:
         raise ConfigError("[pipeline] max_rounds must be >= 1 for the aggregate command")
     features = read_features(features_path)
-    k_m = cfg[("pipeline", "k_m")]
+    k_m = cfg.command.k_m
     if k_m < 1:
         raise ConfigError("[pipeline] k_m must be >= 1 for the aggregate command")
     if features.shape[0] != world.n_states:
@@ -387,7 +383,7 @@ def cmd_aggregate(cfg: ExperimentConfig, features_path: str) -> int:
         micro = kmeans_microstates(features, k_m, seed=oc.seed)
     except ValueError as exc:
         raise ConfigError(f"[pipeline] {exc}")
-    out_dir = cfg[("output", "directory")]
+    out_dir = cfg.command.directory
     os.makedirs(out_dir, exist_ok=True)
     model = aggregate_model(_sampled_episodes(world, oc), micro.assignments,
                             n_microstates=k_m, v=oc.v)

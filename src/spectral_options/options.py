@@ -41,14 +41,6 @@ _P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
-class AbstractionIndex:
-    """Hard assignment of states to abstract states by argmax membership."""
-
-    assignment: dict          # StateId -> abstract index
-    clusters: list            # abstract index -> sorted member StateIds
-
-
-@dataclass
 class Option:
     """Option Sᵢ → Sⱼ: initiation set, μ table and β table.
 
@@ -97,33 +89,33 @@ class Option:
         return rows
 
 
-def assign_states(chi: np.ndarray) -> AbstractionIndex:
-    """Argmax cluster assignment (ties to the lowest abstract index).
+def assign_states(chi: np.ndarray) -> list[list[int]]:
+    """Argmax cluster assignment (ties to the lowest abstract index), as the
+    sorted member states of each of χ's columns.
 
     Rows summing to zero represent states absent from the decomposition and
-    receive no assignment.
+    belong to no cluster.
     """
     chi = np.asarray(chi)
     # ``~(sum <= 0)`` rather than ``sum > 0``: a NaN row is assigned, not skipped.
     states = np.flatnonzero(~(chi.sum(axis=1) <= 0))
     labels = chi[states].argmax(axis=1)   # the first (lowest) maximizer
-    assignment = dict(zip(states.tolist(), labels.tolist()))
-    clusters = [states[labels == c].tolist() for c in range(chi.shape[1])]
-    return AbstractionIndex(assignment=assignment, clusters=clusters)
+    return [states[labels == c].tolist() for c in range(chi.shape[1])]
 
 
 def compose_policy(i: int, j: int, gain: np.ndarray, observed: np.ndarray,
-                   index: AbstractionIndex):
+                   clusters: list[list[int]]):
     """Hill-climbing policy table for the option Sᵢ → Sⱼ.
 
     ``gain[s, a, c]`` is the expected membership gain toward cluster c after
-    taking a in s, and ``observed[s, a]`` marks the (s, a) the model has seen.
+    taking a in s, ``observed[s, a]`` marks the (s, a) the model has seen, and
+    ``clusters`` holds each cluster's member states (``assign_states``).
     Returns (policy, unmodeled, ascent, fallback): the μ table over cluster-i
     states plus the sets recording states with no observed actions, states on
     the target-membership plateau handled by source-membership ascent, and
     states that degraded to uniform.
     """
-    members = index.clusters[i]
+    members = clusters[i]
     rows = np.asarray(members, dtype=np.intp)
     obs = observed[rows]
     toward_j, toward_i = gain[rows, :, j], gain[rows, :, i]
@@ -153,14 +145,15 @@ def compose_policy(i: int, j: int, gain: np.ndarray, observed: np.ndarray,
 
 
 def compose_termination(i: int, j: int, chi: np.ndarray,
-                        index: AbstractionIndex) -> dict:
+                        clusters: list[list[int]]) -> dict:
     """β table over cluster-i states: min(log χ_Si / log χ_Sj, 1).
 
     Memberships are clamped into [ε, 1−ε] before the logs so exact 0/1 values
-    from block-diagonal cases stay finite.  Only the states ``index`` assigns
-    to cluster i are tabled; all others terminate with probability 1.
+    from block-diagonal cases stay finite.  Only ``clusters[i]``, the members
+    ``assign_states`` gives cluster i, are tabled; all others terminate with
+    probability 1.
     """
-    members = index.clusters[i]
+    members = clusters[i]
     clamped = np.clip(np.asarray(chi)[members], BETA_EPS, 1.0 - BETA_EPS)
     beta = np.minimum(np.log(clamped[:, i]) / np.log(clamped[:, j]), 1.0)
     return dict(zip(members, beta.tolist()))
@@ -179,14 +172,14 @@ def compose_options(model, result: ClusterResult, tau_conn: float = 0.1) -> list
     sums = [np.bincount(sa, col, minlength=n * N_ACTIONS) for col in chi[s2].T * p]
     gain = np.stack(sums, axis=1).reshape(n, N_ACTIONS, k) - chi[:, None, :]
     observed = np.bincount(sa, minlength=n * N_ACTIONS).reshape(n, N_ACTIONS) > 0
-    index = assign_states(chi)
+    clusters = assign_states(chi)
     options = []
     for (i, j) in connected_pairs(result.connectivity, tau_conn):
-        policy, unmodeled, ascent, fallback = compose_policy(i, j, gain, observed, index)
-        beta = compose_termination(i, j, chi, index)
+        policy, unmodeled, ascent, fallback = compose_policy(i, j, gain, observed, clusters)
+        beta = compose_termination(i, j, chi, clusters)
         options.append(Option(
             source=i, target=j,
-            initiation=frozenset(index.clusters[i]),
+            initiation=frozenset(clusters[i]),
             policy=policy, termination=beta,
             unmodeled_states=unmodeled, ascent_states=ascent,
             fallback_states=fallback,

@@ -97,9 +97,11 @@ class MicrostateMap:
 
 @dataclass
 class OdstcResult:
+    """A run's learner, whose ``q.options`` is the last option set offered, and
+    its record: ``history[e]`` is episode e's log."""
+
     q: QTable
-    options: list
-    history: list             # EpisodeLog per episode
+    history: list             # EpisodeLog per episode, in episode order
     notes: list
     converged: bool
 
@@ -197,7 +199,7 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float, rng: Draws,
     ret = 0.0
     for r in rewards:           # in step order; sum() compensates from Python 3.12
         ret += r
-    log = EpisodeLog(episode=-1, cumulative_reward=ret, decision_epochs=decisions,
+    log = EpisodeLog(cumulative_reward=ret, decision_epochs=decisions,
                      primitive_steps=steps)
     return log, traj
 
@@ -238,7 +240,6 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
             eps = epsilon_at(len(history), anneal, config.eps_start, config.eps_end)
             log, traj = run_episode(world, Q, eps, rng, config.learner,
                                     config.max_steps_per_episode)
-            log.episode = len(history)
             trajs.append(traj)
             history.append(log)
             returns.append(log.cumulative_reward)
@@ -250,8 +251,7 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
     if config.learner != "flat" and 0 < rounds <= config.pcca_refresh_interval:
         notes.append(f"no re-clustering in {rounds} rounds (pcca_refresh_interval="
                      f"{config.pcca_refresh_interval}); learned without options")
-    return OdstcResult(q=Q, options=Q.options, history=history, notes=notes,
-                       converged=converged)
+    return OdstcResult(q=Q, history=history, notes=notes, converged=converged)
 
 
 def _choice_index(rng: Draws, probs: np.ndarray) -> int:

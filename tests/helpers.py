@@ -19,6 +19,11 @@ def block_adjacency(sizes, coupling=0.0):
     return W
 
 
+def cluster_of(clusters):
+    """State -> cluster index, from ``assign_states``'s member lists."""
+    return {s: c for c, members in enumerate(clusters) for s in members}
+
+
 def room_grid_text(rows, cols, side):
     """ASCII map of a rows × cols grid of square rooms of side ``side``.
 

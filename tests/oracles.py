@@ -253,20 +253,17 @@ def scan_intra_option_update(Q, transition, options, available):
 
 
 def loop_assign_states(chi):
-    """(assignment, clusters) from one Python pass over the rows of χ.
+    """Each cluster's member states, from one Python pass over the rows of χ.
 
     A row summing to ≤ 0 is left unassigned; every other row (a NaN row
     included) goes to its first maximizer.
     """
-    assignment = {}
     clusters = [[] for _ in range(chi.shape[1])]
     for s, row in enumerate(chi):
         if row.sum() <= 0:
             continue
-        c = int(np.argmax(row))
-        assignment[s] = c
-        clusters[c].append(s)
-    return assignment, clusters
+        clusters[int(np.argmax(row))].append(s)
+    return clusters
 
 
 def column_sq_dists(pts, centroids):
@@ -366,11 +363,11 @@ def dict_compose(i, j, chi, P, members):
     return policy, unmodeled, ascent, fallback, termination
 
 
-def loop_compose_policy(i, j, gain, observed, index):
+def loop_compose_policy(i, j, gain, observed, clusters):
     """compose_policy as one pass over the cluster-i states, with a dict per tier."""
     policy = {}
     unmodeled, ascent, fallback = set(), set(), set()
-    for s in index.clusters[i]:
+    for s in clusters[i]:
         obs = np.flatnonzero(observed[s]).tolist()
         if not obs:
             unmodeled.add(s)

@@ -129,12 +129,12 @@ def plain_options(world, plain_setup):
 
 def test_01_room_partition_recovered(capsys, world, plain_setup):
     with criterion(capsys, 1, "three-room abstraction, unweighted", 10.0) as c:
-        _, result, _, index = plain_setup
+        _, result, _, clusters = plain_setup
         c.expect(result.selection is not None
                  and not result.selection.fallback,
                  "k was not chosen by the spectral-gap rule")
         c.expect(result.spectral.k == 3, f"k = {result.spectral.k}, wanted 3")
-        found = {frozenset(members) for members in index.clusters}
+        found = {frozenset(members) for members in clusters}
         wanted = {frozenset(room) for room in room_partition(world)}
         c.expect(found == wanted, "argmax partition differs from the rooms")
 
@@ -143,9 +143,9 @@ def test_01_room_partition_recovered(capsys, world, plain_setup):
 
 def test_02_goal_singleton_under_reward_weighting(capsys, world):
     with criterion(capsys, 2, "goal isolated under reward weighting", 10.0) as c:
-        _, result, _, index = exhaustive_clustering(world, v=4.0)
+        _, result, _, clusters = exhaustive_clustering(world, v=4.0)
         c.expect(result.spectral.k == 4, f"k = {result.spectral.k}, wanted 4")
-        singletons = [set(members) for members in index.clusters
+        singletons = [set(members) for members in clusters
                       if len(members) == 1]
         goal = world.index[(5, 17)]
         c.expect(singletons == [{goal}],
@@ -157,11 +157,11 @@ def test_02_goal_singleton_under_reward_weighting(capsys, world):
 def test_03_termination_peaks_at_doorways(capsys, world, plain_setup,
                                           plain_options):
     with criterion(capsys, 3, "termination peaks at doorways", 10.0) as c:
-        _, _, _, index = plain_setup
+        _, _, _, clusters = plain_setup
         left, middle, right = room_partition(world)
         room_of_cluster = {i: ("L" if set(m) == left else
                                "R" if set(m) == right else "M")
-                           for i, m in enumerate(index.clusters)}
+                           for i, m in enumerate(clusters)}
         d1, d2 = world.index[(1, 6)], world.index[(1, 12)]
         c.expect(len(plain_options) == 4,
                  f"{len(plain_options)} options, wanted 4")
@@ -185,13 +185,13 @@ def test_03_termination_peaks_at_doorways(capsys, world, plain_setup,
 def test_04_options_reach_target_from_every_start(capsys, world, plain_setup,
                                                   plain_options):
     with criterion(capsys, 4, "hill-climb reachability 100%", 30.0) as c:
-        _, _, _, index0 = plain_setup
-        model4, result4, chi4, index4 = exhaustive_clustering(world, v=4.0)
+        _, _, _, clusters0 = plain_setup
+        model4, result4, chi4, clusters4 = exhaustive_clustering(world, v=4.0)
         weighted_options = compose_options(model4, result4, tau_conn=0.1)
-        for options, index in ((plain_options, index0),
-                               (weighted_options, index4)):
+        for options, clusters in ((plain_options, clusters0),
+                                  (weighted_options, clusters4)):
             for o in options:
-                target = set(index.clusters[o.target])
+                target = set(clusters[o.target])
                 # Terminal states never occur as decision points, so they
                 # cannot start an option.
                 for s0 in sorted(o.initiation):

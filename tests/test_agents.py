@@ -20,6 +20,7 @@ from spectral_options.agents import (
 )
 
 import oracles
+from helpers import cluster_of
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -254,7 +255,6 @@ def test_empty_available_is_error():
 
 def test_options_listed_before_primitives(three_rooms_options):
     world, options, chi = three_rooms_options
-    idx = assign_states(chi)
     s = world.start
     avail = available_choices(options, world.n_states)[s]
     option_positions = [i for i, c in enumerate(avail) if isinstance(c, tuple)]
@@ -362,17 +362,17 @@ def test_missing_policy_leaves_trajectory_unchanged():
 
 def test_determinized_traverse_reaches_target_everywhere(three_rooms_options):
     world, options, chi = three_rooms_options
-    idx = assign_states(chi)
+    assignment = cluster_of(assign_states(chi))
     for o in options:
         for s0 in o.policy:
             _, k, s_end = oracles.determinized_outcome(world, o, s0, 0.99)
             assert k <= world.n_states
-            assert idx.assignment.get(s_end) == o.target, (o.label, s0)
+            assert assignment.get(s_end) == o.target, (o.label, s0)
 
 
 def test_sampled_runs_end_in_source_or_target(three_rooms_options):
     world, options, chi = three_rooms_options
-    idx = assign_states(chi)
+    assignment = cluster_of(assign_states(chi))
     rng = Draws(7)
     target_hits = 0
     runs = 0
@@ -382,7 +382,7 @@ def test_sampled_runs_end_in_source_or_target(three_rooms_options):
                 traj = Trajectory([s0])
                 run_option(world, o, traj, rng, max_steps=world.n_states)
                 runs += 1
-                end_cluster = idx.assignment.get(traj.states[-1])
+                end_cluster = assignment.get(traj.states[-1])
                 reached_goal = traj.done
                 assert end_cluster in (o.source, o.target) or reached_goal
                 if end_cluster == o.target:

@@ -128,11 +128,16 @@ DEFAULTS = {
 
 
 def test_minimal_config_gets_defaults(tmp_path):
+    from dataclasses import fields
+
     cfg = load_config(write_config(tmp_path, "[environment]\nmap = three_rooms\n"))
-    assert set(cfg.values) == set(DEFAULTS)
+    loaded = [f.name for part in (cfg.odstc, cfg.command) for f in fields(part)]
+    assert set(loaded) == {key for _, key in DEFAULTS}
     for block_key, value in DEFAULTS.items():
-        assert cfg[block_key] == value, block_key
-        assert type(cfg[block_key]) is type(value), block_key
+        key = block_key[1]
+        got = getattr(cfg.odstc if hasattr(cfg.odstc, key) else cfg.command, key)
+        assert got == value, block_key
+        assert type(got) is type(value), block_key
     assert cfg.world().n_states == 77
 
 
@@ -209,8 +214,8 @@ def test_map_loaded_from_file_path(tmp_path):
 def test_override_applied(tmp_path):
     path = write_config(tmp_path, "[environment]\nmap = three_rooms\n")
     cfg = load_config(path, overrides=["spectral.k=3", "agent.alpha=0.2"])
-    assert cfg[("spectral", "k")] == 3
-    assert cfg[("agent", "alpha")] == 0.2
+    assert cfg.odstc.k == 3
+    assert cfg.odstc.alpha == 0.2
 
 
 def test_malformed_override_rejected(tmp_path):
@@ -225,8 +230,8 @@ def test_seed_and_out_dir_arguments_win(tmp_path):
     path = write_config(tmp_path,
                         "[environment]\nmap = three_rooms\n[pipeline]\nseed = 4\n")
     cfg = load_config(path, seed=9, out_dir="elsewhere")
-    assert cfg[("pipeline", "seed")] == 9
-    assert cfg[("output", "directory")] == "elsewhere"
+    assert cfg.odstc.seed == 9
+    assert cfg.command.directory == "elsewhere"
 
 
 FLOAT_KEYS = [block_key for block_key, value in DEFAULTS.items() if type(value) is float]
@@ -382,7 +387,7 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, max_step
                      "--out-dir", str(out / "a")] + sets) == EXIT_OK
         digests.append((dir_digest(out / "d"), dir_digest(out / "a")))
         cfg = load_config(DISCOVER_INI, overrides=sets[1::2])
-        blocks.append(len(list(cli._sampled_episodes(cfg.world(), cfg.odstc()))))
+        blocks.append(len(list(cli._sampled_episodes(cfg.world(), cfg.odstc))))
     assert digests[0] == digests[1] == digests[2]
     assert blocks == [38, 19 if max_steps == 3 else 38, 1]
 
@@ -485,6 +490,34 @@ def test_train_deterministic(tmp_path):
     assert main(["train", TRAIN_INI, "--out-dir", str(a)]) == EXIT_OK
     assert main(["train", TRAIN_INI, "--out-dir", str(b)]) == EXIT_OK
     assert dir_digest(a) == dir_digest(b)
+
+
+def test_train_leaves_its_loaded_config_unchanged(tmp_path, monkeypatch):
+    # One loaded config can serve several commands, so train must hand each
+    # learner its own copy: a change to cfg.odstc would leak into the next run.
+    sets = ["agent.learner=intra_option", "pipeline.max_rounds=4",
+            "pipeline.pcca_refresh_interval=2"]
+    out = tmp_path / "out"
+    cfg = load_config(TRAIN_INI, overrides=sets, out_dir=str(out))
+    fresh = load_config(TRAIN_INI, overrides=sets, out_dir=str(out)).odstc
+    learners = []
+
+    def spy(world, config):
+        assert cfg.odstc == fresh and config is not cfg.odstc
+        learners.append(config.learner)
+        return run_odstc(world, config)
+
+    run_odstc = cli.run_odstc
+    monkeypatch.setattr(cli, "run_odstc", spy)
+    digests = []
+    for _ in range(2):
+        assert cli.cmd_train(cfg) == EXIT_OK
+        digests.append(dir_digest(out))
+    assert learners == ["flat", "intra_option"] * 2
+    assert set(digests[0]) == {"episodes_flat.csv", "episodes_intra_option.csv",
+                               "summary.csv"}
+    assert digests[0] == digests[1]
+    assert cfg.odstc == fresh
 
 
 def test_train_zero_rounds_clean_exit(tmp_path):

@@ -29,7 +29,7 @@ from spectral_options.options import (
 from spectral_options.spectral import cluster, connected_pairs
 
 import oracles
-from helpers import room_grid_text
+from helpers import cluster_of, room_grid_text
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -60,19 +60,17 @@ def room_of(cell):
 # --- assign_states ---------------------------------------------------------
 
 def test_identity_membership_assigns_identity():
-    idx = assign_states(np.eye(3))
-    assert idx.assignment == {0: 0, 1: 1, 2: 2}
-    assert idx.clusters == [[0], [1], [2]]
+    clusters = assign_states(np.eye(3))
+    assert cluster_of(clusters) == {0: 0, 1: 1, 2: 2}
+    assert clusters == [[0], [1], [2]]
 
 
 def test_tie_breaks_to_lowest_cluster():
-    idx = assign_states(np.array([[0.5, 0.5]]))
-    assert idx.assignment[0] == 0
+    assert assign_states(np.array([[0.5, 0.5]])) == [[0], []]
 
 
 def test_zero_rows_left_unassigned():
-    idx = assign_states(np.array([[0.0, 0.0], [0.3, 0.7]]))
-    assert 0 not in idx.assignment and idx.assignment[1] == 1
+    assert assign_states(np.array([[0.0, 0.0], [0.3, 0.7]])) == [[], [1]]
 
 
 def test_assign_states_matches_row_loop():
@@ -86,18 +84,16 @@ def test_assign_states_matches_row_loop():
             chi[rng.integers(n), rng.integers(k)] = np.nan
         if trial % 5 == 0:
             chi[rng.integers(n)] = -chi[rng.integers(n)]
-        idx = assign_states(chi)
-        assignment, clusters = oracles.loop_assign_states(chi)
-        assert list(idx.assignment.items()) == list(assignment.items())
-        assert all(type(s) is int and type(c) is int for s, c in idx.assignment.items())
-        assert idx.clusters == clusters
+        clusters = assign_states(chi)
+        assert clusters == oracles.loop_assign_states(chi)
+        assert all(type(s) is int for members in clusters for s in members)
 
 
 def test_rooms_share_cluster_labels(three_rooms_setup):
     world, _, _, chi, _ = three_rooms_setup
-    idx = assign_states(chi)
+    assignment = cluster_of(assign_states(chi))
     for room in ("L", "M", "R"):
-        labels = {idx.assignment[s] for s, cell in enumerate(world.cells)
+        labels = {assignment[s] for s, cell in enumerate(world.cells)
                   if room_of(cell) == room}
         assert len(labels) == 1, room
 
@@ -120,8 +116,8 @@ def kernel_gains(rows, chi, n_actions=4):
 def test_single_positive_gain_takes_all_mass():
     chi = np.array([[1.0, 0.0], [0.0, 1.0]])
     gain, observed = kernel_gains({(0, 1): np.array([0.0, 1.0])}, chi)
-    idx = assign_states(chi)
-    policy, unmodeled, ascent, fallback = compose_policy(0, 1, gain, observed, idx)
+    clusters = assign_states(chi)
+    policy, unmodeled, ascent, fallback = compose_policy(0, 1, gain, observed, clusters)
     assert policy == {0: {1: 1.0}}
     assert not unmodeled and not ascent and not fallback
 
@@ -131,8 +127,8 @@ def test_policy_normaliser_adds_gains_left_to_right():
     gain = np.zeros((1, 4, 2))
     gain[0, :3, 1] = [0.1, 0.2, 0.3]
     observed = np.array([[True, True, True, False]])
-    idx = assign_states(np.array([[1.0, 0.0]]))
-    policy, _, _, _ = compose_policy(0, 1, gain, observed, idx)
+    clusters = assign_states(np.array([[1.0, 0.0]]))
+    policy, _, _, _ = compose_policy(0, 1, gain, observed, clusters)
     total = (0.1 + 0.2) + 0.3
     assert policy == {0: {0: 0.1 / total, 1: 0.2 / total, 2: 0.3 / total}}
 
@@ -143,8 +139,8 @@ def test_negative_gains_clamped_to_zero():
         {(0, 0): np.array([0.0, 1.0, 0.0]),    # gain 0.1 − 0.3 = −0.2
          (0, 1): np.array([0.0, 0.0, 1.0])},   # gain 0.4 − 0.3 = +0.1
         chi)
-    idx = assign_states(chi)
-    policy, _, _, _ = compose_policy(0, 1, gain, observed, idx)
+    clusters = assign_states(chi)
+    policy, _, _, _ = compose_policy(0, 1, gain, observed, clusters)
     assert 0 not in policy[0]
     assert policy[0][1] == pytest.approx(1.0)
 
@@ -160,8 +156,8 @@ def test_policy_rows_are_distributions(three_rooms_setup):
 def test_doorway_adjacent_state_pushes_toward_doorway(three_rooms_setup):
     world, _, _, chi, options = three_rooms_setup
     d1 = world.index[(1, 6)]
-    idx = assign_states(chi)
-    left = idx.assignment[world.index[(1, 1)]]
+    clusters = assign_states(chi)
+    left = cluster_of(clusters)[world.index[(1, 1)]]
     to_left = next(o for o in options if o.target == left)
     s = world.index[(1, 7)]   # middle-room cell east of doorway d1
     west = 3
@@ -172,8 +168,8 @@ def test_doorway_adjacent_state_pushes_toward_doorway(three_rooms_setup):
 def test_unmodeled_state_excluded_and_reported(three_rooms_setup):
     world, _, _, chi, options = three_rooms_setup
     goal = next(iter(world.goals))
-    idx = assign_states(chi)
-    goal_cluster = idx.assignment[goal]
+    clusters = assign_states(chi)
+    goal_cluster = cluster_of(clusters)[goal]
     for o in options:
         if o.source == goal_cluster:
             assert goal in o.initiation
@@ -186,11 +182,11 @@ def test_gain_scale_invariance():
     chi = np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]])
     rows = {(0, 0): np.array([0.0, 1.0, 0.0]),
             (0, 1): np.array([0.0, 0.0, 1.0])}
-    idx = assign_states(chi)
-    base, _, _, _ = compose_policy(0, 1, *kernel_gains(rows, chi), idx)
+    clusters = assign_states(chi)
+    base, _, _, _ = compose_policy(0, 1, *kernel_gains(rows, chi), clusters)
     scaled = chi.copy()
     scaled[:, 1] *= 3.0
-    mu, _, _, _ = compose_policy(0, 1, *kernel_gains(rows, scaled), idx)
+    mu, _, _, _ = compose_policy(0, 1, *kernel_gains(rows, scaled), clusters)
     for a in base[0]:
         assert mu[0][a] == pytest.approx(base[0][a])
 
@@ -219,12 +215,12 @@ def test_deep_interior_rarely_terminates():
 
 def test_termination_only_tabled_inside_source(three_rooms_setup):
     _, _, _, chi, options = three_rooms_setup
-    idx = assign_states(chi)
+    clusters = assign_states(chi)
     for o in options:
-        assert set(o.termination) == set(idx.clusters[o.source])
+        assert set(o.termination) == set(clusters[o.source])
         for s, b in o.termination.items():
             assert 0.0 <= b <= 1.0
-        outside = next(s for s in idx.clusters[o.target])
+        outside = next(s for s in clusters[o.target])
         assert o.termination_prob(outside) == 1.0
 
 
@@ -286,9 +282,9 @@ def test_composition_allocates_no_dense_kernel():
 def test_three_rooms_have_four_options(three_rooms_setup):
     world, _, _, chi, options = three_rooms_setup
     assert len(options) == 4
-    idx = assign_states(chi)
+    clusters = assign_states(chi)
     d1 = world.index[(1, 6)]
-    middle = idx.assignment[d1]
+    middle = cluster_of(clusters)[d1]
     pairs = {(o.source, o.target) for o in options}
     sides = [c for c in range(3) if c != middle]
     assert pairs == {(middle, sides[0]), (sides[0], middle),
@@ -305,7 +301,7 @@ def test_initiation_states_argmax_to_source(three_rooms_setup):
 # --- execution properties --------------------------------------------------
 
 def greedy_path(world, option, chi, s0, max_steps):
-    idx = assign_states(chi)
+    assignment = cluster_of(assign_states(chi))
     path = [s0]
     s = s0
     for _ in range(max_steps):
@@ -315,18 +311,18 @@ def greedy_path(world, option, chi, s0, max_steps):
         a = max(sorted(mu), key=lambda act: mu[act])
         s = world.move(s, a)
         path.append(s)
-        if idx.assignment.get(s) == option.target:
+        if assignment.get(s) == option.target:
             break
     return path
 
 
 def test_greedy_execution_reaches_target_cluster(three_rooms_setup):
     world, _, _, chi, options = three_rooms_setup
-    idx = assign_states(chi)
+    assignment = cluster_of(assign_states(chi))
     for o in options:
         for s0 in o.policy:
             path = greedy_path(world, o, chi, s0, world.n_states)
-            assert idx.assignment.get(path[-1]) == o.target, (o.label, s0)
+            assert assignment.get(path[-1]) == o.target, (o.label, s0)
 
 
 def test_membership_monotone_until_plateau(three_rooms_setup):
@@ -370,7 +366,7 @@ def assert_matches_dict_compose(model, result, exact):
     chi = result.chi
     options = compose_options(model, result, tau_conn=0.1)
     P = oracles.dict_kernel(model)
-    _, clusters = oracles.loop_assign_states(chi)
+    clusters = oracles.loop_assign_states(chi)
     pairs = connected_pairs(result.connectivity, 0.1)
     assert [(o.source, o.target) for o in options] == pairs
     for o in options:
@@ -452,15 +448,15 @@ def test_compose_policy_matches_loop_oracle(seed):
     gain[spread] = rng.normal(size=spread.sum())
     observed = rng.random((n, 4)) < 0.6
     observed[rng.integers(n, size=5)] = False
-    index = assign_states(np.eye(k)[rng.integers(k - 1, size=n)])
-    assert index.clusters[k - 1] == []
+    clusters = assign_states(np.eye(k)[rng.integers(k - 1, size=n)])
+    assert clusters[k - 1] == []
     tiers = [0, 0, 0]
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
-            got = compose_policy(i, j, gain, observed, index)
-            want = oracles.loop_compose_policy(i, j, gain, observed, index)
+            got = compose_policy(i, j, gain, observed, clusters)
+            want = oracles.loop_compose_policy(i, j, gain, observed, clusters)
             assert [(s, list(mu.items())) for s, mu in got[0].items()] == [
                 (s, list(mu.items())) for s, mu in want[0].items()]
             assert got[1:] == want[1:]

@@ -222,7 +222,7 @@ def test_single_round_budget_learns_flat_only(world, clusterings):
     cfg = OdstcConfig(episodes_per_round=5, max_rounds=1, seed=0,
                       max_steps_per_episode=50)
     res = run_odstc(world, cfg)
-    assert res.options == []
+    assert res.q.options == []
     assert len(res.history) == 5
     assert clusterings == []
     assert all(isinstance(a, int) for (_, a) in res.q.values)
@@ -230,7 +230,7 @@ def test_single_round_budget_learns_flat_only(world, clusterings):
 
 def test_zero_round_budget_empty_history(world):
     res = run_odstc(world, OdstcConfig(max_rounds=0))
-    assert res.history == [] and res.options == [] and not res.converged
+    assert res.history == [] and res.q.options == [] and not res.converged
 
 
 def test_fixed_seed_reproducible_history(penalized_world):
@@ -241,20 +241,20 @@ def test_fixed_seed_reproducible_history(penalized_world):
            [l.cumulative_reward for l in b.history]
     assert [l.decision_epochs for l in a.history] == \
            [l.decision_epochs for l in b.history]
-    assert [o.label for o in a.options] == [o.label for o in b.options]
+    assert [o.label for o in a.q.options] == [o.label for o in b.q.options]
     assert a.converged == b.converged
 
 
 def test_steady_state_options_bridge_adjacent_rooms(penalized_world):
     """Converged loop ends with 4 options between adjacent rooms (L-M, M-R)."""
     res = run_odstc(penalized_world, train_config())
-    assert len(res.options) == 4
+    assert len(res.q.options) == 4
     majority = {}
-    for o in res.options:
+    for o in res.q.options:
         rooms = [room_of(penalized_world.cells[s]) for s in o.initiation]
         interior = [r for r in rooms if r in "LMR"]
         majority[o.source] = max(set(interior), key=interior.count)
-    pairs = {(majority[o.source], majority[o.target]) for o in res.options}
+    pairs = {(majority[o.source], majority[o.target]) for o in res.q.options}
     assert pairs == {("L", "M"), ("M", "L"), ("M", "R"), ("R", "M")}
 
 
@@ -264,7 +264,7 @@ def test_loop_safe_without_options(world):
                       pcca_refresh_interval=10, seed=1,
                       max_steps_per_episode=50)
     res = run_odstc(world, cfg)
-    assert res.options == []
+    assert res.q.options == []
     assert len(res.history) == 12
     assert all(l.decision_epochs >= 1 and l.primitive_steps >= 1
                for l in res.history)
@@ -276,7 +276,7 @@ def test_run_ended_before_first_reclustering_is_noted(world):
     cfg = OdstcConfig(episodes_per_round=4, max_rounds=3, pcca_refresh_interval=3,
                       seed=1, max_steps_per_episode=50)
     res = run_odstc(world, cfg)
-    assert res.options == []
+    assert res.q.options == []
     assert res.notes == ["no re-clustering in 3 rounds (pcca_refresh_interval=3); "
                          "learned without options"]
     for change in ({"learner": "flat"}, {"max_rounds": 0}, {"max_rounds": 4}):
@@ -290,7 +290,7 @@ def test_clustering_failure_noted_and_loop_continues(world):
                       seed=0)
     res = run_odstc(world, cfg)
     assert len(res.notes) == 1 and "clustering failed" in res.notes[0]
-    assert res.options == []
+    assert res.q.options == []
     assert len(res.history) == 2
 
 
@@ -311,7 +311,7 @@ def test_learner_counts_each_round_as_one_write(world, monkeypatch):
 
 def test_flat_learner_never_clusters(penalized_world, clusterings):
     res = run_odstc(penalized_world, train_config(learner="flat", max_rounds=10))
-    assert res.options == [] and clusterings == []
+    assert res.q.options == [] and clusterings == []
 
 
 def test_chi_snapshot_per_refresh(penalized_world, clusterings):
@@ -323,7 +323,7 @@ def test_chi_snapshot_per_refresh(penalized_world, clusterings):
 
 def test_intra_option_learner_reaches_steady_state(penalized_world):
     res = run_odstc(penalized_world, train_config(learner="intra_option"))
-    assert len(res.options) == 4
+    assert len(res.q.options) == 4
     assert any(isinstance(a, tuple) for (_, a) in res.q.values)
 
 

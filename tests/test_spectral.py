@@ -21,7 +21,7 @@ from spectral_options.spectral import (
 )
 
 import oracles
-from helpers import block_adjacency
+from helpers import block_adjacency, cluster_of, room_grid_text
 
 THREE_ROOMS = bundled_map_text("three_rooms")
 
@@ -231,6 +231,25 @@ def test_rank_deficient_rows_raise_without_warning(Y):
 
 # --- compute_memberships ---------------------------------------------------
 
+@pytest.mark.parametrize("map_text", [THREE_ROOMS, room_grid_text(2, 2, 10)],
+                         ids=["three_rooms", "rooms-404"])
+def test_eigenvector_signs_leave_vertices_and_memberships_unchanged(map_text):
+    # eigh fixes no eigenvector's sign.  A flipped column of Y negates exactly
+    # the same products in the residual updates and in Y·inv(Y[v]), so the
+    # vertices and χ are bit-identical under every flip.
+    world = load_gridworld(map_text)
+    _, vectors = decompose(build_laplacian(adjacency(exhaustive_model(world))))
+    rng = np.random.default_rng(0)
+    for k in (2, 3, 4, 8, 20):
+        Y = vectors[:, :k]
+        vertices = find_simplex_vertices(Y)
+        chi = compute_memberships(Y, vertices).chi
+        for _ in range(5):
+            flipped = Y * rng.choice([-1.0, 1.0], size=k)
+            assert find_simplex_vertices(flipped).tolist() == vertices.tolist()
+            assert np.array_equal(compute_memberships(flipped, vertices).chi, chi)
+
+
 def test_unit_rows_give_identity():
     Y = np.eye(3)
     m = compute_memberships(Y, np.array([0, 1, 2]))
@@ -400,6 +419,6 @@ def test_cluster_chi_covers_every_state():
     np.testing.assert_array_equal(result.state_ids, kept)
     assert not chi[[0, 4]].any()
     assert np.array_equal(chi[result.state_ids], result.membership.chi)
-    index = assign_states(chi)
-    assert sorted(index.assignment) == kept
-    assert sorted(map(sorted, index.clusters)) == [[1, 2, 3], [5, 6, 7]]
+    clusters = assign_states(chi)
+    assert sorted(cluster_of(clusters)) == kept
+    assert sorted(map(sorted, clusters)) == [[1, 2, 3], [5, 6, 7]]
