@@ -6,7 +6,7 @@ current adjacency is re-clustered and the agent's option set replaced (old
 option values are dropped — cluster identities are not stable across
 re-clusterings, so remapping by label would be unsound).  When clustering
 fails (all-zero adjacency in early rounds), the round proceeds without
-options and the failure is recorded.
+options and the failure is recorded.  A flat run keeps no model.
 
 ``kmeans_microstates`` + ``aggregate_model`` implement the state-aggregation
 stage for externally supplied feature vectors: k-means++ seeded Lloyd
@@ -209,24 +209,23 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
 
     Re-clustering happens at the top of every pcca_refresh_interval-th round
     (skipping round 0, which has no data), and its options are offered to the
-    Q table, which rebuilds its tables once for the new set.  The flat learner
-    never clusters; an option learner whose run ends before its first
-    re-clustering gets a note saying so.  Each round's episodes are counted
-    into the model as one batch after the round; the model is read only at the
-    top of a round.
+    Q table, which rebuilds its tables once for the new set.  An option
+    learner counts each round's episodes into its model as one batch after the
+    round and reads the model only at the top of a round; a run that ends
+    before its first re-clustering gets a note saying so.  The flat learner
+    never clusters, so it keeps no model and counts nothing.
     """
     config.validate()
     rng = Draws(config.seed)
-    model = EstimatedModel(world.n_states, v=config.v)
+    model = None if config.learner == "flat" else EstimatedModel(world.n_states, v=config.v)
     Q = QTable(world.n_states, alpha=config.alpha, gamma=config.gamma)
     history: list[EpisodeLog] = []
-    returns: list[float] = []
     notes: list[str] = []
     anneal = config.eps_anneal_episodes or config.max_rounds * config.episodes_per_round
+    window = config.convergence_window
     converged = False
     for rnd in range(config.max_rounds):
-        if (config.learner != "flat" and rnd > 0
-                and rnd % config.pcca_refresh_interval == 0):
+        if model is not None and rnd > 0 and rnd % config.pcca_refresh_interval == 0:
             try:
                 result = cluster(adjacency(model), t_c=config.t_c, k=config.k or None)
                 options = compose_options(model, result, tau_conn=config.tau_conn)
@@ -242,13 +241,13 @@ def run_odstc(world: GridWorld, config: OdstcConfig) -> OdstcResult:
                                     config.max_steps_per_episode)
             trajs.append(traj)
             history.append(log)
-            returns.append(log.cumulative_reward)
-        update_counts(model, Transitions.of(trajs))
-        if _plateaued(returns, config.convergence_window):
+        if model is not None:
+            update_counts(model, Transitions.of(trajs))
+        if _plateaued([log.cumulative_reward for log in history[-2 * window:]], window):
             converged = True
             break
     rounds = len(history) // config.episodes_per_round
-    if config.learner != "flat" and 0 < rounds <= config.pcca_refresh_interval:
+    if model is not None and 0 < rounds <= config.pcca_refresh_interval:
         notes.append(f"no re-clustering in {rounds} rounds (pcca_refresh_interval="
                      f"{config.pcca_refresh_interval}); learned without options")
     return OdstcResult(q=Q, history=history, notes=notes, converged=converged)

@@ -1,6 +1,8 @@
 """Transition-count accumulation and reward-weighted adjacency."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,25 @@ def test_counts_are_read_without_prior():
     assert "U" not in vars(m) and "D" not in vars(m)
     with pytest.raises(AttributeError):
         m.D = np.zeros((3, 3))
+
+
+DENSE_VIEWS = {"U", "R_count", "R_sum", "_dense", "u_prior"}
+
+
+def test_dense_views_have_no_package_reader():
+    # The views stay for the benchmark's reads only.  Any name, attribute or
+    # import spelled like a view, outside model.py, counts as a read.
+    readers = {}
+    for path in sorted(Path(model_module.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in DENSE_VIEWS:
+                readers.setdefault(path.name, []).append((node.lineno, name))
+    assert readers == {}
 
 
 # --- derived D against a from-scratch rebuild -------------------------------

@@ -294,7 +294,9 @@ def test_clustering_failure_noted_and_loop_continues(world):
     assert len(res.history) == 2
 
 
-def test_learner_counts_each_round_as_one_write(world, monkeypatch):
+@pytest.fixture
+def count_writes(monkeypatch):
+    """The step count of every ``update_counts`` write ``run_odstc`` makes."""
     written = []
 
     def spy(model, episodes):
@@ -302,16 +304,21 @@ def test_learner_counts_each_round_as_one_write(world, monkeypatch):
         return update_counts(model, episodes)
 
     monkeypatch.setattr(pipeline, "update_counts", spy)
+    return written
+
+
+@pytest.mark.parametrize("learner", ["smdp", "intra_option"])
+def test_learner_counts_each_round_as_one_write(world, count_writes, learner):
     cfg = OdstcConfig(episodes_per_round=4, max_rounds=3, pcca_refresh_interval=2,
-                      max_steps_per_episode=50, seed=1)
+                      max_steps_per_episode=50, learner=learner, seed=1)
     res = run_odstc(world, cfg)
-    assert len(res.history) == 12 and len(written) == 3
-    assert sum(written) == sum(l.primitive_steps for l in res.history)
+    assert len(res.history) == 12 and len(count_writes) == 3
+    assert sum(count_writes) == sum(l.primitive_steps for l in res.history)
 
 
-def test_flat_learner_never_clusters(penalized_world, clusterings):
+def test_flat_learner_never_clusters(penalized_world, clusterings, count_writes):
     res = run_odstc(penalized_world, train_config(learner="flat", max_rounds=10))
-    assert res.q.options == [] and clusterings == []
+    assert res.q.options == [] and clusterings == [] and count_writes == []
 
 
 def test_chi_snapshot_per_refresh(penalized_world, clusterings):

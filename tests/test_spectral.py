@@ -422,3 +422,42 @@ def test_cluster_chi_covers_every_state():
     clusters = assign_states(chi)
     assert sorted(cluster_of(clusters)) == kept
     assert sorted(map(sorted, clusters)) == [[1, 2, 3], [5, 6, 7]]
+
+
+# --- cluster count on exact room models ------------------------------------
+
+# name -> (rows, cols, side) of a helpers.room_grid_text map; None is the
+# bundled three-room map.
+ROOM_MAPS = {"three_rooms": None, "1x3-side8": (1, 3, 8), "2x2-side6": (2, 2, 6),
+             "2x3-side6": (2, 3, 6), "3x3-side5": (3, 3, 5)}
+WRONG_K = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3 (choose k by PCCA+ crispness): at t_c = 0.5 "
+    "the gap rule returns an unflagged k below the room count")
+
+
+def room_map(name):
+    """The world of ``ROOM_MAPS[name]`` and each state's room, None on a doorway."""
+    if ROOM_MAPS[name] is None:
+        world = load_gridworld(THREE_ROOMS)
+        # Rooms span columns 1–5, 7–11 and 13–17; columns 6 and 12 hold doorways.
+        return world, [None if c % 6 == 0 else c // 6 for _, c in world.cells]
+    rows, cols, side = ROOM_MAPS[name]
+    world = load_gridworld(room_grid_text(rows, cols, side))
+    pitch = side + 1
+    return world, [(r // pitch, c // pitch) if r % pitch and c % pitch else None
+                   for r, c in world.cells]
+
+
+@pytest.mark.parametrize("t_c", [pytest.param(0.5, marks=WRONG_K), 0.75])
+@pytest.mark.parametrize("name", list(ROOM_MAPS))
+def test_exact_room_model_has_one_cluster_per_room(name, t_c):
+    world, rooms = room_map(name)
+    result = cluster(adjacency(exhaustive_model(world)), t_c=t_c)
+    by_room = {}
+    for s, room in enumerate(rooms):
+        if room is not None:
+            by_room.setdefault(room, []).append(s)
+    assert result.spectral.k == len(by_room) and not result.selection.fallback
+    interiors = [[s for s in members if rooms[s] is not None]
+                 for members in assign_states(result.chi)]
+    assert sorted(m for m in interiors if m) == sorted(by_room.values())
