@@ -7,10 +7,10 @@ overridden on the command line with ``--set block.key=value``, and ``--seed``
 each key in its block; the key's type and default come from the field of the
 same name on ``pipeline.OdstcConfig`` or, for keys only the commands read, on
 ``CommandConfig``.  ``load_config`` returns an ``ExperimentConfig`` holding one
-of each, built once, and the map text; no command changes it.  All outputs
-are CSV files with header rows plus one binary PGM (P5) heatmap per abstract
-state; ``discover`` writes every one of them, and ``[output] model`` adds
-``model.csv``.  A fixed seed and config give
+of each and the ``GridWorld`` parsed from the map, all built once; no command
+changes them.  All outputs are CSV files with header rows plus one binary PGM
+(P5) heatmap per abstract state; ``discover`` writes every one of them, and
+``[output] model`` adds ``model.csv``.  A fixed seed and config give
 byte-identical runs with the same BLAS thread count.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
@@ -92,10 +92,8 @@ LAYOUT = {
 _FIELDS = {f.name: f for cls in (OdstcConfig, CommandConfig) for f in fields(cls)}
 _ODSTC_KEYS = {f.name for f in fields(OdstcConfig)}
 
-_BOOL_VALUES = {"true": True, "yes": True, "on": True, "1": True,
-                "false": False, "no": False, "off": False, "0": False}
 _PARSERS = {"int": int, "float": float, "str": str,
-            "bool": lambda raw: _BOOL_VALUES[raw.strip().lower()]}
+            "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]}
 
 
 def _coerce(block: str, key: str, raw: str):
@@ -112,14 +110,14 @@ def _coerce(block: str, key: str, raw: str):
 
 @dataclass
 class ExperimentConfig:
+    """The loaded keys and the world they build; bench/worker.py calls ``world()``."""
+
     odstc: OdstcConfig        # the discovery loop's keys
     command: CommandConfig    # the keys only the commands read
-    map_text: str
+    _world: GridWorld         # parsed once by load_config, which checks the map
 
     def world(self) -> GridWorld:
-        c = self.command
-        return load_gridworld(self.map_text, step_reward=c.step_reward,
-                              goal_reward=c.goal_reward, slip_prob=c.slip_prob)
+        return self._world
 
 
 def _resolve_map(value: str) -> str:
@@ -174,16 +172,16 @@ def load_config(path: str, overrides=(), seed: int | None = None,
                if k not in values and _FIELDS[k].default is MISSING]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    cfg = ExperimentConfig(
-        odstc=OdstcConfig(**{k: v for k, v in values.items() if k in _ODSTC_KEYS}),
-        command=CommandConfig(**{k: v for k, v in values.items() if k not in _ODSTC_KEYS}),
-        map_text=_resolve_map(values["map"]))
+    odstc = OdstcConfig(**{k: v for k, v in values.items() if k in _ODSTC_KEYS})
+    command = CommandConfig(**{k: v for k, v in values.items() if k not in _ODSTC_KEYS})
+    map_text = _resolve_map(command.map)
     try:
-        cfg.odstc.validate()
-        cfg.world()
+        odstc.validate()
+        world = load_gridworld(map_text, step_reward=command.step_reward,
+                               goal_reward=command.goal_reward, slip_prob=command.slip_prob)
     except (ValueError, MapError) as exc:
         raise ConfigError(str(exc))
-    return cfg
+    return ExperimentConfig(odstc, command, world)
 
 
 def write_pgm(path, pixels: np.ndarray):
@@ -285,14 +283,10 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
     out_dir = cfg.command.directory
     os.makedirs(out_dir, exist_ok=True)
     _write_membership_outputs(out_dir, world, result, options)
-    fallback = bool(result.selection and result.selection.fallback)
+    sel = result.selection
+    fallback = bool(sel and sel.fallback)
     if fallback:
-        sel = result.selection
-        reason = (f"the first spectral gap ratio above t_c={oc.t_c} gives more "
-                  "clusters than half the states" if sel.ratios[sel.k] > oc.t_c else
-                  f"no spectral gap ratio exceeds t_c={oc.t_c}; fell back to "
-                  "the largest ratio")
-        print(f"warning: {reason}, k={sel.k}", file=sys.stderr)
+        print(f"warning: {sel.fallback}, k={sel.k}", file=sys.stderr)
     _write_csv(os.path.join(out_dir, "discover_summary.csv"),
                ["k", "fallback", "n_options", "n_states", "episodes_sampled"],
                [[result.spectral.k, fallback, len(options), world.n_states,

@@ -89,17 +89,19 @@ class Transitions:
 
 @dataclass
 class GridWorld:
-    """A parsed map.  ``successor[s][a]`` is the deterministic successor of
-    (s, a) as a Python int: the neighbour cell's state, or s itself on a wall
-    bump or at the grid edge.  The table is built on first use and holds
-    lists, not an array, so states stay Python ints.
+    """A parsed map.  ``cells`` lists the open cells row by row, one per state
+    id; every other cell of the height × width grid is a wall.
+    ``successor[s][a]`` is the deterministic successor of (s, a) as a Python
+    int: the neighbour cell's state, or s itself on a wall bump or at the grid
+    edge.  The table is built on first use and holds lists, not an array, so
+    states stay Python ints.  Nothing changes a GridWorld after parsing, so
+    one world serves every run on its map.
     """
 
     height: int
     width: int
-    walls: np.ndarray          # bool (height, width), True where '#'
     cells: list[tuple[int, int]]   # state id -> (row, col)
-    index: dict[tuple[int, int], int]
+    index: dict[tuple[int, int], int]   # (row, col) -> state id, keyed by cells' tuples
     start: int
     goals: frozenset[int]
     step_reward: float = 0.0
@@ -213,21 +215,17 @@ def load_gridworld(map_text: str, step_reward: float = 0.0, goal_reward: float =
     if not 0.0 <= slip_prob <= 1.0:
         raise MapError(f"slip_prob must lie in [0, 1], got {slip_prob}")
 
-    walls = np.zeros((height, width), dtype=bool)
     cells: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
     starts: list[int] = []
     goals: list[int] = []
     for r, ln in enumerate(lines):
         for c, ch in enumerate(ln):
             if ch == "#":
-                walls[r, c] = True
                 continue
             if ch not in ".SG":
                 raise MapError(f"unknown map character {ch!r} at row {r}, col {c}")
             sid = len(cells)
             cells.append((r, c))
-            index[(r, c)] = sid
             if ch == "S":
                 starts.append(sid)
             elif ch == "G":
@@ -240,8 +238,9 @@ def load_gridworld(map_text: str, step_reward: float = 0.0, goal_reward: float =
     if len(goals) == 0:
         raise MapError("map has no goal cell 'G'")
 
-    return GridWorld(height=height, width=width, walls=walls, cells=cells, index=index,
-                     start=starts[0], goals=frozenset(goals), step_reward=step_reward,
+    return GridWorld(height=height, width=width, cells=cells,
+                     index={cell: s for s, cell in enumerate(cells)}, start=starts[0],
+                     goals=frozenset(goals), step_reward=step_reward,
                      goal_reward=goal_reward, slip_prob=slip_prob)
 
 

@@ -52,7 +52,7 @@ class SpectralResult:
 
 class KSelection(NamedTuple):
     k: int
-    fallback: bool            # no gap ratio cleared the threshold, or k is near-singleton
+    fallback: str | None      # why k is not trusted, or None when it is
     ratios: dict              # k → (e_k − e_{k+1}) / (1 − e_{k+1})
 
 
@@ -130,10 +130,10 @@ def select_k(eigenvalues, t_c: float = 0.5) -> KSelection:
 
     Returns the smallest k ≥ 2 with (e_k − e_{k+1})/(1 − e_{k+1}) > t_c.  A
     vanishing denominator (e_{k+1} = 1) makes the ratio 0: no gap can open
-    below a still-unit eigenvalue.  If no k qualifies the argmax ratio is
-    returned with ``fallback=True``.  A k above half the eigenvalue count is
-    a near-singleton clustering, also flagged ``fallback=True``, unless
-    e_1..e_k are all 1: then the graph splits into k components exactly.
+    below a still-unit eigenvalue.  ``fallback`` is None, or says why k is
+    flagged: no k qualifies (the argmax ratio is returned), or k exceeds half
+    the eigenvalue count, a near-singleton clustering, unless e_1..e_k are
+    all 1: then the graph splits into k components exactly.
     """
     e = np.asarray(eigenvalues, dtype=float)
     if e.size < 3:
@@ -150,10 +150,12 @@ def select_k(eigenvalues, t_c: float = 0.5) -> KSelection:
         ratios[k] = 0.0 if denom < 1e-12 else (e[k - 1] - e[k]) / denom
     for k, ratio in ratios.items():
         if ratio > t_c:
-            exact = 1.0 - e[k - 1] < 1e-12
-            return KSelection(k=k, fallback=2 * k > e.size and not exact, ratios=ratios)
-    best = max(ratios, key=ratios.get)
-    return KSelection(k=best, fallback=True, ratios=ratios)
+            if 2 * k <= e.size or 1.0 - e[k - 1] < 1e-12:    # or e_1..e_k are all 1
+                return KSelection(k, None, ratios)
+            return KSelection(k, f"the first spectral gap ratio above t_c={t_c} gives "
+                                 "more clusters than half the states", ratios)
+    return KSelection(max(ratios, key=ratios.get), f"no spectral gap ratio exceeds "
+                      f"t_c={t_c}; fell back to the largest ratio", ratios)
 
 
 def find_simplex_vertices(Y: np.ndarray) -> np.ndarray:

@@ -180,13 +180,17 @@ def smdp_q_star(world, options, gamma, tol=1e-12, max_iters=100_000):
             for (s, c), (r, k, s_end) in outcomes.items()}
 
 
-def coordinate_move(world, s, a):
-    """Successor of (s, a) from cell coordinates: neighbour cell, or s on a bump."""
-    r, c = world.cells[s]
+def coordinate_move(text, s, a):
+    """Successor of (s, a) read from the map text alone: the neighbour cell's
+    state, numbering the open cells row by row, or s on a bump."""
+    rows = [ln for ln in text.splitlines() if ln]
+    open_cells = [(r, c) for r, row in enumerate(rows)
+                  for c, ch in enumerate(row) if ch != "#"]
+    r, c = open_cells[s]
     dr, dc = DELTAS[a]
     nr, nc = r + dr, c + dc
-    if 0 <= nr < world.height and 0 <= nc < world.width and not world.walls[nr, nc]:
-        return world.index[(nr, nc)]
+    if 0 <= nr < len(rows) and 0 <= nc < len(rows[nr]) and rows[nr][nc] != "#":
+        return open_cells.index((nr, nc))
     return s
 
 

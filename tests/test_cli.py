@@ -234,6 +234,50 @@ def test_seed_and_out_dir_arguments_win(tmp_path):
     assert cfg.command.directory == "elsewhere"
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ("1", True), ("yes", True), ("true", True), ("on", True),
+    ("0", False), ("no", False), ("false", False), ("off", False),
+])
+def test_boolean_spellings(tmp_path, raw, expected):
+    # Each of configparser's spellings, in mixed case and padded with spaces.
+    mixed = "".join(ch.upper() if i % 2 else ch for i, ch in enumerate(raw))
+    path = write_config(tmp_path, "[environment]\nmap = three_rooms\n")
+    cfg = load_config(path, overrides=[f"output.model=  {mixed} "])
+    assert cfg.command.model is expected
+
+
+def test_bad_boolean_spelling_rejected(tmp_path):
+    path = write_config(tmp_path, "[environment]\nmap = three_rooms\n")
+    with pytest.raises(ConfigError, match="cannot parse 'yep' as bool"):
+        load_config(path, overrides=["output.model=yep"])
+
+
+def test_each_config_parses_its_map_once(tmp_path, monkeypatch):
+    # load_config parses the map to check it; the commands reuse that world.
+    parses = []
+
+    def spy(*args, **kwargs):
+        parses.append(args)
+        return load_gridworld(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_gridworld", spy)
+    features = tmp_path / "features.txt"
+    write_features(features, np.arange(77.0).reshape(-1, 1) % 9)
+    sets = ["pipeline.max_rounds=2", "pipeline.k_m=9"]
+    for command, ini in (("discover", DISCOVER_INI), ("aggregate", DISCOVER_INI),
+                         ("train", TRAIN_INI)):
+        cfg = load_config(ini, overrides=sets, out_dir=str(tmp_path / command))
+        assert len(parses) == 1 and cfg.world() is cfg.world()
+        if command == "discover":
+            assert cli.cmd_discover(cfg) == EXIT_OK
+        elif command == "aggregate":
+            assert cli.cmd_aggregate(cfg, str(features)) == EXIT_OK
+        else:
+            assert cli.cmd_train(cfg) == EXIT_OK
+        assert len(parses) == 1, command
+        parses.clear()
+
+
 FLOAT_KEYS = [block_key for block_key, value in DEFAULTS.items() if type(value) is float]
 
 

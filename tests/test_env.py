@@ -199,7 +199,7 @@ def test_successor_table_matches_coordinate_move(text):
     assert len(world.successor) == world.n_states
     for s in range(world.n_states):
         for a in range(N_ACTIONS):
-            expected = oracles.coordinate_move(world, s, a)
+            expected = oracles.coordinate_move(text, s, a)
             assert world.successor[s][a] == expected
             assert type(world.successor[s][a]) is int
             assert world.move(s, a) == expected

@@ -134,27 +134,32 @@ def test_repeated_unit_eigenvalues_defer_to_three():
     assert sel.ratios[3] == pytest.approx(1.0)
 
 
+NEAR_SINGLETON = ("the first spectral gap ratio above t_c=0.75 gives more clusters "
+                  "than half the states")
+
+
 def test_near_singleton_k_is_flagged():
     # 148 eigenvalues with the only gap after the 140th: 140 clusters of 148
     # states, most of them singletons.
     e = np.concatenate([[1.0], np.linspace(0.999, 0.99, 139), np.linspace(0.3, 0.1, 8)])
     sel = select_k(e, t_c=0.75)
-    assert sel.k == 140 and sel.fallback
+    assert sel.k == 140 and sel.fallback == NEAR_SINGLETON
     assert [k for k, r in sel.ratios.items() if r > 0.75] == [140]
 
 
-@pytest.mark.parametrize("e, k, flagged", [
-    ([1.0, 0.99, 0.98, 0.1, 0.05, 0.01], 3, False),   # k is half the count
-    ([1.0, 0.99, 0.98, 0.97, 0.1, 0.05], 4, True),    # k is above half
+@pytest.mark.parametrize("e, k, fallback", [
+    ([1.0, 0.99, 0.98, 0.1, 0.05, 0.01], 3, None),              # k is half the count
+    ([1.0, 0.99, 0.98, 0.97, 0.1, 0.05], 4, NEAR_SINGLETON),    # k is above half
 ], ids=["half", "above-half"])
-def test_k_above_half_the_eigenvalues_is_flagged(e, k, flagged):
+def test_k_above_half_the_eigenvalues_is_flagged(e, k, fallback):
     sel = select_k(e, t_c=0.75)
-    assert sel.k == k and sel.fallback == flagged
+    assert sel.k == k and sel.fallback == fallback
 
 
 def test_no_gap_falls_back_to_argmax():
     sel = select_k([1.0, 0.9, 0.8, 0.7], t_c=0.99)
-    assert sel.fallback
+    assert sel.fallback == ("no spectral gap ratio exceeds t_c=0.99; fell back to "
+                            "the largest ratio")
     assert sel.k == max(sel.ratios, key=lambda k: sel.ratios[k])
 
 
