@@ -11,7 +11,9 @@ An option runs inside its episode: it appends its steps to the episode's
 SMDP Q-learning updates one entry per completed choice with the
 duration-discounted target; intra-option learning updates, per primitive
 transition, the primitive entry and every option offered at s whose policy is
-consistent with the executed action.  Both bootstrap from the row of s'.
+consistent with the executed action.  Both take their transition as
+positional arguments, (s, choice, r, k, s') and (s, a, r, s'), and both
+bootstrap from the row of s'.
 The flat baseline is the SMDP update on a table with no options.
 """
 
@@ -157,8 +159,9 @@ def available_choices(options: list[Option], n_states: int) -> list:
     return table
 
 
-def intra_option_update(Q: QTable, transition) -> int:
-    """Off-policy updates for one primitive transition (s, a, r, s').
+def intra_option_update(Q: QTable, s: int, a: int, r: float, s2: int) -> int:
+    """Off-policy updates for one primitive transition (s, a, r, s'), passed
+    positionally as ``smdp_q_update`` takes its choice.
 
     Every option offered at s whose policy gives the executed action positive
     probability, ``Q.consistent[s][a]``, receives
@@ -167,7 +170,6 @@ def intra_option_update(Q: QTable, transition) -> int:
     over the row of s'; the primitive entry gets the standard one-step
     update.  Returns the number of entries updated.
     """
-    s, a, r, s2 = transition
     alpha, gamma = Q.alpha, Q.gamma
     row, row2 = Q.rows[s], Q.rows[s2]
     best2 = max(row2.values())

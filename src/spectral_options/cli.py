@@ -214,10 +214,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_membership_outputs(out_dir, world, result, options):
     chi, C, k = result.chi, result.connectivity, result.spectral.k
     _write_csv(os.path.join(out_dir, "chi.csv"),
@@ -235,13 +231,13 @@ def _write_membership_outputs(out_dir, world, result, options):
                [[i, o.source, o.target] for i, o in enumerate(options)])
     _write_csv(os.path.join(out_dir, "options_policy.csv"),
                ["option_id", "s", "a", "prob"],
-               [[i, s, a, _fmt(p)]
+               [[i, s, a, repr(p)]
                 for i, o in enumerate(options)
                 for s in sorted(o.policy)
                 for a, p in sorted(o.policy[s].items())])
     _write_csv(os.path.join(out_dir, "options_termination.csv"),
                ["option_id", "s", "beta"],
-               [[i, s, _fmt(b)]
+               [[i, s, repr(b)]
                 for i, o in enumerate(options)
                 for s, b in sorted(o.termination.items())])
     for i in range(k):
@@ -297,7 +293,7 @@ def cmd_discover(cfg: ExperimentConfig) -> int:
 
 
 def _episode_rows(history):
-    return [[e, _fmt(log.cumulative_reward), log.decision_epochs, log.primitive_steps]
+    return [[e, repr(log.cumulative_reward), log.decision_epochs, log.primitive_steps]
             for e, log in enumerate(history)]
 
 
@@ -324,7 +320,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         tail = history[start:plateau]
         mean_dec = float(np.mean([l.decision_epochs for l in tail])) if tail else 0.0
         mean_ret = float(np.mean(returns[start:plateau])) if tail else 0.0
-        summary.append([learner, len(history), plateau, _fmt(mean_dec), _fmt(mean_ret)])
+        summary.append([learner, len(history), plateau, repr(mean_dec), repr(mean_ret)])
     _write_csv(os.path.join(out_dir, "summary.csv"),
                ["learner", "episodes", "episodes_to_plateau",
                 "mean_decision_epochs", "mean_return"],

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from spectral_options.env import N_ACTIONS, GridWorld, Transitions
+from spectral_options.env import N_ACTIONS, GridWorld, Transitions, step
 
 
 class EstimatedModel:
@@ -131,16 +131,17 @@ def adjacency(model: EstimatedModel) -> np.ndarray:
 def exhaustive_model(world: GridWorld, v: float = 0.0) -> EstimatedModel:
     """Model built by enumerating every (s, a) of a deterministic world once.
 
-    Terminal goal states contribute no outgoing transitions, matching what any
-    amount of trajectory sampling could observe.  Requires slip_prob = 0.
+    Each non-terminal (s, a) is counted once with the successor and reward of
+    ``env.step(world, s, a)``.  Terminal goal states contribute no outgoing
+    transitions, matching what any amount of trajectory sampling could
+    observe.  Requires slip_prob = 0.
     """
     if world.slip_prob != 0.0:
         raise ValueError("exhaustive enumeration requires deterministic dynamics")
     model = EstimatedModel(world.n_states, v=v)
-    moves = [(s, a, world.move(s, a)) for s in range(world.n_states)
+    moves = [(s, a, *step(world, s, a)[:2]) for s in range(world.n_states)
              if not world.is_terminal(s) for a in range(N_ACTIONS)]
-    s, a, s2 = zip(*moves)
-    rewards = [world.goal_reward if t in world.goals else world.step_reward for t in s2]
+    s, a, s2, rewards = zip(*moves)
     _add_counts(model, s, a, s2, rewards)
     return model
 

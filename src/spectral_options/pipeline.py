@@ -113,31 +113,30 @@ def epsilon_at(episode: int, anneal_episodes: int, eps_start: float,
     return eps_start + (eps_end - eps_start) * frac
 
 
-def convergence_test(returns, window: int) -> bool:
-    """Plateau check: trailing-window mean return moved < 1% between windows.
-
-    Compares the mean of the last ``window`` episode returns against the
-    mean of the ``window`` returns before them.
-    """
-    if window < 1 or len(returns) < 2 * window:
-        raise ValueError("need at least two full windows of episode returns")
-    m_prev = float(np.mean(returns[-2 * window:-window]))
+def _plateaued(returns, window: int) -> bool:
+    """The plateau rule: at least two full windows of episode returns, a
+    positive mean over the last ``window`` (an agent still scoring zero has
+    not learned yet), and that mean within 1 % of the mean of the ``window``
+    returns before them, relative to the larger magnitude of the two.
+    Raises ValueError for window < 1."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if len(returns) < 2 * window:
+        return False
     m_last = float(np.mean(returns[-window:]))
+    if not m_last > 0:
+        return False
+    m_prev = float(np.mean(returns[-2 * window:-window]))
     scale = max(abs(m_prev), abs(m_last), 1e-12)
     return abs(m_last - m_prev) < 0.01 * scale
 
 
-def _plateaued(returns, window: int) -> bool:
-    """Plateau rule: two full windows, a positive trailing mean (an agent still
-    scoring zero has not learned yet), and convergence_test passes."""
-    return (len(returns) >= 2 * window and np.mean(returns[-window:]) > 0
-            and convergence_test(returns, window))
-
-
 def episodes_to_plateau(returns, window: int) -> int:
-    """First episode count at which the curve of episode returns has plateaued.
+    """First episode count e at which ``returns[:e]`` has plateaued by the rule
+    that stops ``run_odstc`` (``_plateaued``).
 
-    Returns len(returns) if no plateau is reached.
+    Returns len(returns) if no plateau is reached; raises ValueError for
+    window < 1.
     """
     returns = np.asarray(returns, dtype=float)
     for e in range(2 * window, len(returns) + 1):
@@ -174,8 +173,7 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float, rng: Draws,
             k = run_option(world, o, traj, rng, cap).duration
             if intra:
                 for t in range(steps, steps + k):
-                    intra_option_update(Q, (states[t], actions[t], rewards[t],
-                                            states[t + 1]))
+                    intra_option_update(Q, states[t], actions[t], rewards[t], states[t + 1])
             else:
                 ret = 0.0
                 for t, r in enumerate(rewards[steps:]):
@@ -188,7 +186,7 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float, rng: Draws,
         else:                                          # primitive choice
             s2, r, done = step(world, s, c, rng)
             if intra:
-                intra_option_update(Q, (s, c, r, s2))
+                intra_option_update(Q, s, c, r, s2)
             else:
                 smdp_q_update(Q, s, c, r, 1, s2)
             traj.add(c, r, s2, done)

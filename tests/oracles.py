@@ -236,9 +236,8 @@ def scan_smdp_q_update(Q, s, choice, r, k, s2, available):
     Q.set(s, choice, Q.get(s, choice) + Q.alpha * (target - Q.get(s, choice)))
 
 
-def scan_intra_option_update(Q, transition, options, available):
+def scan_intra_option_update(Q, s, a, r, s2, options, available):
     """Intra-option updates for (s, a, r, s'), every read through ``Q.get``."""
-    s, a, r, s2 = transition
     best2 = _max_q(Q, s2, available)
     updated = 0
     for i, o in enumerate(options):

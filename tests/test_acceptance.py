@@ -317,7 +317,7 @@ def test_08_intra_option_update_breadth(capsys, world, plain_options):
             r = world.goal_reward if s2 in world.goals else world.step_reward
             consistent = any(o.policy.get(s, {}).get(a, 0.0) > 0.0
                              for o in plain_options)
-            updated = intra_option_update(Q, (s, a, r, s2))
+            updated = intra_option_update(Q, s, a, r, s2)
             if consistent:
                 consistent_transitions += 1
                 c.expect(updated > 1,

@@ -173,7 +173,7 @@ def test_intra_option_update_rejects_non_finite_value(a, entry):
     # action 2 is not, so only its primitive entry is written.
     Q = QTable(2, [make_option(policy={0: {1: 1.0}})])
     with pytest.raises(ValueError, match="non-finite Q value for " + entry):
-        intra_option_update(Q, (0, a, float("nan"), 1))
+        intra_option_update(Q, 0, a, float("nan"), 1)
     assert set(Q.values.values()) == {0.0}
 
 
@@ -182,7 +182,7 @@ def test_intra_option_update_rejects_non_finite_value(a, entry):
 def test_inconsistent_action_updates_only_primitive():
     o = make_option(policy={0: {1: 1.0}})
     Q = QTable(2, [o], alpha=1.0, gamma=0.9)
-    n = intra_option_update(Q, (0, 2, 1.0, 1))
+    n = intra_option_update(Q, 0, 2, 1.0, 1)
     assert n == 1
     assert Q.get(0, 2) == pytest.approx(1.0)
     assert Q.get(0, option_key(0)) == 0.0
@@ -192,7 +192,7 @@ def test_certain_termination_bootstraps_from_best():
     o = make_option(policy={0: {1: 1.0}}, termination={})  # β(1) defaults to 1
     Q = QTable(2, [o], alpha=1.0, gamma=0.9)
     Q.set(1, 3, 5.0)
-    intra_option_update(Q, (0, 1, 0.0, 1))
+    intra_option_update(Q, 0, 1, 0.0, 1)
     assert Q.get(0, option_key(0)) == pytest.approx(0.9 * 5.0)
 
 
@@ -202,7 +202,7 @@ def test_continuation_bootstraps_from_own_value():
                     termination={1: 0.0})
     Q = QTable(2, [o], alpha=1.0, gamma=0.9)
     Q.set(1, option_key(0), 2.0)
-    intra_option_update(Q, (0, 1, 0.0, 1))
+    intra_option_update(Q, 0, 1, 0.0, 1)
     assert Q.get(0, option_key(0)) == pytest.approx(1.8)
 
 
@@ -210,7 +210,7 @@ def test_update_count_grows_with_consistent_options():
     o1 = make_option(policy={0: {1: 1.0}})
     o2 = make_option(source=1, target=0, policy={0: {1: 0.5, 2: 0.5}})
     Q = QTable(2, [o1, o2], alpha=0.5, gamma=0.9)
-    n = intra_option_update(Q, (0, 1, 0.0, 1))
+    n = intra_option_update(Q, 0, 1, 0.0, 1)
     assert n == 3   # two options consistent with action 1, plus the primitive
 
 
@@ -483,9 +483,8 @@ def test_updates_match_scan_oracles(seed):
     for _ in range(300):
         s, s2, a = int(gen.integers(n_states)), int(gen.integers(n_states)), int(gen.integers(4))
         r = float(gen.normal())
-        transition = (s, a, r, s2)
-        assert (intra_option_update(Q, transition)
-                == oracles.scan_intra_option_update(Q_oracle, transition, options,
+        assert (intra_option_update(Q, s, a, r, s2)
+                == oracles.scan_intra_option_update(Q_oracle, s, a, r, s2, options,
                                                     available[s2]))
         choice = available[s][int(gen.integers(len(available[s])))]
         k = int(gen.integers(1, 6))

@@ -16,6 +16,7 @@ from spectral_options.env import (
     bundled_map_text,
     load_gridworld,
     sample_trajectory,
+    step,
 )
 from spectral_options.model import (
     EstimatedModel,
@@ -153,6 +154,20 @@ def test_exhaustive_probabilities_match_true_kernel():
             expected = np.zeros(world.n_states)
             expected[world.move(s, a)] = 1.0
             np.testing.assert_array_equal(P[(s, a)], expected)
+
+
+def test_exhaustive_model_follows_step():
+    # A nonzero step reward tells the goal's reward from every other step's.
+    world = load_gridworld(THREE_ROOMS, step_reward=-0.04)
+    m = exhaustive_model(world)
+    count, reward_sum = m._values
+    sa, s2 = np.divmod(m._keys, m.n_states)
+    stored = dict(zip(sa.tolist(), zip(s2.tolist(), (reward_sum / count).tolist())))
+    assert len(stored) == m._keys.size      # one successor per (s, a)
+    expected = {s * 4 + a: step(world, s, a)[:2] for s in range(world.n_states)
+                if not world.is_terminal(s) for a in range(4)}
+    assert stored == expected
+    assert {r for _, r in stored.values()} == {-0.04, world.goal_reward}
 
 
 def test_adjacency_symmetrizes():

@@ -336,6 +336,33 @@ def test_membership_monotone_until_plateau(three_rooms_setup):
                 assert chi[cur, o.target] >= chi[prev, o.target] - 1e-12
 
 
+# Found on these maps: a diagonal-room option (2×2, side 4) leaves its source
+# through a third room and stops there; elsewhere the greedy walk stalls at a
+# uniform-fallback state, bumping a wall or cycling with an ascent state.
+MISSES_TARGET = pytest.mark.xfail(
+    strict=True, reason="greedy option execution misses the target cluster from "
+                        "some starts (ROADMAP: option reach on generated maps)")
+
+
+@pytest.mark.parametrize("rows, cols, side", [
+    (1, 2, 5), (1, 3, 8), (2, 2, 6), (2, 2, 10),
+    *(pytest.param(*shape, marks=MISSES_TARGET)
+      for shape in [(2, 2, 4), (2, 3, 6), (2, 3, 10), (3, 3, 5), (3, 3, 8)])])
+def test_greedy_options_reach_target_on_room_grids(rows, cols, side):
+    # Acceptance 4's rule on the exact model of a generated map, clustered
+    # with k = the room count: from every non-terminal initiation state the
+    # determinized option ends in its target cluster.
+    world = load_gridworld(room_grid_text(rows, cols, side))
+    model = exhaustive_model(world)
+    result = cluster(adjacency(model), k=rows * cols)
+    clusters = [set(members) for members in assign_states(result.chi)]
+    missed = [(o.label, s0) for o in compose_options(model, result, tau_conn=0.1)
+              for s0 in sorted(o.initiation) if not world.is_terminal(s0)
+              and oracles.determinized_outcome(world, o, s0, 0.99)[2]
+              not in clusters[o.target]]
+    assert missed == []
+
+
 def test_no_uniform_fallback_states_on_shipped_map(three_rooms_setup):
     _, _, _, _, options = three_rooms_setup
     for o in options:

@@ -27,8 +27,8 @@ from spectral_options.agents import QTable
 from spectral_options.pipeline import (
     LEARNERS,
     OdstcConfig,
+    _plateaued,
     aggregate_model,
-    convergence_test,
     episodes_to_plateau,
     epsilon_at,
     kmeans_microstates,
@@ -160,15 +160,15 @@ def test_epsilon_linear_midpoint():
     assert epsilon_at(45, 90, 1.0, 0.05) == pytest.approx(0.525)
 
 
-# --- convergence_test --------------------------------------------------------
+# --- the plateau rule --------------------------------------------------------
 
 def test_constant_returns_plateau():
-    assert convergence_test([1.0] * 40, window=20)
+    assert _plateaued([1.0] * 40, window=20)
 
 
 def test_improving_returns_not_plateaued():
     # +10% from one window to the next.
-    assert not convergence_test([1.0] * 20 + [1.1] * 20, window=20)
+    assert not _plateaued([1.0] * 20 + [1.1] * 20, window=20)
 
 
 def test_noisy_plateau_within_half_percent():
@@ -178,23 +178,26 @@ def test_noisy_plateau_within_half_percent():
     m_last = returns[-20:].mean()
     expected = abs(m_last - m_prev) < 0.01 * max(abs(m_prev), abs(m_last))
     assert expected  # amplitude 0.5% of the mean cannot move a window mean 1%
-    assert convergence_test(list(returns), window=20) == expected
+    assert _plateaued(list(returns), window=20) == expected
 
 
-def test_plateau_detected_on_negative_returns():
-    assert convergence_test([-10.0] * 40, window=20)
+def test_non_positive_trailing_mean_never_plateaus():
+    # Windows that agree exactly or not: a non-positive trailing mean has not learned.
+    for level in (0.0, -10.0):
+        assert not _plateaued([level] * 40, window=20)
+        assert not _plateaued([1.0] * 20 + [level] * 20, window=20)
 
 
-def test_too_short_log_rejected():
-    with pytest.raises(ValueError):
-        convergence_test([1.0, 2.0, 3.0], window=2)
+def test_fewer_than_two_windows_not_plateaued():
+    assert not _plateaued([1.0, 1.0, 1.0], window=2)
 
 
-def test_accepts_run_returns(penalized_world):
-    cfg = train_config(max_rounds=2)
-    res = run_odstc(penalized_world, cfg)
-    returns = [l.cumulative_reward for l in res.history]
-    assert isinstance(convergence_test(returns, window=10), bool)
+def test_window_below_one_rejected():
+    for window in (0, -1):
+        with pytest.raises(ValueError):
+            _plateaued([1.0] * 40, window=window)
+        with pytest.raises(ValueError):
+            episodes_to_plateau([1.0] * 40, window)
 
 
 # --- episodes_to_plateau -----------------------------------------------------
