@@ -48,9 +48,9 @@ class QTable:
     """Action/option values of one option set, one row per state.
 
     ``rows[s]`` maps each choice in ``available[s]`` to its value, in that
-    order, so ``max(rows[s].values())`` is the greedy value at s and
-    ``max(rows[s], key=rows[s].__getitem__)`` the greedy choice, ties going
-    to the earliest position.  Entries never written read 0.
+    order, so ``max(rows[s].values())`` is the greedy value at s and the
+    first choice of ``rows[s]`` holding it the greedy choice.  Entries never
+    written read 0.
     ``consistent[s][a]`` lists (option key, option) for every option offered
     at s whose μ gives action a positive probability, in option index order.
     """
@@ -206,7 +206,10 @@ def epsilon_greedy(Q: QTable, s: int, epsilon: float, rng: Draws):
     if rng.random() < epsilon:
         available = Q.available[s]
         return available[rng.integers(len(available))]
-    return max(row, key=row.__getitem__)
+    best = max(row.values())
+    for c, q in row.items():
+        if q == best:
+            return c
 
 
 def run_option(world: GridWorld, option: Option, traj: Trajectory,

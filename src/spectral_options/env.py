@@ -175,7 +175,10 @@ class Draws:
         n = operator.index(n)
         if not 1 <= n <= _TWO_64:
             raise ValueError(f"integers(n) needs 1 <= n <= 2**64, got {n}")
-        m = self._raw() * n
+        try:                          # _raw() inlined, as in random()
+            m = next(self._it) * n
+        except StopIteration:
+            m = self._refill() * n
         if m & _MASK64 < n:
             threshold = _TWO_64 % n
             while m & _MASK64 < threshold:

@@ -39,6 +39,11 @@ from spectral_options.agents import (
 LEARNERS = ("smdp", "intra_option", "flat")
 
 
+def _check_learner(learner: str) -> None:
+    if learner not in LEARNERS:
+        raise ValueError(f"learner must be one of {LEARNERS}, got {learner!r}")
+
+
 @dataclass
 class OdstcConfig:
     """Settings of the discovery loop; each field is also a key of the CLI's INI."""
@@ -79,8 +84,7 @@ class OdstcConfig:
         for name, p in {"eps_start": self.eps_start, "eps_end": self.eps_end}.items():
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.learner not in LEARNERS:
-            raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
+        _check_learner(self.learner)
         if not 0 <= self.tau_conn < 1:      # at 1 no pair clears τ·max, so no options
             raise ValueError(f"tau_conn must lie in [0, 1), got {self.tau_conn}")
         if not (math.isfinite(self.v) and self.v >= 0):
@@ -156,8 +160,10 @@ def run_episode(world: GridWorld, Q: QTable, epsilon: float, rng: Draws,
     trajectory for one SMDP update, with the option's discounted return, or
     one intra-option update per step.  Every draw, the ε test and choice,
     the option's actions and terminations and the slips, comes from ``rng``
-    in the order the episode makes them.
+    in the order the episode makes them.  Raises ValueError, before any draw,
+    for a learner outside ``LEARNERS``.
     """
+    _check_learner(learner)
     intra = learner == "intra_option"
     options, gamma = Q.options, Q.gamma
     s = world.start

@@ -119,10 +119,12 @@ def build_laplacian(W: np.ndarray) -> StochasticLaplacian:
 
 
 def decompose(lap: StochasticLaplacian) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of L, descending, with index-aligned eigenvector columns."""
+    """Full spectrum of L, descending, with index-aligned eigenvector columns:
+    ``np.linalg.eigh``'s ascending arrays reversed, as views, so LAPACK sets
+    the column order among exactly tied eigenvalues.
+    """
     eigenvalues, vectors = np.linalg.eigh(lap.L)
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], vectors[:, order]
+    return eigenvalues[::-1], vectors[:, ::-1]
 
 
 def select_k(eigenvalues, t_c: float = 0.5) -> KSelection:

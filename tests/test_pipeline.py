@@ -575,6 +575,17 @@ def test_option_with_empty_policy_row_is_not_offered():
     assert traj.actions == [0] * 10
 
 
+@pytest.mark.parametrize("learner", ["intra-option", "SMDP", ""])
+def test_run_episode_rejects_unknown_learner_before_any_draw(learner):
+    world = load_gridworld(PIN_MAP)
+    Q = QTable(world.n_states, pin_options())
+    rng = Draws(0)
+    with pytest.raises(ValueError, match="learner must be one of"):
+        run_episode(world, Q, 0.3, rng, learner, 25)
+    assert rng.raws(3).tolist() == Draws(0).raws(3).tolist()
+    assert Q.values == QTable(world.n_states, pin_options()).values
+
+
 RUN_MAP = """\
 ##########
 #S.#..#..#

@@ -364,6 +364,20 @@ def test_eigenvalues_match_dense_oracle():
     np.testing.assert_allclose(e, oracle, atol=1e-8)
 
 
+@pytest.mark.parametrize("rows, cols, side", [(2, 2, 6), (3, 3, 5)])
+def test_decompose_is_eigh_reversed_through_exact_ties(rows, cols, side):
+    # These exact room models have exactly tied eigenvalues; among them the
+    # column order is eigh's (LAPACK's), reversed, not a sort's.
+    world = load_gridworld(room_grid_text(rows, cols, side))
+    lap = build_laplacian(adjacency(exhaustive_model(world)))
+    e, vectors = decompose(lap)
+    assert (np.diff(e) == 0).any()
+    e_asc, v_asc = np.linalg.eigh(lap.L)
+    assert np.array_equal(e, e_asc[::-1])
+    assert np.array_equal(vectors, v_asc[:, ::-1])
+    np.testing.assert_allclose(lap.L @ vectors, vectors * e, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("b", [2, 3, 4])
 def test_exact_block_recovery(b):
     W = block_adjacency([3] * b)
